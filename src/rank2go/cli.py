@@ -7,8 +7,12 @@ metric, and classify spaces over a candidate-metric lattice.
 classify exits 0 when every computed verdict matches the built-in expected
 classification, 2 on a mismatch, and 1 when any space errored.  check-go
 exits 0 when sampling is consistent and 2 when refuted or filtered out.
-The sampling seed defaults to 42 and can be overridden either with --seed
-or with the RANK2GO_SEED environment variable.
+certify exits 0 when a witness is found and re-verifies, and 2 when the
+budget runs out without one.  check-go, certify and classify exit 1 on bad
+input: an unknown space, a malformed metric or scalar literal (a zero
+denominator included), or a negative --samples or --budget; both counts
+must be >= 0.  The sampling seed defaults to 42 and can be overridden
+either with --seed or with the RANK2GO_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import click
 
 from .chevalley import build_compact_form, summary_dict
 from .embed import CATALOG_IDS, catalog_space
-from .field import ONE, ZERO, parse_scalar
+from .field import parse_scalar
 from .gocheck import (
     DEFAULT_SEED,
     GoVerdict,
@@ -39,7 +43,7 @@ from .isotypic import (
     decomposition_summary,
     isotypic_decompose,
 )
-from .liealg import ideal_decomposition, mat_add, mat_scale
+from .liealg import ideal_decomposition, identity_matrix, mat_add, mat_scale
 
 FAMILIES = ("a2", "a1a1", "c2", "g2")
 
@@ -78,6 +82,11 @@ def _resolve_seed(seed: int | None) -> int:
                 f"RANK2GO_SEED must be an integer, got {env!r}"
             )
     return DEFAULT_SEED
+
+
+def _nonnegative(option: str, value: int) -> None:
+    if value < 0:
+        raise click.ClickException(f"{option} must be >= 0, got {value}")
 
 
 def _space(space_id: str):
@@ -231,8 +240,9 @@ def check_go(
     """Sample the geodesic-orbit condition for one metric.
 
     Exits 0 when every sampled direction admits a compensator, 2 when the
-    metric is refuted or filtered out.
+    metric is refuted or filtered out, 1 on bad input.
     """
+    _nonnegative("--samples", samples)
     sp = _space(space_id)
     resolved = _resolve_seed(seed)
     try:
@@ -261,8 +271,9 @@ def certify(
     """Search for an exact refuting direction for one metric.
 
     Exits 0 when a witness is found and re-verifies, 2 when the budget is
-    exhausted without one.
+    exhausted without one, 1 on bad input.
     """
+    _nonnegative("--budget", budget)
     sp = _space(space_id)
     resolved = _resolve_seed(seed)
     try:
@@ -278,10 +289,6 @@ def certify(
         raise click.ClickException("witness failed re-verification")
     click.echo("witness re-verified exactly")
     sys.exit(0)
-
-
-def _identity_matrix_exact(n: int):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def _is_homothety_of_standard(matrix) -> bool:
@@ -307,7 +314,7 @@ def _candidate_metrics(space, dec):
         candidates.append(({"kind": "blocks", "coeffs": list(texts)}, metric))
     if dec.invariant_metric_dim > k:
         seen = [metric.matrix for _, metric in candidates]
-        ident = _identity_matrix_exact(space.dim_m)
+        ident = identity_matrix(space.dim_m)
         extras = 0
         for index, B in enumerate(commutant_symmetric_basis(space)):
             if extras >= COMMUTANT_PROBE_LIMIT:
@@ -425,6 +432,7 @@ def classify(
     2 on any mismatch, 1 when a space errored.  The report is byte-identical
     across runs with the same seed and configuration.
     """
+    _nonnegative("--samples", samples)
     resolved = _resolve_seed(seed)
     if run_all:
         if space_ids:

@@ -3,16 +3,17 @@
 Each catalogued space is a pair (g, h): a compact rank-two algebra g and a
 subalgebra h, together with the reductive complement m of h under the
 invariant form.  Twelve spaces come from the classified su(2) embeddings in
-the four rank-two families; two more are the squashed three-sphere over u(2)
-and the six-dimensional complement realizing the twistor space of the
-four-sphere.  Both the subalgebra and complement spans are stored explicitly
-and cross-checked against each other at construction time.
+the four rank-two families: each h is the compact image of the row's sl2
+triple.  Two more are the squashed three-sphere over u(2) and the
+six-dimensional complement realizing the twistor space of the four-sphere,
+whose subalgebras are written down directly.  The complement m is always
+computed as the orthogonal complement of h; the test suite cross-checks
+every h and m against independently written spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .chevalley import (
@@ -24,7 +25,7 @@ from .chevalley import (
     c_scale,
     complex_E,
 )
-from .field import ONE, SQRT2, SQRT3, SQRT6, SQRT10, ZERO, Scalar, scalar
+from .field import ONE, SQRT2, SQRT6, SQRT10, ZERO, Scalar, scalar
 from .liealg import (
     LieAlgebra,
     Subspace,
@@ -35,7 +36,6 @@ from .liealg import (
     orth_complement,
     su2,
     subalgebra_closure,
-    vec_add,
     vec_scale,
 )
 from .rootsys import Root, root_neg
@@ -73,7 +73,7 @@ class CatalogSpace:
 
 
 # ---------------------------------------------------------------------------
-# catalogued spans
+# catalogued spaces
 # ---------------------------------------------------------------------------
 
 def _fg(cf: CompactForm, *roots: Root) -> list[Vector]:
@@ -84,113 +84,8 @@ def _fg(cf: CompactForm, *roots: Root) -> list[Vector]:
     return out
 
 
-def _combo(cf: CompactForm, parts: list[tuple[Scalar, str]]) -> Vector:
-    v = None
-    for c, lab in parts:
-        term = vec_scale(c, cf.algebra.basis_vector(lab))
-        v = term if v is None else vec_add(v, term)
-    return v
-
-
 def _ih(cf: CompactForm, ca, cb) -> Vector:
     return cf.algebra.element({"iH[a]": scalar(ca), "iH[b]": scalar(cb)})
-
-
-def _row_spans(row: int) -> tuple[CompactForm, list[Vector], list[Vector]]:
-    """Hard-coded subalgebra and complement spans for table row 1..12."""
-    A, B = (1, 0), (0, 1)
-    if row in (1, 2):
-        cf = build_compact_form("a2")
-        AB = (1, 1)
-        if row == 1:
-            h = [_ih(cf, 1, 1)] + _fg(cf, AB)
-            m = [_ih(cf, 1, -1)] + _fg(cf, A, B)
-        else:
-            h = [
-                _combo(cf, [(ONE, "F[a]"), (ONE, "F[b]")]),
-                _combo(cf, [(ONE, "G[a]"), (ONE, "G[b]")]),
-                _ih(cf, 1, 1),
-            ]
-            m = [
-                _combo(cf, [(ONE, "F[a]"), (-ONE, "F[b]")]),
-                _combo(cf, [(ONE, "G[a]"), (-ONE, "G[b]")]),
-                _ih(cf, 1, -1),
-            ] + _fg(cf, AB)
-        return cf, h, m
-    if row in (3, 4, 5):
-        cf = build_compact_form("a1a1")
-        if row == 3:
-            return cf, [_ih(cf, 1, 0)] + _fg(cf, A), [_ih(cf, 0, 1)] + _fg(cf, B)
-        if row == 4:
-            return cf, [_ih(cf, 0, 1)] + _fg(cf, B), [_ih(cf, 1, 0)] + _fg(cf, A)
-        h = [
-            _combo(cf, [(ONE, "F[a]"), (ONE, "F[b]")]),
-            _combo(cf, [(ONE, "G[a]"), (ONE, "G[b]")]),
-            _ih(cf, 1, 1),
-        ]
-        m = [
-            _combo(cf, [(ONE, "F[a]"), (-ONE, "F[b]")]),
-            _combo(cf, [(ONE, "G[a]"), (-ONE, "G[b]")]),
-            _ih(cf, 1, -1),
-        ]
-        return cf, h, m
-    if row in (6, 7, 8):
-        cf = build_compact_form("c2")
-        AB, A2B = (1, 1), (1, 2)
-        if row == 6:
-            h = [_ih(cf, 1, 1)] + _fg(cf, A2B)
-            m = [_ih(cf, 1, 0)] + _fg(cf, A, B, AB)
-            return cf, h, m
-        if row == 7:
-            h = [_ih(cf, 2, 1)] + _fg(cf, AB)
-            m = [_ih(cf, 0, 1)] + _fg(cf, A, B, A2B)
-            return cf, h, m
-        h = [
-            _combo(cf, [(scalar(2), "F[a]"), (SQRT3, "F[b]")]),
-            _combo(cf, [(scalar(2), "G[a]"), (SQRT3, "G[b]")]),
-            _ih(cf, 4, 3),
-        ]
-        m = [
-            _combo(cf, [(SQRT3, "F[a]"), (-ONE, "F[b]")]),
-            _combo(cf, [(SQRT3, "G[a]"), (-ONE, "G[b]")]),
-            _ih(cf, 2, -1),
-        ] + _fg(cf, AB, A2B)
-        return cf, h, m
-    cf = build_compact_form("g2")
-    AB, A2B1, A3B1, A3B2 = (1, 1), (2, 1), (3, 1), (3, 2)
-    if row == 9:
-        h = [_ih(cf, 1, 0)] + _fg(cf, A)
-        # iH[3a+2b] has coroot coefficients (1, 2).
-        m = [_ih(cf, 1, 2)] + _fg(cf, B, AB, A2B1, A3B1, A3B2)
-        return cf, h, m
-    if row == 10:
-        h = [_ih(cf, 0, 1)] + _fg(cf, B)
-        # iH[2a+b] has coroot coefficients (2, 3).
-        m = [_ih(cf, 2, 3)] + _fg(cf, A, AB, A2B1, A3B1, A3B2)
-        return cf, h, m
-    if row == 11:
-        h = [
-            _combo(cf, [(SQRT2, "F[3a+2b]"), (-SQRT2, "F[b]")]),
-            _combo(cf, [(SQRT2, "G[3a+2b]"), (SQRT2, "G[b]")]),
-            _ih(cf, 2, 2),  # 2 iH[3a+b]
-        ]
-        m = [
-            _combo(cf, [(SQRT2, "F[3a+2b]"), (SQRT2, "F[b]")]),
-            _combo(cf, [(SQRT2, "G[3a+2b]"), (-SQRT2, "G[b]")]),
-            _ih(cf, 2, 6),  # 2 iH[a+b]
-        ] + _fg(cf, A, AB, A2B1, A3B1)
-        return cf, h, m
-    h = [
-        _combo(cf, [(SQRT6, "F[a]"), (SQRT10, "F[b]")]),
-        _combo(cf, [(SQRT6, "G[a]"), (SQRT10, "G[b]")]),
-        _ih(cf, 6, 10),  # 14 iH[9a+5b]
-    ]
-    m = [
-        _combo(cf, [(SQRT10, "F[a]"), (scalar(-3) * SQRT6, "F[b]")]),
-        _combo(cf, [(SQRT10, "G[a]"), (scalar(-3) * SQRT6, "G[b]")]),
-        _ih(cf, Fraction(2, 7), Fraction(-6, 7)),  # 2 iH[a-b]
-    ] + _fg(cf, AB, A2B1, A3B1, A3B2)
-    return cf, h, m
 
 
 _DESCRIPTIONS = {
@@ -218,55 +113,42 @@ def berger_algebra() -> LieAlgebra:
 
 def _build_space(space_id: str) -> CatalogSpace:
     if space_id in ROW_IDS:
-        row = ROW_IDS.index(space_id) + 1
-        cf, h_vecs, m_vecs = _row_spans(row)
-        L = cf.algebra
-        compact = cf
+        triple = sl2_triple_for_row(ROW_IDS.index(space_id) + 1)
+        compact = triple[0]
+        L = compact.algebra
+        h_vecs = compactify_sl2_triple(*triple)
     elif space_id == "berger":
         L = berger_algebra()
         h_vecs = [L.element({"iH": 1, "Z": 1})]
-        m_vecs = [
-            L.element({"iH": 1, "Z": -1}),
-            L.basis_vector("F"),
-            L.basis_vector("G"),
-        ]
         compact = None
     elif space_id == "cp3":
-        cf = build_compact_form("c2")
-        L = cf.algebra
+        compact = build_compact_form("c2")
+        L = compact.algebra
         h_vecs = [
             L.basis_vector("iH[a]"),
-            _ih(cf, 1, 1),  # iH[a+2b]
-        ] + _fg(cf, (1, 2))
-        m_vecs = _fg(cf, (1, 0), (0, 1), (1, 1))
-        compact = cf
+            _ih(compact, 1, 1),  # iH[a+2b]
+        ] + _fg(compact, (1, 2))
     else:
         raise ValueError(
             f"unknown space id {space_id!r}; expected one of {', '.join(CATALOG_IDS)}"
         )
 
     h = Subspace.from_vectors(L.dim, h_vecs)
-    m_declared = Subspace.from_vectors(L.dim, m_vecs)
     if subalgebra_closure(L, h.rows) != h:
         raise ArithmeticError(f"{space_id}: the declared h is not a subalgebra")
-    m_computed = orth_complement(L, h)
-    if m_computed != m_declared:
-        raise ArithmeticError(
-            f"{space_id}: declared complement differs from the orthogonal "
-            f"complement of h"
-        )
-    if h.dim + m_computed.dim != L.dim or not h.intersection(m_computed).is_zero():
+    m = orth_complement(L, h)
+    if h.dim + m.dim != L.dim or not h.intersection(m).is_zero():
         raise ArithmeticError(f"{space_id}: h and m do not decompose the algebra")
     for a in h.rows:
-        for x in m_computed.rows:
-            if not m_computed.contains(L.bracket(a, x)):
+        for x in m.rows:
+            if not m.contains(L.bracket(a, x)):
                 raise ArithmeticError(f"{space_id}: [h, m] leaves m")
     return CatalogSpace(
         space_id=space_id,
         description=_DESCRIPTIONS[space_id],
         algebra=L,
         h=h,
-        m=m_computed,
+        m=m,
         compact=compact,
     )
 
@@ -297,7 +179,7 @@ def _c_H(ca, cb) -> CElt:
     return out
 
 
-def _c_E_combo(parts: list[tuple[Scalar, Root]]) -> CElt:
+def _c_E_sum(parts: list[tuple[Scalar, Root]]) -> CElt:
     out: CElt = {}
     for c, g in parts:
         out = c_add(out, c_scale((c, ZERO), complex_E(g)))
@@ -311,28 +193,28 @@ def sl2_triple_for_row(row: int) -> tuple[CompactForm, CElt, CElt, CElt]:
         cf = build_compact_form("a2")
         return (
             cf,
-            _c_E_combo([(ONE, (1, 1))]),
-            _c_E_combo([(ONE, (-1, -1))]),
+            _c_E_sum([(ONE, (1, 1))]),
+            _c_E_sum([(ONE, (-1, -1))]),
             _c_H(1, 1),
         )
     if row == 2:
         cf = build_compact_form("a2")
         return (
             cf,
-            _c_E_combo([(ONE, A), (ONE, B)]),
-            _c_E_combo([(ONE, (-1, 0)), (ONE, (0, -1))]),
+            _c_E_sum([(ONE, A), (ONE, B)]),
+            _c_E_sum([(ONE, (-1, 0)), (ONE, (0, -1))]),
             _c_H(1, 1),
         )
     if row in (3, 4, 5):
         cf = build_compact_form("a1a1")
         if row == 3:
-            return cf, _c_E_combo([(ONE, A)]), _c_E_combo([(ONE, (-1, 0))]), _c_H(1, 0)
+            return cf, _c_E_sum([(ONE, A)]), _c_E_sum([(ONE, (-1, 0))]), _c_H(1, 0)
         if row == 4:
-            return cf, _c_E_combo([(ONE, B)]), _c_E_combo([(ONE, (0, -1))]), _c_H(0, 1)
+            return cf, _c_E_sum([(ONE, B)]), _c_E_sum([(ONE, (0, -1))]), _c_H(0, 1)
         return (
             cf,
-            _c_E_combo([(ONE, A), (ONE, B)]),
-            _c_E_combo([(ONE, (-1, 0)), (ONE, (0, -1))]),
+            _c_E_sum([(ONE, A), (ONE, B)]),
+            _c_E_sum([(ONE, (-1, 0)), (ONE, (0, -1))]),
             _c_H(1, 1),
         )
     if row in (6, 7, 8):
@@ -340,40 +222,40 @@ def sl2_triple_for_row(row: int) -> tuple[CompactForm, CElt, CElt, CElt]:
         if row == 6:
             return (
                 cf,
-                _c_E_combo([(ONE, (1, 2))]),
-                _c_E_combo([(ONE, (-1, -2))]),
+                _c_E_sum([(ONE, (1, 2))]),
+                _c_E_sum([(ONE, (-1, -2))]),
                 _c_H(1, 1),
             )
         if row == 7:
             return (
                 cf,
-                _c_E_combo([(ONE, (1, 1))]),
-                _c_E_combo([(ONE, (-1, -1))]),
+                _c_E_sum([(ONE, (1, 1))]),
+                _c_E_sum([(ONE, (-1, -1))]),
                 _c_H(2, 1),
             )
         return (
             cf,
-            _c_E_combo([(ONE, A), (ONE, B)]),
-            _c_E_combo([(scalar(4), (-1, 0)), (scalar(3), (0, -1))]),
+            _c_E_sum([(ONE, A), (ONE, B)]),
+            _c_E_sum([(scalar(4), (-1, 0)), (scalar(3), (0, -1))]),
             _c_H(4, 3),
         )
     cf = build_compact_form("g2")
     if row == 9:
-        return cf, _c_E_combo([(ONE, A)]), _c_E_combo([(ONE, (-1, 0))]), _c_H(1, 0)
+        return cf, _c_E_sum([(ONE, A)]), _c_E_sum([(ONE, (-1, 0))]), _c_H(1, 0)
     if row == 10:
-        return cf, _c_E_combo([(ONE, B)]), _c_E_combo([(ONE, (0, -1))]), _c_H(0, 1)
+        return cf, _c_E_sum([(ONE, B)]), _c_E_sum([(ONE, (0, -1))]), _c_H(0, 1)
     if row == 11:
         return (
             cf,
-            _c_E_combo([(SQRT2, (3, 2)), (SQRT2, (0, -1))]),
-            _c_E_combo([(SQRT2, (0, 1)), (SQRT2, (-3, -2))]),
+            _c_E_sum([(SQRT2, (3, 2)), (SQRT2, (0, -1))]),
+            _c_E_sum([(SQRT2, (0, 1)), (SQRT2, (-3, -2))]),
             _c_H(2, 2),  # 2 H[3a+b]
         )
     if row == 12:
         return (
             cf,
-            _c_E_combo([(SQRT6, A), (SQRT10, B)]),
-            _c_E_combo([(SQRT6, (-1, 0)), (SQRT10, (0, -1))]),
+            _c_E_sum([(SQRT6, A), (SQRT10, B)]),
+            _c_E_sum([(SQRT6, (-1, 0)), (SQRT10, (0, -1))]),
             _c_H(6, 10),  # 14 H[9a+5b]
         )
     raise ValueError(f"row must be 1..12, got {row}")

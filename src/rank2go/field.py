@@ -458,7 +458,10 @@ def parse_scalar(text: str) -> Scalar:
         m = _TERM_RE.match(body)
         if not m or (m.group("coef") is None and m.group("rad") is None):
             raise ValueError(f"bad term {tok!r} in scalar literal {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar literal {text!r}")
         if sign == "-":
             coef = -coef
         rad = m.group("rad")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .embed import CatalogSpace, fibration_split, named_subalgebra
@@ -34,6 +35,7 @@ from .liealg import (
     is_positive_definite,
     kernel_basis,
     mat_add,
+    mat_apply,
     mat_inverse,
     mat_mul,
     mat_scale,
@@ -41,9 +43,7 @@ from .liealg import (
     operator_on_subspace,
     solve_columns,
     subalgebra_closure,
-    vec_add,
-    vec_scale,
-    zero_vector,
+    vec_sub,
 )
 
 DEFAULT_SEED = 42
@@ -69,18 +69,8 @@ class MetricEndomorphism:
 
     def apply(self, v: Vector) -> Vector:
         """Apply to an ambient vector lying in m; returns an ambient vector."""
-        space = self.space
-        coords = space.m.coords(v)
-        n = space.dim_m
-        out = zero_vector(space.algebra.dim)
-        for i in range(n):
-            c = sum(
-                (self.matrix[i][j] * coords[j] for j in range(n) if coords[j]),
-                ZERO,
-            )
-            if c:
-                out = vec_add(out, vec_scale(c, space.m.rows[i]))
-        return out
+        m = self.space.m
+        return m.combine(mat_apply(self.matrix, m.coords(v)))
 
     def scaled(self, c) -> "MetricEndomorphism":
         """The homothetic metric c * M (c must be positive)."""
@@ -172,8 +162,7 @@ def fibration_metric(
     K = named_subalgebra(space, subalgebra_name)
     fiber, base = fibration_split(space, K)
     n = space.dim_m
-    cols = [space.m.coords(v) for v in list(fiber.rows) + list(base.rows)]
-    T = [[cols[j][i] for j in range(n)] for i in range(n)]
+    T = mat_transpose([space.m.coords(v) for v in fiber.rows + base.rows])
     diag = [
         [
             (lam if i < fiber.dim else ONE) if i == j else ZERO
@@ -216,48 +205,15 @@ def solve_compensator(
     sol, rank_map, rank_aug = solve_columns(columns, rhs)
     if sol is None:
         return None, rank_map, rank_aug
-    dim_h = space.dim_h
-    if rank_map < dim_h:
-        null = kernel_basis(
-            [[col[j] for col in columns] for j in range(len(columns[0]))]
-            if columns
-            else [],
-            dim_h,
-        )
+    if rank_map < space.dim_h:
+        # Shift the particular solution a0 along the null space N of the
+        # map to the G-orthogonal one: a = a0 - N^T (N G N^T)^-1 N G a0.
+        null = kernel_basis(mat_transpose(columns), space.dim_h)
         G = gram_matrix(L, space.h.rows)
-        Ga0 = [
-            sum((G[i][j] * sol[j] for j in range(dim_h) if sol[j]), ZERO)
-            for i in range(dim_h)
-        ]
-        k = len(null)
-        NtGa0 = [
-            sum((nu[i] * Ga0[i] for i in range(dim_h) if nu[i]), ZERO)
-            for nu in null
-        ]
-        NtGN = [
-            [
-                sum(
-                    (
-                        null[r][i] * G[i][j] * null[c][j]
-                        for i in range(dim_h)
-                        for j in range(dim_h)
-                        if null[r][i] and null[c][j]
-                    ),
-                    ZERO,
-                )
-                for c in range(k)
-            ]
-            for r in range(k)
-        ]
-        u = mat_mul(mat_inverse(NtGN), [[t] for t in NtGa0])
-        sol = tuple(
-            sol[j] - sum((null[r][j] * u[r][0] for r in range(k)), ZERO)
-            for j in range(dim_h)
-        )
-    a = zero_vector(L.dim)
-    for c, basis_vec in zip(sol, space.h.rows):
-        if c:
-            a = vec_add(a, vec_scale(c, basis_vec))
+        NtGN = mat_mul(mat_mul(null, G), mat_transpose(null))
+        u = mat_apply(mat_inverse(NtGN), mat_apply(null, mat_apply(G, sol)))
+        sol = vec_sub(sol, mat_apply(mat_transpose(null), u))
+    a = space.h.combine(sol)
     if L.bracket(a, y) != rhs:
         raise ArithmeticError("compensator verification failed")
     return a, rank_map, rank_aug
@@ -337,11 +293,7 @@ class Witness:
     rank_augmented: int
 
     def vector(self, space: CatalogSpace) -> Vector:
-        x = zero_vector(space.algebra.dim)
-        for c, row in zip(self.coords, space.m.rows):
-            if c:
-                x = vec_add(x, vec_scale(c, row))
-        return x
+        return space.m.combine(self.coords)
 
     def to_dict(self) -> dict:
         return {
@@ -415,14 +367,54 @@ def _check_direction(
     metric: MetricEndomorphism,
     coords: tuple[Scalar, ...],
 ) -> Witness | None:
-    x = zero_vector(space.algebra.dim)
-    for c, row in zip(coords, space.m.rows):
-        if c:
-            x = vec_add(x, vec_scale(c, row))
-    sol, rank_map, rank_aug = solve_compensator(space, metric, x)
+    sol, rank_map, rank_aug = solve_compensator(
+        space, metric, space.m.combine(coords)
+    )
     if sol is None:
         return Witness(coords=coords, rank_map=rank_map, rank_augmented=rank_aug)
     return None
+
+
+def _search(
+    space: CatalogSpace,
+    metric: MetricEndomorphism,
+    draws: int,
+    seed: int,
+    apply_filters: bool,
+) -> GoVerdict:
+    """The one direction search: filters (always computed, and applied only
+    when asked), the structured batch, then `draws` seeded random draws,
+    stopping at the first direction with no compensator."""
+    start = time.perf_counter()
+    filters = _filter_results(space, metric)
+    filter_name = None
+    if apply_filters:
+        filter_name = next((name for name, ok in filters if not ok), None)
+    status, run, witness = STATUS_GO_SAMPLED, 0, None
+    if filter_name is not None:
+        status = STATUS_FILTERED
+    else:
+        rng = random.Random(seed)
+        n = space.dim_m
+        directions = chain(
+            structured_directions(space),
+            (_random_direction(rng, n) for _ in range(draws)),
+        )
+        for coords in directions:
+            run += 1
+            witness = _check_direction(space, metric, coords)
+            if witness is not None:
+                status = STATUS_NOT_GO
+                break
+    return GoVerdict(
+        status=status,
+        samples_run=run,
+        seed=seed,
+        witness=witness,
+        filter_name=filter_name,
+        filters=filters,
+        elapsed_s=time.perf_counter() - start,
+    )
 
 
 def go_sample_check(
@@ -439,58 +431,7 @@ def go_sample_check(
     run with a witness.  samples counts the random draws; samples_run in
     the verdict counts every direction actually checked.
     """
-    start = time.perf_counter()
-    filters = _filter_results(space, metric)
-    if apply_filters:
-        for name, ok in filters:
-            if not ok:
-                return GoVerdict(
-                    status=STATUS_FILTERED,
-                    samples_run=0,
-                    seed=seed,
-                    witness=None,
-                    filter_name=name,
-                    filters=filters,
-                    elapsed_s=time.perf_counter() - start,
-                )
-    run = 0
-    for coords in structured_directions(space):
-        run += 1
-        witness = _check_direction(space, metric, coords)
-        if witness is not None:
-            return GoVerdict(
-                status=STATUS_NOT_GO,
-                samples_run=run,
-                seed=seed,
-                witness=witness,
-                filter_name=None,
-                filters=filters,
-                elapsed_s=time.perf_counter() - start,
-            )
-    rng = random.Random(seed)
-    n = space.dim_m
-    for _ in range(samples):
-        run += 1
-        witness = _check_direction(space, metric, _random_direction(rng, n))
-        if witness is not None:
-            return GoVerdict(
-                status=STATUS_NOT_GO,
-                samples_run=run,
-                seed=seed,
-                witness=witness,
-                filter_name=None,
-                filters=filters,
-                elapsed_s=time.perf_counter() - start,
-            )
-    return GoVerdict(
-        status=STATUS_GO_SAMPLED,
-        samples_run=run,
-        seed=seed,
-        witness=None,
-        filter_name=None,
-        filters=filters,
-        elapsed_s=time.perf_counter() - start,
-    )
+    return _search(space, metric, samples, seed, apply_filters)
 
 
 def find_witness(
@@ -501,47 +442,9 @@ def find_witness(
 ) -> GoVerdict:
     """Search for a refuting direction: structured batch first, then up to
     budget random draws.  The budget counts random draws only; the
-    structured batch always runs in full if no witness appears sooner."""
-    start = time.perf_counter()
-    filters = _filter_results(space, metric)
-    run = 0
-    for coords in structured_directions(space):
-        run += 1
-        witness = _check_direction(space, metric, coords)
-        if witness is not None:
-            return GoVerdict(
-                status=STATUS_NOT_GO,
-                samples_run=run,
-                seed=seed,
-                witness=witness,
-                filter_name=None,
-                filters=filters,
-                elapsed_s=time.perf_counter() - start,
-            )
-    rng = random.Random(seed)
-    n = space.dim_m
-    for _ in range(budget):
-        run += 1
-        witness = _check_direction(space, metric, _random_direction(rng, n))
-        if witness is not None:
-            return GoVerdict(
-                status=STATUS_NOT_GO,
-                samples_run=run,
-                seed=seed,
-                witness=witness,
-                filter_name=None,
-                filters=filters,
-                elapsed_s=time.perf_counter() - start,
-            )
-    return GoVerdict(
-        status=STATUS_GO_SAMPLED,
-        samples_run=run,
-        seed=seed,
-        witness=None,
-        filter_name=None,
-        filters=filters,
-        elapsed_s=time.perf_counter() - start,
-    )
+    structured batch always runs in full if no witness appears sooner.
+    The filters are reported but never stop the search."""
+    return _search(space, metric, budget, seed, apply_filters=False)
 
 
 def verify_witness(

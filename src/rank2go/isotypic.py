@@ -15,19 +15,20 @@ from fractions import Fraction
 from math import isqrt
 
 from .embed import CatalogSpace
-from .field import ONE, ZERO, Scalar, scalar
+from .field import ONE, ZERO
 from .liealg import (
     LieAlgebra,
     Matrix,
     Subspace,
     Vector,
     centralizer_in,
+    commuting_operators,
     eigenspace_in,
     gram_matrix,
-    identity_matrix,
     is_positive_definite,
     kernel_basis,
     mat_add,
+    mat_apply,
     mat_inverse,
     mat_mul,
     mat_scale,
@@ -36,9 +37,6 @@ from .liealg import (
     normalizer,
     operator_on_subspace,
     rational_roots,
-    vec_add,
-    vec_scale,
-    zero_vector,
 )
 
 
@@ -155,25 +153,6 @@ def trivial_component(space: CatalogSpace) -> Subspace:
 
 def _flatten(mat: Matrix, d: int) -> Vector:
     return tuple(mat[i][j] for i in range(d) for j in range(d))
-
-def _unflatten(flat: Vector, d: int) -> Matrix:
-    return [[flat[i * d + j] for j in range(d)] for i in range(d)]
-
-
-def _commuting_operators(ads: list[Matrix], d: int) -> list[Matrix]:
-    """Basis of {T : TA = AT for every A in ads}, in component coordinates."""
-    rows = []
-    for A in ads:
-        for i in range(d):
-            for j in range(d):
-                row = [ZERO] * (d * d)
-                for q in range(d):
-                    row[i * d + q] = row[i * d + q] + A[q][j]
-                for p in range(d):
-                    row[p * d + j] = row[p * d + j] - A[i][p]
-                if any(row):
-                    rows.append(row)
-    return [_unflatten(t, d) for t in kernel_basis(rows, d * d)]
 
 
 def _symmetric_span(mats: list[Matrix], S: Matrix, d: int) -> list[Matrix]:
@@ -298,11 +277,11 @@ def _analyze(space: CatalogSpace) -> _Analysis:
     records = []
     for piece, tags in pieces:
         Cp = operator_on_subspace(
-            lambda v: _apply_in_m(space, C, v), piece
+            lambda v: space.m.combine(mat_apply(C, space.m.coords(v))), piece
         )
         lam = _scalar_eigenvalue(Cp)
         ads = [_ad_on(L, a, piece) for a in space.h.rows]
-        commuting = _commuting_operators(ads, piece.dim)
+        commuting = commuting_operators(ads, piece.dim)
         S = gram_matrix(L, piece.rows)
         symmetric = _symmetric_span(commuting, S, piece.dim)
         mult, irr_dim, division = _multiplicity_annotation(
@@ -381,11 +360,7 @@ def _analyze(space: CatalogSpace) -> _Analysis:
     adapted: list[Vector] = []
     for c in components:
         adapted.extend(c.subspace.rows)
-    T = [[ZERO] * n for _ in range(n)]
-    for j, vec in enumerate(adapted):
-        coords = space.m.coords(vec)
-        for i in range(n):
-            T[i][j] = coords[i]
+    T = mat_transpose([space.m.coords(vec) for vec in adapted])
     Tinv = mat_inverse(T)
 
     projections = []
@@ -416,21 +391,6 @@ def _analyze(space: CatalogSpace) -> _Analysis:
         symmetric_basis=tuple(symmetric_basis),
         m_gram=gram_matrix(L, space.m.rows),
     )
-
-
-def _apply_in_m(space: CatalogSpace, mat_on_m: Matrix, v: Vector) -> Vector:
-    """Apply a matrix given in m-coordinates to an ambient vector of m."""
-    coords = space.m.coords(v)
-    n = space.m.dim
-    out_coords = [
-        sum((mat_on_m[i][j] * coords[j] for j in range(n) if coords[j]), ZERO)
-        for i in range(n)
-    ]
-    out = zero_vector(space.algebra.dim)
-    for c, row in zip(out_coords, space.m.rows):
-        if c:
-            out = vec_add(out, vec_scale(c, row))
-    return out
 
 
 def _scalar_eigenvalue(op: Matrix) -> Fraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from .field import ONE, ZERO, Scalar, scalar
@@ -191,6 +192,20 @@ class Subspace:
             raise ValueError("vector is not in the subspace")
         return [v[p] for p in self.pivots]
 
+    def combine(self, coeffs: Sequence) -> Vector:
+        """The ambient vector sum_i coeffs[i] * rows[i]; inverse of coords."""
+        if len(coeffs) != self.dim:
+            raise ValueError(
+                f"expected {self.dim} coefficients, got {len(coeffs)}"
+            )
+        out = [ZERO] * self.ambient_dim
+        for c, row in zip(coeffs, self.rows):
+            if c:
+                for k, x in enumerate(row):
+                    if x:
+                        out[k] = out[k] + c * x
+        return tuple(out)
+
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
@@ -209,21 +224,12 @@ class Subspace:
             for c in range(self.ambient_dim)
         ]
         sols = kernel_basis(constraint_rows, self.dim)
-        vectors = []
-        for y in sols:
-            v = zero_vector(self.ambient_dim)
-            for c, row in zip(y, self.rows):
-                if c:
-                    v = vec_add(v, vec_scale(c, row))
-            vectors.append(v)
-        return Subspace.from_vectors(self.ambient_dim, vectors)
+        return Subspace.from_vectors(
+            self.ambient_dim, [self.combine(y) for y in sols]
+        )
 
     def __str__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
-
-
-def span_of(ambient_dim: int, vectors: Iterable) -> Subspace:
-    return Subspace.from_vectors(ambient_dim, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +476,7 @@ def centralizer_in(L: LieAlgebra, sub: Subspace, within: Subspace) -> Subspace:
                 [bracket_images[t][s_idx][c] for t in range(within.dim)]
             )
     sols = kernel_basis(constraint_rows, within.dim)
-    vectors = []
-    for y in sols:
-        v = zero_vector(L.dim)
-        for c, row in zip(y, within.rows):
-            if c:
-                v = vec_add(v, vec_scale(c, row))
-        vectors.append(v)
-    return Subspace.from_vectors(L.dim, vectors)
+    return Subspace.from_vectors(L.dim, [within.combine(y) for y in sols])
 
 
 def normalizer(L: LieAlgebra, sub: Subspace) -> Subspace:
@@ -513,14 +512,7 @@ def orth_complement(
             [L.form_value(b, s) for b in within.rows]
         )
     sols = kernel_basis(constraint_rows, within.dim)
-    vectors = []
-    for y in sols:
-        v = zero_vector(L.dim)
-        for c, row in zip(y, within.rows):
-            if c:
-                v = vec_add(v, vec_scale(c, row))
-        vectors.append(v)
-    return Subspace.from_vectors(L.dim, vectors)
+    return Subspace.from_vectors(L.dim, [within.combine(y) for y in sols])
 
 
 def subalgebra_closure(L: LieAlgebra, vectors: Iterable) -> Subspace:
@@ -557,59 +549,38 @@ def _ideal_closure(L: LieAlgebra, algebra: Subspace, v: Vector) -> Subspace:
         span = Subspace.from_vectors(L.dim, new_vectors)
 
 
-def _operator_eigen_split(
-    L: LieAlgebra, part: Subspace, op_rows: list[list[Scalar]]
-) -> list[Subspace]:
-    """Split `part` into eigenspaces of an operator given on part's basis."""
-    coeffs = minimal_polynomial(op_rows)
-    roots = rational_roots(coeffs)
-    pieces = []
-    d = part.dim
-    for lam in sorted(roots):
-        shifted = [
-            [
-                op_rows[i][j] - (scalar(lam) if i == j else ZERO)
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        vecs = []
-        for y in kernel_basis(shifted, d):
-            v = zero_vector(L.dim)
-            for c, row in zip(y, part.rows):
-                if c:
-                    v = vec_add(v, vec_scale(c, row))
-            vecs.append(v)
-        piece = Subspace.from_vectors(L.dim, vecs)
-        if not piece.is_zero():
-            pieces.append(piece)
-    return pieces
+def commuting_operators(ads: Sequence[Matrix], d: int) -> list[Matrix]:
+    """Basis of {T : TA = AT for every A in ads}, for d x d matrices A.
+
+    The unknown T is flattened row by row; the constraint (TA - AT)_ij = 0
+    is one row of the linear system, and all-zero rows are dropped.
+    """
+    rows = []
+    for A in ads:
+        for i in range(d):
+            for j in range(d):
+                row = [ZERO] * (d * d)
+                for q in range(d):
+                    row[i * d + q] = row[i * d + q] + A[q][j]
+                for p in range(d):
+                    row[p * d + j] = row[p * d + j] - A[i][p]
+                if any(row):
+                    rows.append(row)
+    return [
+        [list(t[i * d:(i + 1) * d]) for i in range(d)]
+        for t in kernel_basis(rows, d * d)
+    ]
 
 
 def _commutant_split(L: LieAlgebra, derived: Subspace) -> list[Subspace]:
     """Fallback ideal split: simultaneous eigenspaces of the commutant of the
     adjoint action of `derived` on itself."""
-    d = derived.dim
-    ad_mats = []
-    for b in derived.rows:
-        cols = [derived.coords(L.bracket(b, w)) for w in derived.rows]
-        ad_mats.append([[cols[j][i] for j in range(d)] for i in range(d)])
-    # Unknown T is d x d; require T A = A T for all A.
-    constraint_rows = []
-    for A in ad_mats:
-        for i in range(d):
-            for j in range(d):
-                row = [ZERO] * (d * d)
-                for k in range(d):
-                    # (T A)_{ij} gets T_{ik} A_{kj}; (A T)_{ij} gets A_{ik} T_{kj}
-                    row[i * d + k] = row[i * d + k] + A[k][j]
-                    row[k * d + j] = row[k * d + j] - A[i][k]
-                constraint_rows.append(row)
+    ad_mats = [
+        operator_on_subspace(lambda w, b=b: L.bracket(b, w), derived)
+        for b in derived.rows
+    ]
     parts = [derived]
-    for t_flat in kernel_basis(constraint_rows, d * d):
-        t_rows = [
-            [t_flat[i * d + j] for j in range(d)] for i in range(d)
-        ]
+    for T in commuting_operators(ad_mats, derived.dim):
         refined: list[Subspace] = []
         for part in parts:
             if part.dim <= 1:
@@ -617,21 +588,13 @@ def _commutant_split(L: LieAlgebra, derived: Subspace) -> list[Subspace]:
                 continue
             # Restrict T to the part (T preserves it: it commutes with the
             # action and the part is a sum of ideals).
-            pd = part.dim
-            cols = []
-            for w in part.rows:
-                img = zero_vector(L.dim)
-                coords_w = derived.coords(w)
-                for i in range(d):
-                    acc = ZERO
-                    for j in range(d):
-                        if t_rows[i][j] and coords_w[j]:
-                            acc = acc + t_rows[i][j] * coords_w[j]
-                    if acc:
-                        img = vec_add(img, vec_scale(acc, derived.rows[i]))
-                cols.append(part.coords(img))
-            op = [[cols[j][i] for j in range(pd)] for i in range(pd)]
-            refined.extend(_operator_eigen_split(L, part, op))
+            op = operator_on_subspace(
+                lambda w: derived.combine(mat_apply(T, derived.coords(w))), part
+            )
+            for lam in rational_roots(minimal_polynomial(op)):
+                piece = eigenspace_in(L, part, op, lam)
+                if not piece.is_zero():
+                    refined.append(piece)
         parts = refined
     return parts
 
@@ -803,9 +766,7 @@ def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     if not coeffs or coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
     # Clear denominators to integers.
-    den = 1
-    for q in coeffs:
-        den = den * q.denominator // _gcd(den, q.denominator)
+    den = lcm(*(q.denominator for q in coeffs))
     poly = [int(q * den) for q in coeffs]
     roots: list[Fraction] = []
     while len(poly) > 1:
@@ -848,20 +809,9 @@ def eigenspace_in(
         [op[i][j] - (lam_s if i == j else ZERO) for j in range(d)]
         for i in range(d)
     ]
-    vecs = []
-    for y in kernel_basis(shifted, d):
-        v = zero_vector(L.dim)
-        for c, row in zip(y, part.rows):
-            if c:
-                v = vec_add(v, vec_scale(c, row))
-        vecs.append(v)
-    return Subspace.from_vectors(L.dim, vecs)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return Subspace.from_vectors(
+        L.dim, [part.combine(y) for y in kernel_basis(shifted, d)]
+    )
 
 
 def _divisors(n: int) -> list[int]:
@@ -896,13 +846,9 @@ def _deflate(poly: list[int], root: Fraction) -> list[int]:
     # Remainder check.
     if Fraction(poly[0]) + carry != 0:
         raise ArithmeticError("deflation by a non-root")
-    den = 1
-    for q in out:
-        den = den * q.denominator // _gcd(den, q.denominator)
+    den = lcm(*(q.denominator for q in out))
     ints = [int(q * den) for q in out]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -186,3 +187,48 @@ def test_expected_verdict_table_covers_catalog():
     assert sorted(
         sid for sid, v in EXPECTED_VERDICTS.items() if v == "nonnormal_go_family"
     ) == ["a2.1", "berger", "c2.1", "cp3"]
+
+
+def test_classify_report_matches_the_golden_hash(runner, tmp_path):
+    out = tmp_path / "golden.json"
+    args = ["classify", "berger", "cp3", "c2.2", "g2.1", "--samples", "25"]
+    result = runner.invoke(main, args + ["--seed", "42", "--out", str(out)])
+    assert result.exit_code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == (
+        "b0e399b27480d75ca6cbfaef73012964b58b6abd602319ebd6ef41a4b32cfb31"
+    )
+
+
+def test_zero_denominator_metric_is_a_clean_error(runner):
+    result = runner.invoke(
+        main, ["check-go", "a2.1", "--metric", "blocks:1/0,1", "--samples", "5"]
+    )
+    assert result.exit_code == 1
+    assert "zero denominator" in result.output
+    assert "Traceback" not in result.output
+    assert not isinstance(result.exception, ZeroDivisionError)
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["check-go", "a2.1", "--samples", "-5"], "--samples"),
+        (["classify", "berger", "--samples", "-5"], "--samples"),
+        (["certify", "g2.1", "--metric", "blocks:2,1", "--budget", "-3"], "--budget"),
+    ],
+)
+def test_negative_counts_are_rejected(runner, args, option):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert f"{option} must be >= 0" in result.output
+    assert "status" not in result.output
+    assert "verdict" not in result.output
+
+
+def test_zero_counts_are_accepted(runner):
+    result = runner.invoke(
+        main, ["check-go", "a2.2", "--metric", "standard", "--samples", "0"]
+    )
+    assert result.exit_code == 0
+    assert tail_json(result.output)["status"] == "go_sampled"

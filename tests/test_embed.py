@@ -2,6 +2,7 @@
 
 import pytest
 
+from catalog_spans import declared_spans
 from rank2go.chevalley import build_compact_form, c_bracket, c_scale, complex_E
 from rank2go.embed import (
     CATALOG_IDS,
@@ -78,6 +79,15 @@ def test_decomposition_is_orthogonal_and_reductive(space_id):
     for a in sp.h.rows:
         for x in sp.m.rows:
             assert sp.m.contains(L.bracket(a, x))
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_catalog_matches_independently_written_spans(space_id):
+    L, h_vecs, m_vecs = declared_spans(space_id)
+    sp = catalog_space(space_id)
+    assert sp.algebra == L
+    assert sp.h == Subspace.from_vectors(L.dim, h_vecs)
+    assert sp.m == Subspace.from_vectors(L.dim, m_vecs)
 
 
 def test_row_accessor_matches_catalog():

@@ -230,3 +230,9 @@ def test_coefficient_accessor():
     assert a.coefficient(1) == Fraction(1, 2)
     assert a.coefficient(6) == -3
     assert a.coefficient(30) == 0
+
+
+def test_parse_scalar_rejects_a_zero_denominator():
+    for text in ("1/0", "-3/0*r2", "1 + 2/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scalar(text)

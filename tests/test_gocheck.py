@@ -381,3 +381,20 @@ def test_float_least_squares_cross_check():
         checked += 1
     assert checked == 100
     assert disagreements == 0
+
+
+@pytest.mark.parametrize(
+    "space_id, coeffs",
+    [("c2.2", (2, 1)), ("g2.1", (2, 1)), ("g2.2", (1, 3)), ("g2.3", (2, 1))],
+)
+def test_find_witness_is_the_unfiltered_sample_check(space_id, coeffs):
+    sp = catalog_space(space_id)
+    metric = metric_from_blocks(sp, coeffs)
+    for budget, seed in ((0, 1), (7, 42)):
+        found = find_witness(sp, metric, budget=budget, seed=seed)
+        sampled = go_sample_check(
+            sp, metric, samples=budget, seed=seed, apply_filters=False
+        )
+        assert found.to_dict(include_time=False) == sampled.to_dict(
+            include_time=False
+        )

@@ -1,8 +1,11 @@
 """Unit tests for exact linear algebra and structure-constant Lie algebras."""
 
+import random
 from fractions import Fraction
 
 import pytest
+
+from rank2go.embed import CATALOG_IDS, catalog_space
 
 from rank2go.field import ONE, SQRT2, ZERO, Scalar, scalar
 from rank2go.liealg import (
@@ -10,6 +13,7 @@ from rank2go.liealg import (
     Subspace,
     abelian,
     centralizer_in,
+    commuting_operators,
     direct_sum,
     ideal_decomposition,
     kernel_basis,
@@ -253,3 +257,30 @@ def test_operator_on_subspace():
     assert coeffs == [Fraction(4), Fraction(0), Fraction(1)]
     with pytest.raises(ArithmeticError):
         rational_roots(coeffs)  # x^2 + 4 has no rational roots
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_combine_inverts_coords_on_every_catalogue_m(space_id):
+    m = catalog_space(space_id).m
+    for row in m.rows:
+        assert m.combine(m.coords(row)) == row
+    rng = random.Random(space_id)
+    v = zero_vector(m.ambient_dim)
+    for row in m.rows:
+        v = vec_add(v, vec_scale(rng.randint(-9, 9), row))
+    assert m.combine(m.coords(v)) == v
+    assert m.combine([ZERO] * m.dim) == zero_vector(m.ambient_dim)
+    with pytest.raises(ValueError):
+        m.combine([ONE] * (m.dim + 1))
+    with pytest.raises(ValueError):
+        m.combine([ONE] * (m.dim - 1))
+
+
+def test_commuting_operators():
+    L = su2()
+    full = L.full_subspace()
+    ads = [operator_on_subspace(lambda w, b=b: L.bracket(b, w), full) for b in full.rows]
+    # su(2) acts irreducibly on itself with real type: only the scalars commute.
+    assert commuting_operators(ads, 3) == [[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]]
+    # With no constraint every matrix commutes.
+    assert len(commuting_operators([], 2)) == 4
