@@ -114,28 +114,18 @@ def _propagate(
         stack.append((e, g, v * inner(rs, d, d) / ee))
 
 
-def complete_structure_constants(
-    rs: RootSystem, allow_fallback: bool = True
-) -> NTable:
+def complete_structure_constants(rs: RootSystem) -> NTable:
     """Extend the seed table of the family to all bracketable root pairs.
 
-    With allow_fallback=False, raises if the seeds do not already determine
-    every constant.  Otherwise remaining triangle classes (there are none for
-    the four built-in families) get the canonical positive convention on
-    their lexicographically least pair.
+    Raises if the seeds do not determine every constant.
     """
     table: dict[tuple[Root, Root], Fraction] = {}
     for (lg, ld), v in _SEEDS[rs.family].items():
         _propagate(rs, table, parse_root(lg), parse_root(ld), Fraction(v))
     needed = _bracket_pairs(rs)
-    missing = sorted(set(needed) - set(table))
-    if missing and not allow_fallback:
+    missing = set(needed) - set(table)
+    if missing:
         raise ValueError(f"seeds leave {len(missing)} constants undetermined")
-    while missing:
-        g, d = missing[0]
-        p = chain_down_length(rs, g, d)
-        _propagate(rs, table, g, d, Fraction(p + 1))
-        missing = sorted(set(needed) - set(table))
     out: NTable = {}
     for key, v in table.items():
         if v.denominator != 1:
@@ -183,10 +173,6 @@ CKey = tuple
 CElt = dict[CKey, tuple[Scalar, Scalar]]
 
 _SIMPLE: tuple[Root, Root] = ((1, 0), (0, 1))
-
-
-def c_zero() -> CElt:
-    return {}
 
 
 def _c_accumulate(out: CElt, key: CKey, re: Scalar, im: Scalar) -> None:

@@ -11,8 +11,13 @@ certify exits 0 when a witness is found and re-verifies, and 2 when the
 budget runs out without one.  check-go, certify and classify exit 1 on bad
 input: an unknown space, a malformed metric or scalar literal (a zero
 denominator included), or a negative --samples or --budget; both counts
-must be >= 0.  The sampling seed defaults to 42 and can be overridden
-either with --seed or with the RANK2GO_SEED environment variable.
+must be >= 0.  A subcommand's usage error (a malformed option value such
+as --samples abc, an unknown option, a missing argument) and an unknown
+subcommand exit 1 too.  Options given before the subcommand are click's
+own: an unknown one, as in `rank2go --bogus`, exits 2, and so does a bare
+`rank2go`, which prints the help.  The sampling seed defaults to 42 and
+can be overridden either with --seed or with the RANK2GO_SEED environment
+variable.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .embed import CATALOG_IDS, catalog_space
 from .field import parse_scalar
 from .gocheck import (
     DEFAULT_SEED,
+    STATUS_GO_SAMPLED,
     GoVerdict,
     explicit_metric,
     fibration_metric,
@@ -43,7 +49,7 @@ from .isotypic import (
     decomposition_summary,
     isotypic_decompose,
 )
-from .liealg import ideal_decomposition, identity_matrix, mat_add, mat_scale
+from .liealg import ideal_decomposition, identity_matrix, mat_combine, scalar_of
 
 FAMILIES = ("a2", "a1a1", "c2", "g2")
 
@@ -89,12 +95,16 @@ def _nonnegative(option: str, value: int) -> None:
         raise click.ClickException(f"{option} must be >= 0, got {value}")
 
 
-def _space(space_id: str):
+def _known_id(space_id: str) -> str:
     if space_id not in CATALOG_IDS:
         raise click.ClickException(
             f"unknown space {space_id!r}; known: {', '.join(CATALOG_IDS)}"
         )
-    return catalog_space(space_id)
+    return space_id
+
+
+def _space(space_id: str):
+    return catalog_space(_known_id(space_id))
 
 
 def metric_from_spec(space, text: str):
@@ -128,6 +138,14 @@ def metric_from_spec(space, text: str):
     )
 
 
+def _metric(space, text: str):
+    """metric_from_spec, with a malformed spec reported as bad input."""
+    try:
+        return metric_from_spec(space, text)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+
+
 def _dump(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
@@ -152,7 +170,19 @@ def _echo_verdict(
     click.echo(_dump(verdict.to_dict(include_time=include_time)))
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a subcommand's usage error with exit 1, like other bad input,
+    since exit 2 means a refutation, a missing witness or a mismatch."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = 1
+            raise
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact geodesic-orbit analysis for compact rank-two catalog spaces."""
 
@@ -245,16 +275,13 @@ def check_go(
     _nonnegative("--samples", samples)
     sp = _space(space_id)
     resolved = _resolve_seed(seed)
-    try:
-        metric = metric_from_spec(sp, metric_text)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    metric = _metric(sp, metric_text)
     verdict = go_sample_check(
         sp, metric, samples=samples, seed=resolved,
         apply_filters=not no_filters,
     )
     _echo_verdict(space_id, metric_text, verdict, include_time=True)
-    sys.exit(0 if verdict.status == "go_sampled" else 2)
+    sys.exit(0 if verdict.status == STATUS_GO_SAMPLED else 2)
 
 
 @main.command()
@@ -276,10 +303,7 @@ def certify(
     _nonnegative("--budget", budget)
     sp = _space(space_id)
     resolved = _resolve_seed(seed)
-    try:
-        metric = metric_from_spec(sp, metric_text)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    metric = _metric(sp, metric_text)
     verdict = find_witness(sp, metric, budget=budget, seed=resolved)
     _echo_verdict(space_id, metric_text, verdict, include_time=True)
     if verdict.witness is None:
@@ -289,16 +313,6 @@ def certify(
         raise click.ClickException("witness failed re-verification")
     click.echo("witness re-verified exactly")
     sys.exit(0)
-
-
-def _is_homothety_of_standard(matrix) -> bool:
-    c = matrix[0][0]
-    n = len(matrix)
-    return all(
-        matrix[i][j] == (c if i == j else 0)
-        for i in range(n)
-        for j in range(n)
-    )
 
 
 def _candidate_metrics(space, dec):
@@ -326,7 +340,9 @@ def _candidate_metrics(space, dec):
                         step,
                         explicit_metric(
                             space,
-                            mat_add(ident, mat_scale(parse_scalar(step), B)),
+                            mat_combine(
+                                (1, parse_scalar(step)), (ident, B), space.dim_m
+                            ),
                         ),
                     )
                     break
@@ -379,7 +395,7 @@ def _classify_space(space_id: str, samples: int, seed: int) -> dict:
         verdict = go_sample_check(
             space, standard_metric(space), samples=samples, seed=seed
         )
-        if verdict.status != "go_sampled":
+        if verdict.status != STATUS_GO_SAMPLED:
             raise ArithmeticError(
                 "the standard metric failed sampling on an irreducible space"
             )
@@ -398,8 +414,9 @@ def _classify_space(space_id: str, samples: int, seed: int) -> dict:
     for label, metric in _candidate_metrics(space, dec):
         verdict = go_sample_check(space, metric, samples=samples, seed=seed)
         runs.append({"metric": label, **verdict.to_dict(include_time=False)})
-        if verdict.status == "go_sampled" and not _is_homothety_of_standard(
-            metric.matrix
+        if (
+            verdict.status == STATUS_GO_SAMPLED
+            and scalar_of(metric.matrix) is None
         ):
             passing.append(label)
     if passing:
@@ -441,12 +458,7 @@ def classify(
     else:
         if not space_ids:
             raise click.ClickException("give space ids or --all")
-        for sid in space_ids:
-            if sid not in CATALOG_IDS:
-                raise click.ClickException(
-                    f"unknown space {sid!r}; known: {', '.join(CATALOG_IDS)}"
-                )
-        ids = list(space_ids)
+        ids = [_known_id(sid) for sid in space_ids]
     entries = []
     errors = 0
     for sid in ids:

@@ -29,18 +29,20 @@ from .isotypic import (
 from .liealg import (
     Matrix,
     Vector,
+    ad_on,
     gram_matrix,
     ideal_decomposition,
     identity_matrix,
     is_positive_definite,
     kernel_basis,
-    mat_add,
     mat_apply,
+    mat_combine,
     mat_inverse,
     mat_mul,
     mat_scale,
     mat_transpose,
     operator_on_subspace,
+    scalar_of,
     solve_columns,
     subalgebra_closure,
     vec_sub,
@@ -101,7 +103,7 @@ def _validated(
         raise ValueError("metric operator is not symmetric for the invariant form")
     L = space.algebra
     for a in space.h.rows:
-        A = operator_on_subspace(lambda v, a=a: L.bracket(a, v), space.m)
+        A = ad_on(L, a, space.m)
         if mat_mul(mat, A) != mat_mul(A, mat):
             raise ValueError("metric operator does not commute with the isotropy action")
     if not is_positive_definite(SM):
@@ -139,12 +141,11 @@ def metric_from_blocks(space: CatalogSpace, coeffs: Sequence) -> MetricEndomorph
             f"expected {n_components} per-component coefficients or "
             f"{len(basis)} commutant coefficients, got {len(cs)}"
         )
-    n = space.dim_m
-    out = [[ZERO] * n for _ in range(n)]
-    for c, B in zip(cs, mats):
-        out = mat_add(out, mat_scale(c, B))
     return _validated(
-        space, out, "block_coeffs", tuple(c.exact_str() for c in cs)
+        space,
+        mat_combine(cs, mats, space.dim_m),
+        "block_coeffs",
+        tuple(c.exact_str() for c in cs),
     )
 
 
@@ -228,7 +229,7 @@ def normalizer_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
     L = space.algebra
     fixed = isotypic_decompose(space).trivial_subspace
     for w in fixed.rows:
-        A = operator_on_subspace(lambda v, w=w: L.bracket(w, v), space.m)
+        A = ad_on(L, w, space.m)
         if mat_mul(metric.matrix, A) != mat_mul(A, metric.matrix):
             return False
     return True
@@ -255,13 +256,8 @@ def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool
     for ideal in ideals:
         if not all(ideal.contains(metric.apply(r)) for r in ideal.rows):
             return False
-        M = operator_on_subspace(metric.apply, ideal)
-        d = ideal.dim
-        c = M[0][0]
-        for i in range(d):
-            for j in range(d):
-                if M[i][j] != (c if i == j else 0):
-                    return False
+        if scalar_of(operator_on_subspace(metric.apply, ideal)) is None:
+            return False
     return True
 
 

@@ -15,28 +15,29 @@ from fractions import Fraction
 from math import isqrt
 
 from .embed import CatalogSpace
-from .field import ONE, ZERO
+from .field import ZERO
 from .liealg import (
-    LieAlgebra,
     Matrix,
     Subspace,
     Vector,
+    ad_on,
     centralizer_in,
     commuting_operators,
     eigenspace_in,
     gram_matrix,
+    identity_matrix,
     is_positive_definite,
     kernel_basis,
-    mat_add,
     mat_apply,
+    mat_combine,
     mat_inverse,
     mat_mul,
-    mat_scale,
     mat_transpose,
     minimal_polynomial,
     normalizer,
     operator_on_subspace,
     rational_roots,
+    scalar_of,
 )
 
 
@@ -95,10 +96,6 @@ class IsotypicDecomposition:
 # the casimir operator of the isotropy action
 # ---------------------------------------------------------------------------
 
-def _ad_on(L: LieAlgebra, a: Vector, part: Subspace) -> Matrix:
-    return operator_on_subspace(lambda v: L.bracket(a, v), part)
-
-
 def casimir(space: CatalogSpace) -> Matrix:
     """Casimir of the h-action on m, as a matrix in the basis of m.
 
@@ -113,13 +110,15 @@ def casimir(space: CatalogSpace) -> Matrix:
             "invariant form is degenerate or not negative definite on h"
         )
     Ginv = mat_inverse(G)
-    ads = [_ad_on(L, a, space.m) for a in space.h.rows]
-    n = space.m.dim
-    C = [[ZERO] * n for _ in range(n)]
-    for i, Ai in enumerate(ads):
-        for j, Aj in enumerate(ads):
-            if Ginv[i][j]:
-                C = mat_add(C, mat_scale(Ginv[i][j], mat_mul(Ai, Aj)))
+    ads = [ad_on(L, a, space.m) for a in space.h.rows]
+    pairs = [
+        (i, j) for i in range(len(ads)) for j in range(len(ads)) if Ginv[i][j]
+    ]
+    C = mat_combine(
+        [Ginv[i][j] for i, j in pairs],
+        [mat_mul(ads[i], ads[j]) for i, j in pairs],
+        space.m.dim,
+    )
     S = gram_matrix(L, space.m.rows)
     SC = mat_mul(S, C)
     if SC != mat_transpose(SC):
@@ -151,31 +150,16 @@ def trivial_component(space: CatalogSpace) -> Subspace:
 # commutant solves (per component)
 # ---------------------------------------------------------------------------
 
-def _flatten(mat: Matrix, d: int) -> Vector:
-    return tuple(mat[i][j] for i in range(d) for j in range(d))
-
-
 def _symmetric_span(mats: list[Matrix], S: Matrix, d: int) -> list[Matrix]:
     """The subspace of span(mats) symmetric with respect to the form S."""
-    if not mats:
-        return []
-    defects = []
-    for M in mats:
-        SM = mat_mul(S, M)
-        defects.append(
-            _flatten([[SM[i][j] - SM[j][i] for j in range(d)] for i in range(d)], d)
-        )
+    SMs = [mat_mul(S, M) for M in mats]
+    # One constraint per entry (i, j): the antisymmetric part of S M vanishes.
     rows = [
-        [defects[r][pos] for r in range(len(mats))] for pos in range(d * d)
+        [SM[i][j] - SM[j][i] for SM in SMs] for i in range(d) for j in range(d)
     ]
-    out = []
-    for coeffs in kernel_basis(rows, len(mats)):
-        M = [[ZERO] * d for _ in range(d)]
-        for c, T in zip(coeffs, mats):
-            if c:
-                M = mat_add(M, mat_scale(c, T))
-        out.append(M)
-    return out
+    return [
+        mat_combine(coeffs, mats, d) for coeffs in kernel_basis(rows, len(mats))
+    ]
 
 
 def _multiplicity_annotation(
@@ -226,11 +210,10 @@ _CACHE: dict[str, tuple[CatalogSpace, _Analysis]] = {}
 
 
 def _split_by_casimir(space: CatalogSpace, C: Matrix) -> list[Subspace]:
-    L = space.algebra
     roots = sorted(set(rational_roots(minimal_polynomial(C))))
     pieces = []
     for lam in roots:
-        piece = eigenspace_in(L, space.m, C, lam)
+        piece = eigenspace_in(space.m, C, lam)
         if piece.is_zero():
             raise ArithmeticError("minimal polynomial root with empty eigenspace")
         pieces.append(piece)
@@ -251,14 +234,13 @@ def _refine_by_center(
         (p, ()) for p in pieces
     ]
     for z in center.rows:
-        def sq(v, z=z):
-            return L.bracket(z, L.bracket(z, v))
-
         refined = []
         for piece, tags in tagged:
-            R = operator_on_subspace(sq, piece)
+            # Exact: z is central in h, so ad(z) preserves every piece.
+            A = ad_on(L, z, piece)
+            R = mat_mul(A, A)
             for mu in sorted(set(rational_roots(minimal_polynomial(R)))):
-                part = eigenspace_in(L, piece, R, mu)
+                part = eigenspace_in(piece, R, mu)
                 if not part.is_zero():
                     refined.append((part, tags + (mu,)))
         if sum(p.dim for p, _ in refined) != space.m.dim:
@@ -280,47 +262,33 @@ def _analyze(space: CatalogSpace) -> _Analysis:
             lambda v: space.m.combine(mat_apply(C, space.m.coords(v))), piece
         )
         lam = _scalar_eigenvalue(Cp)
-        ads = [_ad_on(L, a, piece) for a in space.h.rows]
+        ads = [ad_on(L, a, piece) for a in space.h.rows]
         commuting = commuting_operators(ads, piece.dim)
         S = gram_matrix(L, piece.rows)
         symmetric = _symmetric_span(commuting, S, piece.dim)
         mult, irr_dim, division = _multiplicity_annotation(
             piece.dim, len(commuting), len(symmetric)
         )
-        records.append(
-            {
-                "piece": piece,
-                "lam": lam,
-                "tags": tags,
-                "mult": mult,
-                "irr_dim": irr_dim,
-                "division": division,
-                "commutant_dim": len(commuting),
-                "symmetric": symmetric,
-            }
+        component = IsotypicComponent(
+            subspace=piece,
+            casimir_eigenvalue=lam,
+            refinement=tags,
+            multiplicity=mult,
+            irreducible_dim=irr_dim,
+            division_type=division,
+            commutant_dim=len(commuting),
+            symmetric_commutant_dim=len(symmetric),
         )
+        records.append((component, symmetric))
 
     records.sort(
         key=lambda r: (
-            r["piece"].dim,
-            -r["lam"],
-            tuple(-t for t in r["tags"]),
+            r[0].dim,
+            -r[0].casimir_eigenvalue,
+            tuple(-t for t in r[0].refinement),
         )
     )
-
-    components = tuple(
-        IsotypicComponent(
-            subspace=r["piece"],
-            casimir_eigenvalue=r["lam"],
-            refinement=r["tags"],
-            multiplicity=r["mult"],
-            irreducible_dim=r["irr_dim"],
-            division_type=r["division"],
-            commutant_dim=r["commutant_dim"],
-            symmetric_commutant_dim=len(r["symmetric"]),
-        )
-        for r in records
-    )
+    components = tuple(c for c, _ in records)
 
     # invariants: mutual orthogonality and invariance under the action
     for i, ci in enumerate(components):
@@ -363,27 +331,19 @@ def _analyze(space: CatalogSpace) -> _Analysis:
     T = mat_transpose([space.m.coords(vec) for vec in adapted])
     Tinv = mat_inverse(T)
 
-    projections = []
-    offset = 0
-    for c in components:
-        d = c.dim
-        block = [[ZERO] * n for _ in range(n)]
-        for k in range(d):
-            block[offset + k][offset + k] = ONE
-        projections.append(mat_mul(mat_mul(T, block), Tinv))
-        offset += d
+    def lift(block: Matrix, offset: int) -> Matrix:
+        """T . block . T^-1, with block placed on the diagonal at offset."""
+        full = [[ZERO] * n for _ in range(n)]
+        for i, row in enumerate(block):
+            full[offset + i][offset:offset + len(row)] = row
+        return mat_mul(mat_mul(T, full), Tinv)
 
-    symmetric_basis = []
+    projections, symmetric_basis = [], []
     offset = 0
-    for r, c in zip(records, components):
-        d = c.dim
-        for M in r["symmetric"]:
-            block = [[ZERO] * n for _ in range(n)]
-            for i in range(d):
-                for j in range(d):
-                    block[offset + i][offset + j] = M[i][j]
-            symmetric_basis.append(mat_mul(mat_mul(T, block), Tinv))
-        offset += d
+    for c, symmetric in records:
+        projections.append(lift(identity_matrix(c.dim), offset))
+        symmetric_basis.extend(lift(M, offset) for M in symmetric)
+        offset += c.dim
 
     return _Analysis(
         decomposition=decomposition,
@@ -395,19 +355,12 @@ def _analyze(space: CatalogSpace) -> _Analysis:
 
 def _scalar_eigenvalue(op: Matrix) -> Fraction:
     """The single rational eigenvalue of a scalar operator."""
-    d = len(op)
-    lam = None
-    for i in range(d):
-        if not op[i][i].is_rational:
-            raise ArithmeticError("eigenvalue is irrational")
-        if lam is None:
-            lam = op[i][i].as_fraction()
-        elif op[i][i].as_fraction() != lam:
-            raise ArithmeticError("operator is not scalar on the component")
-        for j in range(d):
-            if i != j and op[i][j]:
-                raise ArithmeticError("operator is not scalar on the component")
-    return lam
+    lam = scalar_of(op)
+    if lam is None:
+        raise ArithmeticError("operator is not scalar on the component")
+    if not lam.is_rational:
+        raise ArithmeticError("eigenvalue is irrational")
+    return lam.as_fraction()
 
 
 def _analysis(space: CatalogSpace) -> _Analysis:

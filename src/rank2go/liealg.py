@@ -162,10 +162,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def basis(self) -> tuple[Vector, ...]:
-        return self.rows
-
     def is_zero(self) -> bool:
         return not self.rows
 
@@ -211,22 +207,26 @@ class Subspace:
             raise ValueError("ambient dimensions differ")
         return Subspace.from_vectors(self.ambient_dim, self.rows + other.rows)
 
+    def kernel_of(self, images: Sequence[Sequence]) -> "Subspace":
+        """{sum_t y_t * rows[t] : sum_t y_t * images[t] = 0}.
+
+        images[t] is the flattened image of rows[t] under a linear map, so
+        the result is the kernel of that map restricted to this subspace.
+        """
+        if len(images) != self.dim:
+            raise ValueError(f"expected {self.dim} images, got {len(images)}")
+        width = len(images[0]) if images else 0
+        constraints = [[img[c] for img in images] for c in range(width)]
+        return Subspace.from_vectors(
+            self.ambient_dim,
+            [self.combine(y) for y in kernel_basis(constraints, self.dim)],
+        )
+
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Exact intersection via membership constraints on coordinates."""
+        """Exact intersection: the rows' combinations that other contains."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient_dim)
-        # x = sum_t y_t * rows[t]; require residual_other(x) = 0 (linear in y).
-        images = [other.residual(r) for r in self.rows]
-        constraint_rows = [
-            [images[t][c] for t in range(self.dim)]
-            for c in range(self.ambient_dim)
-        ]
-        sols = kernel_basis(constraint_rows, self.dim)
-        return Subspace.from_vectors(
-            self.ambient_dim, [self.combine(y) for y in sols]
-        )
+        return self.kernel_of([other.residual(r) for r in self.rows])
 
     def __str__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
@@ -300,13 +300,6 @@ class LieAlgebra:
             v[self.index(lab)] = v[self.index(lab)] + scalar(c)
         return tuple(v)
 
-    def describe(self, v: Vector) -> str:
-        parts = []
-        for i, c in enumerate(v):
-            if c:
-                parts.append(f"({c})*{self.labels[i]}")
-        return " + ".join(parts) if parts else "0"
-
     # -- bracket and adjoint ---------------------------------------------
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
@@ -370,18 +363,6 @@ class LieAlgebra:
             ),
             self.bracket(w, self.bracket(u, v)),
         )
-
-
-def bracket(L: LieAlgebra, v: Vector, w: Vector) -> Vector:
-    return L.bracket(v, w)
-
-
-def ad(L: LieAlgebra, v: Vector) -> Matrix:
-    return L.ad(v)
-
-
-def killing(L: LieAlgebra, v: Vector, w: Vector) -> Scalar:
-    return L.killing(v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -462,38 +443,20 @@ def direct_sum(name: str, *parts: LieAlgebra) -> LieAlgebra:
 
 def centralizer_in(L: LieAlgebra, sub: Subspace, within: Subspace) -> Subspace:
     """{x in `within` : [x, s] = 0 for all s in `sub`}."""
-    if within.is_zero():
-        return within
-    if sub.is_zero():
-        return within
-    bracket_images = [
-        [L.bracket(b, s) for s in sub.rows] for b in within.rows
-    ]
-    constraint_rows = []
-    for s_idx in range(sub.dim):
-        for c in range(L.dim):
-            constraint_rows.append(
-                [bracket_images[t][s_idx][c] for t in range(within.dim)]
-            )
-    sols = kernel_basis(constraint_rows, within.dim)
-    return Subspace.from_vectors(L.dim, [within.combine(y) for y in sols])
+    return within.kernel_of(
+        [[x for s in sub.rows for x in L.bracket(b, s)] for b in within.rows]
+    )
 
 
 def normalizer(L: LieAlgebra, sub: Subspace) -> Subspace:
     """{x in L : [x, sub] is contained in sub}."""
-    if sub.is_zero():
-        return L.full_subspace()
-    constraint_rows = []
-    per_basis_images = [
-        [L.bracket(unit_vector(L.dim, i), s) for i in range(L.dim)]
-        for s in sub.rows
-    ]
-    for images in per_basis_images:
-        residuals = [sub.residual(img) for img in images]
-        for c in range(L.dim):
-            constraint_rows.append([residuals[i][c] for i in range(L.dim)])
-    sols = kernel_basis(constraint_rows, L.dim)
-    return Subspace.from_vectors(L.dim, sols)
+    full = L.full_subspace()
+    return full.kernel_of(
+        [
+            [x for s in sub.rows for x in sub.residual(L.bracket(e, s))]
+            for e in full.rows
+        ]
+    )
 
 
 def orth_complement(
@@ -502,17 +465,9 @@ def orth_complement(
     """Orthogonal complement under the algebra's stored invariant form."""
     if within is None:
         within = L.full_subspace()
-    if sub.is_zero():
-        return within
-    if within.is_zero():
-        return within
-    constraint_rows = []
-    for s in sub.rows:
-        constraint_rows.append(
-            [L.form_value(b, s) for b in within.rows]
-        )
-    sols = kernel_basis(constraint_rows, within.dim)
-    return Subspace.from_vectors(L.dim, [within.combine(y) for y in sols])
+    return within.kernel_of(
+        [[L.form_value(b, s) for s in sub.rows] for b in within.rows]
+    )
 
 
 def subalgebra_closure(L: LieAlgebra, vectors: Iterable) -> Subspace:
@@ -526,23 +481,6 @@ def subalgebra_closure(L: LieAlgebra, vectors: Iterable) -> Subspace:
                 w = L.bracket(a, b)
                 if not span.contains(w):
                     new_vectors.append(w)
-                    grown = True
-        if not grown:
-            return span
-        span = Subspace.from_vectors(L.dim, new_vectors)
-
-
-def _ideal_closure(L: LieAlgebra, algebra: Subspace, v: Vector) -> Subspace:
-    """Smallest ideal of the subalgebra `algebra` containing v."""
-    span = Subspace.from_vectors(L.dim, [v])
-    while True:
-        new_vectors = list(span.rows)
-        grown = False
-        for b in algebra.rows:
-            for w in span.rows:
-                u = L.bracket(b, w)
-                if not span.contains(u):
-                    new_vectors.append(u)
                     grown = True
         if not grown:
             return span
@@ -572,13 +510,17 @@ def commuting_operators(ads: Sequence[Matrix], d: int) -> list[Matrix]:
     ]
 
 
-def _commutant_split(L: LieAlgebra, derived: Subspace) -> list[Subspace]:
-    """Fallback ideal split: simultaneous eigenspaces of the commutant of the
-    adjoint action of `derived` on itself."""
-    ad_mats = [
-        operator_on_subspace(lambda w, b=b: L.bracket(b, w), derived)
-        for b in derived.rows
-    ]
+def _simple_ideals(L: LieAlgebra, derived: Subspace) -> list[Subspace]:
+    """The simple ideals of a compact semisimple subalgebra: the joint
+    eigenspaces of the commutant of its adjoint action on itself.
+
+    That commutant is one scalar per simple ideal (the adjoint action of a
+    compact simple algebra is absolutely irreducible), so its joint
+    eigenspaces are exactly the simple ideals.
+    """
+    if derived.is_zero():
+        return []
+    ad_mats = [ad_on(L, b, derived) for b in derived.rows]
     parts = [derived]
     for T in commuting_operators(ad_mats, derived.dim):
         refined: list[Subspace] = []
@@ -592,34 +534,11 @@ def _commutant_split(L: LieAlgebra, derived: Subspace) -> list[Subspace]:
                 lambda w: derived.combine(mat_apply(T, derived.coords(w))), part
             )
             for lam in rational_roots(minimal_polynomial(op)):
-                piece = eigenspace_in(L, part, op, lam)
+                piece = eigenspace_in(part, op, lam)
                 if not piece.is_zero():
                     refined.append(piece)
         parts = refined
     return parts
-
-
-def _split_semisimple(L: LieAlgebra, derived: Subspace) -> list[Subspace]:
-    if derived.is_zero():
-        return []
-    for v in derived.rows:
-        ideal = _ideal_closure(L, derived, v)
-        if ideal.dim < derived.dim:
-            comp = orth_complement(L, ideal, within=derived)
-            if ideal.dim + comp.dim != derived.dim:
-                raise ArithmeticError(
-                    "orthogonal complement of an ideal has unexpected dimension"
-                )
-            return _split_semisimple(L, ideal) + _split_semisimple(L, comp)
-    # Every basis vector generates the whole space: either simple, or an
-    # unlucky basis; decide with the commutant.
-    parts = _commutant_split(L, derived)
-    if len(parts) == 1:
-        return parts
-    out = []
-    for p in parts:
-        out.extend(_split_semisimple(L, p))
-    return out
 
 
 def ideal_decomposition(
@@ -642,7 +561,7 @@ def ideal_decomposition(
             "center and derived subalgebra do not complement; "
             "the subalgebra is not compact-reductive"
         )
-    ideals = _split_semisimple(L, derived)
+    ideals = _simple_ideals(L, derived)
     ideals.sort(key=lambda p: (p.dim, [str(x) for r in p.rows for x in r]))
     return center, ideals
 
@@ -658,6 +577,12 @@ def operator_on_subspace(
     cols = [sub.coords(apply_fn(b)) for b in sub.rows]
     d = sub.dim
     return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+def ad_on(L: LieAlgebra, a: Vector, sub: Subspace) -> Matrix:
+    """Matrix of ad(a) restricted to sub, in sub's basis; sub must be
+    ad(a)-invariant."""
+    return operator_on_subspace(lambda v: L.bracket(a, v), sub)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -687,6 +612,27 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 def mat_scale(c, a: Matrix) -> Matrix:
     c = scalar(c)
     return [[c * x for x in row] for row in a]
+
+
+def mat_combine(coeffs: Sequence, mats: Sequence[Matrix], n: int) -> Matrix:
+    """The n x n matrix sum_k coeffs[k] * mats[k], skipping zero terms."""
+    out = [[ZERO] * n for _ in range(n)]
+    for c, M in zip(coeffs, mats):
+        if c:
+            out = mat_add(out, mat_scale(c, M))
+    return out
+
+
+def scalar_of(mat: Matrix) -> Scalar | None:
+    """c when the nonempty square matrix mat equals c times the identity,
+    otherwise None."""
+    c = mat[0][0]
+    n = len(mat)
+    if all(
+        mat[i][j] == (c if i == j else ZERO) for i in range(n) for j in range(n)
+    ):
+        return c
+    return None
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -799,18 +745,16 @@ def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def eigenspace_in(
-    L: LieAlgebra, part: Subspace, op: Matrix, lam: Fraction
-) -> Subspace:
+def eigenspace_in(part: Subspace, op: Matrix, lam: Fraction) -> Subspace:
     """Kernel of (op - lam) inside `part`, with op given on part's basis."""
     d = part.dim
     lam_s = scalar(lam)
-    shifted = [
-        [op[i][j] - (lam_s if i == j else ZERO) for j in range(d)]
-        for i in range(d)
-    ]
-    return Subspace.from_vectors(
-        L.dim, [part.combine(y) for y in kernel_basis(shifted, d)]
+    # images[t] is column t of op - lam: the image of part's row t.
+    return part.kernel_of(
+        [
+            [op[i][t] - (lam_s if i == t else ZERO) for i in range(d)]
+            for t in range(d)
+        ]
     )
 
 

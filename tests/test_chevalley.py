@@ -24,7 +24,7 @@ A, B = (1, 0), (0, 1)
 def test_seeds_determine_everything_without_fallback():
     for fam in ("a2", "a1a1", "c2", "g2"):
         rs = build_root_system(fam)
-        table = complete_structure_constants(rs, allow_fallback=False)
+        table = complete_structure_constants(rs)
         pairs = sum(
             1
             for g in rs.roots

@@ -232,3 +232,28 @@ def test_zero_counts_are_accepted(runner):
     )
     assert result.exit_code == 0
     assert tail_json(result.output)["status"] == "go_sampled"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check-go", "a2.1", "--samples", "abc"],
+        ["certify", "a2.1", "--metric", "standard", "--bogus"],
+        ["classify", "--samples", "x", "a2.1"],
+    ],
+)
+def test_usage_errors_exit_1(runner, args):
+    # Exit 2 is kept for refutations (test_check_go_exit_codes,
+    # test_certify_exit_codes) and mismatches (below).
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "Usage:" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_classify_mismatch_exits_2(runner, monkeypatch):
+    monkeypatch.setitem(EXPECTED_VERDICTS, "berger", "all_metrics_normal")
+    result = runner.invoke(main, ["classify", "berger", "--samples", "5"])
+    assert result.exit_code == 2
+    assert tail_json(result.output)["mismatches"] == ["berger"]

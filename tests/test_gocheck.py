@@ -127,14 +127,14 @@ def test_fibration_eigenvalue_profiles():
     sp = catalog_space("c2.1")
     m = fibration_metric(sp, "hopf", 2)
     dims = {
-        lam: eigenspace_in(sp.algebra, sp.m, m.matrix, lam).dim
+        lam: eigenspace_in(sp.m, m.matrix, lam).dim
         for lam in set(rational_roots(minimal_polynomial(m.matrix)))
     }
     assert dims == {Fraction(2): 3, Fraction(1): 4}
     sp = catalog_space("cp3")
     m = fibration_metric(sp, "hopf", Fraction(1, 2))
     dims = {
-        lam: eigenspace_in(sp.algebra, sp.m, m.matrix, lam).dim
+        lam: eigenspace_in(sp.m, m.matrix, lam).dim
         for lam in set(rational_roots(minimal_polynomial(m.matrix)))
     }
     assert dims == {Fraction(1, 2): 2, Fraction(1): 4}

@@ -23,6 +23,7 @@ from rank2go.liealg import (
     orth_complement,
     rational_roots,
     rref,
+    scalar_of,
     solve_columns,
     su2,
     subalgebra_closure,
@@ -173,6 +174,18 @@ def test_ideal_decomposition_with_center():
     assert len(ideals) == 1 and ideals[0].dim == 3
 
 
+def test_ideal_decomposition_three_simple_ideals_and_a_center():
+    parts = [su2("A."), su2("B."), su2("C."), abelian(["Z"], [-4])]
+    L = direct_sum("su2^3+u1", *parts)
+    center, ideals = ideal_decomposition(L)
+    assert center == Subspace.from_vectors(10, [L.basis_vector("Z")])
+    assert [p.dim for p in ideals] == [3, 3, 3]
+    assert ideals == [
+        Subspace.from_vectors(10, [unit_vector(10, i) for i in range(o, o + 3)])
+        for o in (6, 3, 0)
+    ]
+
+
 def _scrambled_double_su2():
     """su(2) + su(2) written in a basis where every basis vector mixes the
     two factors, so naive single-generator ideal growth always fills up."""
@@ -284,3 +297,30 @@ def test_commuting_operators():
     assert commuting_operators(ads, 3) == [[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]]
     # With no constraint every matrix commutes.
     assert len(commuting_operators([], 2)) == 4
+
+
+def test_kernel_of():
+    zero = Subspace.zero(3)
+    assert zero.kernel_of([]) == zero
+    plane = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+    # No constraints: every combination of the rows qualifies.
+    assert plane.kernel_of([(), ()]) == plane
+    # The map (x, y, z) -> x - y sends the rows to 1 and -1.
+    assert plane.kernel_of([(ONE,), (-ONE,)]) == Subspace.from_vectors(
+        3, [[1, 1, 0]]
+    )
+    with pytest.raises(ValueError):
+        plane.kernel_of([(ONE,)])
+
+
+def test_scalar_of():
+    def times_identity(c):
+        return [[c if i == j else ZERO for j in range(3)] for i in range(3)]
+
+    assert scalar_of(times_identity(ONE)) == ONE
+    assert scalar_of(times_identity(scalar(2))) == scalar(2)
+    assert scalar_of(times_identity(SQRT2)) == SQRT2
+    skew = times_identity(ONE)
+    skew[0][1] = ONE
+    assert scalar_of(skew) is None
+    assert scalar_of([[ONE, ZERO], [ZERO, scalar(2)]]) is None
