@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from typing import Iterable
 
 #: Radicands of the basis elements, in fixed coordinate order.
 RADICANDS: tuple[int, ...] = (1, 2, 3, 5, 6, 10, 15, 30)
@@ -405,6 +406,16 @@ def scalar(x: "Scalar | int | Fraction") -> Scalar:
     if s is NotImplemented:
         raise TypeError(f"cannot make a scalar from {x!r}")
     return s
+
+
+def clear_denominators(values: Iterable[Scalar]) -> list[int] | None:
+    """The integers d * v for the least d > 0 that makes every v integral,
+    or None when some v is irrational."""
+    values = list(values)
+    if not all(v._rat for v in values):
+        return None
+    d = lcm(*(v.den for v in values))
+    return [v.nums[0] * (d // v.den) for v in values]
 
 
 # -- spec-surface wrappers ---------------------------------------------------

@@ -8,6 +8,14 @@ a in h with [a, MX] = [MX, X]; the space is geodesic-orbit for M exactly
 when every X admits one.  This module solves that linear problem exactly,
 samples it over structured and random directions, and applies two
 necessary-condition filters that rule metrics out without sampling.
+
+The search runs in m-coordinates: a per-space kernel holds ad(h_i)|_m and
+the bracket m x m -> h + m, and each direction needs only the rank pair of
+the resulting small system, computed on integers whenever the space, the
+metric and the direction are rational.  `solve_compensator` keeps the
+ambient-coordinate solve with its canonical least-norm compensator, and
+`verify_witness` replays every witness through it, independently of the
+search.
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .embed import CatalogSpace, fibration_split, named_subalgebra
-from .field import ONE, ZERO, Scalar, parse_scalar, scalar
+from .field import ONE, ZERO, Scalar, clear_denominators, parse_scalar, scalar
 from .isotypic import (
     commutant_symmetric_basis,
     component_projections,
@@ -44,6 +52,7 @@ from .liealg import (
     operator_on_subspace,
     scalar_of,
     solve_columns,
+    solve_int_columns,
     subalgebra_closure,
     vec_sub,
 )
@@ -101,9 +110,7 @@ def _validated(
     SM = mat_mul(S, mat)
     if SM != mat_transpose(SM):
         raise ValueError("metric operator is not symmetric for the invariant form")
-    L = space.algebra
-    for a in space.h.rows:
-        A = ad_on(L, a, space.m)
+    for A in _kernel(space).ad_h:
         if mat_mul(mat, A) != mat_mul(A, mat):
             raise ValueError("metric operator does not commute with the isotropy action")
     if not is_positive_definite(SM):
@@ -358,17 +365,157 @@ def _random_direction(rng: random.Random, n: int) -> tuple[Scalar, ...]:
     return tuple(Scalar.from_int(rng.choice(values)) for _ in range(n))
 
 
-def _check_direction(
-    space: CatalogSpace,
-    metric: MetricEndomorphism,
-    coords: tuple[Scalar, ...],
-) -> Witness | None:
-    sol, rank_map, rank_aug = solve_compensator(
-        space, metric, space.m.combine(coords)
+# -- the m-coordinate direction kernel -----------------------------------------
+
+# Rows of a matrix as (column, nonzero entry) pairs.
+_SparseRows = tuple[tuple[tuple[int, object], ...], ...]
+
+
+def _sparse(rows) -> _SparseRows:
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
+
+
+def _apply(rows: _SparseRows, v, zero) -> list:
+    out = []
+    for row in rows:
+        acc = zero
+        for j, c in row:
+            if v[j]:
+                acc = acc + c * v[j]
+        out.append(acc)
+    return out
+
+
+def _lift(mats: Sequence[Matrix]) -> list[list[list[int]]] | None:
+    """The matrices times one positive integer that makes every entry
+    integral, or None when some entry is irrational."""
+    ints = clear_denominators(c for M in mats for row in M for c in row)
+    if ints is None:
+        return None
+    it = iter(ints)
+    return [[[next(it) for _ in row] for row in M] for M in mats]
+
+
+@dataclass(frozen=True)
+class _Tensors:
+    """ad(h_i)|_m and the bracket m x m -> h + m over one coefficient ring:
+    Scalars, or ints after clearing denominators.
+
+    brackets lists (i, j, terms) for i < j, terms being the nonzero
+    coordinates of [m_i, m_j] in the basis h.rows + m.rows.  A positive
+    rescaling of either part leaves every rank pair unchanged."""
+
+    ad: tuple[_SparseRows, ...]
+    brackets: tuple[tuple[int, int, tuple[tuple[int, object], ...]], ...]
+    dim_h: int
+    zero: object
+
+    @classmethod
+    def build(cls, ad_h, pairs, coords, dim_h, zero) -> "_Tensors":
+        return cls(
+            ad=tuple(_sparse(A) for A in ad_h),
+            brackets=tuple(
+                (i, j, terms)
+                for (i, j), terms in zip(pairs, _sparse(coords))
+                if terms
+            ),
+            dim_h=dim_h,
+            zero=zero,
+        )
+
+    def system(self, metric: _SparseRows, x: Sequence) -> tuple[list, list]:
+        """The columns C_i = ad(h_i)|_m (MX) and r = [MX, X], in m-coordinates."""
+        zero = self.zero
+        y = _apply(metric, x, zero)
+        full = [zero] * (self.dim_h + len(x))
+        for i, j, terms in self.brackets:
+            w = y[i] * x[j] - y[j] * x[i]
+            if w:
+                for k, c in terms:
+                    full[k] = full[k] + w * c
+        if any(full[: self.dim_h]):
+            raise ArithmeticError(
+                "[MX, X] left the transverse part; "
+                "the metric operator is not equivariant"
+            )
+        return [_apply(A, y, zero) for A in self.ad], full[self.dim_h:]
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """The direction data of one space: ad(h_i)|_m as dense matrices, and
+    the tensors on Scalars and, when all of them are rational, on ints."""
+
+    ad_h: tuple[Matrix, ...]
+    exact: _Tensors
+    integral: _Tensors | None
+
+
+_KERNELS: dict[str, tuple[CatalogSpace, _Kernel]] = {}
+
+
+def _build_kernel(space: CatalogSpace) -> _Kernel:
+    L = space.algebra
+    rows = space.m.rows
+    ad_h = tuple(ad_on(L, a, space.m) for a in space.h.rows)
+    to_basis = mat_inverse(mat_transpose(list(space.h.rows + rows)))
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))]
+    coords = [
+        list(mat_apply(to_basis, L.bracket(rows[i], rows[j]))) for i, j in pairs
+    ]
+    k = space.dim_h
+    lifted = _lift(list(ad_h) + [coords])
+    integral = None
+    if lifted is not None:
+        integral = _Tensors.build(lifted[:k], pairs, lifted[k], k, 0)
+    return _Kernel(
+        ad_h=ad_h,
+        exact=_Tensors.build(ad_h, pairs, coords, k, ZERO),
+        integral=integral,
     )
-    if sol is None:
-        return Witness(coords=coords, rank_map=rank_map, rank_augmented=rank_aug)
-    return None
+
+
+def _kernel(space: CatalogSpace) -> _Kernel:
+    hit = _KERNELS.get(space.space_id)
+    if hit is not None and hit[0] is space:
+        return hit[1]
+    result = _build_kernel(space)
+    _KERNELS[space.space_id] = (space, result)
+    return result
+
+
+def _direction_checker(
+    space: CatalogSpace, metric: MetricEndomorphism
+) -> Callable[[tuple[Scalar, ...]], tuple[bool, int, int]]:
+    """The compensator test of one metric, direction by direction.
+
+    For m-coordinates x it returns (solvable, rank_map, rank_augmented)
+    from the rank pair of [C | r], computed on ints when the space, the
+    metric and the direction are rational, otherwise on Scalars.  The
+    decision and the rank pair are those of solve_compensator."""
+    kernel = _kernel(space)
+    exact_metric = _sparse(metric.matrix)
+    lifted = _lift([metric.matrix]) if kernel.integral is not None else None
+    int_metric = None if lifted is None else _sparse(lifted[0])
+
+    def check(coords: tuple[Scalar, ...]) -> tuple[bool, int, int]:
+        x = None if int_metric is None else clear_denominators(coords)
+        if x is None:
+            columns, r = kernel.exact.system(exact_metric, coords)
+            sol, rank_map, rank_aug = solve_columns(columns, r)
+            sol = None if sol is None else (sol, ONE)
+        else:
+            columns, r = kernel.integral.system(int_metric, x)
+            sol, rank_map, rank_aug = solve_int_columns(columns, r)
+        if sol is not None:
+            nums, den = sol
+            for p, rp in enumerate(r):
+                lhs = sum(a * col[p] for a, col in zip(nums, columns) if a)
+                if lhs != den * rp:
+                    raise ArithmeticError("compensator verification failed")
+        return sol is not None, rank_map, rank_aug
+
+    return check
 
 
 def _search(
@@ -396,11 +543,15 @@ def _search(
             structured_directions(space),
             (_random_direction(rng, n) for _ in range(draws)),
         )
+        check = _direction_checker(space, metric)
         for coords in directions:
             run += 1
-            witness = _check_direction(space, metric, coords)
-            if witness is not None:
+            solvable, rank_map, rank_aug = check(coords)
+            if not solvable:
                 status = STATUS_NOT_GO
+                witness = Witness(
+                    coords=coords, rank_map=rank_map, rank_augmented=rank_aug
+                )
                 break
     return GoVerdict(
         status=status,

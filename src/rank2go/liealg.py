@@ -127,6 +127,51 @@ def solve_columns(
     return x, rank_aug, rank_aug
 
 
+def solve_int_columns(
+    columns: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[tuple[list[int], int] | None, int, int]:
+    """solve_columns for integer data, fraction-free.
+
+    Gauss-Jordan elimination on the integer augmented matrix, with the same
+    first-nonzero pivoting, dividing each updated row by the gcd of its
+    entries.  Returns ((nums, den), rank_map, rank_augmented): the solution
+    with free variables set to zero is x_j = nums[j] / den, with den > 0.
+    The solution is None when the system is inconsistent.
+    """
+    n = len(columns)
+    work = [
+        row
+        for row in ([col[i] for col in columns] + [b] for i, b in enumerate(rhs))
+        if any(row)
+    ]
+    pivots: list[int] = []
+    rank = 0
+    for col in range(n + 1):
+        if rank == len(work):
+            break
+        sel = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[rank], work[sel] = work[sel], work[rank]
+        prow = work[rank]
+        p = prow[col]
+        for r, row in enumerate(work):
+            c = row[col]
+            if r != rank and c:
+                new = [p * x - c * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                work[r] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+        rank += 1
+    if n in pivots:
+        return None, rank - 1, rank
+    den = lcm(*(abs(work[i][p]) for i, p in enumerate(pivots)))
+    nums = [0] * n
+    for i, p in enumerate(pivots):
+        nums[p] = work[i][n] * (den // work[i][p])
+    return (nums, den), rank, rank
+
+
 # ---------------------------------------------------------------------------
 # subspaces
 # ---------------------------------------------------------------------------
@@ -520,7 +565,17 @@ def _simple_ideals(L: LieAlgebra, derived: Subspace) -> list[Subspace]:
     """
     if derived.is_zero():
         return []
-    ad_mats = [ad_on(L, b, derived) for b in derived.rows]
+    # The adjoint matrices of a generating set have the same commutant as
+    # those of every row, since ad[x, y] = [ad x, ad y].
+    gens: list[Vector] = []
+    closure = Subspace.zero(L.dim)
+    for b in derived.rows:
+        if closure == derived:
+            break
+        if not closure.contains(b):
+            gens.append(b)
+            closure = subalgebra_closure(L, gens)
+    ad_mats = [ad_on(L, b, derived) for b in gens]
     parts = [derived]
     for T in commuting_operators(ad_mats, derived.dim):
         refined: list[Subspace] = []

@@ -190,14 +190,25 @@ def test_expected_verdict_table_covers_catalog():
 
 
 def test_classify_report_matches_the_golden_hash(runner, tmp_path):
-    out = tmp_path / "golden.json"
-    args = ["classify", "berger", "cp3", "c2.2", "g2.1", "--samples", "25"]
-    result = runner.invoke(main, args + ["--seed", "42", "--out", str(out)])
-    assert result.exit_code == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == (
-        "b0e399b27480d75ca6cbfaef73012964b58b6abd602319ebd6ef41a4b32cfb31"
-    )
+    # The first case covers rational spaces only; c2.3 and g2.4 have
+    # irrational structure constants, so the second covers the Scalar path.
+    cases = [
+        (
+            ["berger", "cp3", "c2.2", "g2.1", "--samples", "25"],
+            "b0e399b27480d75ca6cbfaef73012964b58b6abd602319ebd6ef41a4b32cfb31",
+        ),
+        (
+            ["c2.3", "g2.4", "--samples", "10"],
+            "1b6c987ea7ba7e647f1821ded4d38e0c78ab534c95fabd8f3769aa5f4f9e26ae",
+        ),
+    ]
+    for i, (args, expected) in enumerate(cases):
+        out = tmp_path / f"golden{i}.json"
+        result = runner.invoke(
+            main, ["classify", *args, "--seed", "42", "--out", str(out)]
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
 def test_zero_denominator_metric_is_a_clean_error(runner):

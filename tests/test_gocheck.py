@@ -10,6 +10,7 @@ from rank2go.field import SQRT2, ZERO, parse_scalar, scalar
 from rank2go.gocheck import (
     GoVerdict,
     Witness,
+    _direction_checker,
     biinvariance_filter,
     explicit_metric,
     fibration_metric,
@@ -398,3 +399,36 @@ def test_find_witness_is_the_unfiltered_sample_check(space_id, coeffs):
         assert found.to_dict(include_time=False) == sampled.to_dict(
             include_time=False
         )
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_direction_kernel_matches_the_ambient_solve(space_id):
+    # The m-coordinate checker of the search loop agrees with the ambient
+    # solve_compensator on the decision and on the rank pair, on the
+    # integer path, on Scalars for the irrational spaces, and on Scalars
+    # for an irrational metric on a rational space.
+    import random as _random
+
+    sp = catalog_space(space_id)
+    metrics = [standard_metric(sp)]
+    if len(isotypic_decompose(sp).components) == 2:
+        metrics += [
+            metric_from_blocks(sp, coeffs)
+            for coeffs in ((2, 1), (Fraction(1, 3), 1), (SQRT2, 1))
+        ]
+    rng = _random.Random(space_id)
+    directions = structured_directions(sp) + [
+        tuple(scalar(rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(sp.dim_m))
+        for _ in range(4)
+    ]
+    refuted = 0
+    for metric in metrics:
+        check = _direction_checker(sp, metric)
+        for coords in directions:
+            sol, rank_map, rank_aug = solve_compensator(
+                sp, metric, sp.m.combine(coords)
+            )
+            assert check(coords) == (sol is not None, rank_map, rank_aug)
+            refuted += sol is None
+    if space_id in dict(REFUTATION_CASES):
+        assert refuted > 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rank2go.chevalley import build_compact_form
 from rank2go.embed import CATALOG_IDS, catalog_space
 
 from rank2go.field import ONE, SQRT2, ZERO, Scalar, scalar
@@ -25,6 +26,7 @@ from rank2go.liealg import (
     rref,
     scalar_of,
     solve_columns,
+    solve_int_columns,
     su2,
     subalgebra_closure,
     to_vector,
@@ -74,6 +76,64 @@ def test_solve_columns_ranks():
     cols = [to_vector([1, 0]), to_vector([2, 0]), to_vector([0, 1])]
     x, _, _ = solve_columns(cols, to_vector([3, 4]))
     assert x == [scalar(3), ZERO, scalar(4)]
+
+
+def _int_system(rng, rows, cols, consistent):
+    """Integer columns of rank at most a random r <= cols, so most systems
+    carry a planted rank deficit, and a right-hand side that lies in their
+    span when consistent and is drawn at random otherwise."""
+    rank = rng.randint(0, cols)
+    basis = [[rng.randint(-4, 4) for _ in range(rows)] for _ in range(rank)]
+    columns = [
+        [sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(rows)]
+        for _ in range(cols)
+    ]
+    if consistent:
+        weights = [rng.randint(-3, 3) for _ in range(cols)]
+        rhs = [sum(w * col[i] for w, col in zip(weights, columns)) for i in range(rows)]
+    else:
+        rhs = [rng.randint(-5, 5) for _ in range(rows)]
+    return columns, rhs
+
+
+# (rows, columns): berger and cp3 give the 1- and 4-column systems of the
+# direction search, g2 the 11-row ones.
+@pytest.mark.parametrize("rows, cols", [(3, 1), (6, 4), (7, 3), (11, 3)])
+def test_solve_int_columns_matches_solve_columns(rows, cols):
+    rng = random.Random(100 * rows + cols)
+    systems = [
+        ([[0] * rows for _ in range(cols)], [0] * rows),
+        ([[0] * rows for _ in range(cols)], [1] + [0] * (rows - 1)),
+    ]
+    for trial in range(60):
+        columns, rhs = _int_system(rng, rows, cols, consistent=trial % 2 == 0)
+        if trial % 3 == 0:
+            z = rng.randrange(rows)
+            for col in columns:
+                col[z] = 0
+            rhs[z] = 0
+        if trial % 4 == 0:
+            columns[rng.randrange(cols)] = [0] * rows
+        systems.append((columns, rhs))
+    outcomes = set()
+    for columns, rhs in systems:
+        exact, rank_map, rank_aug = solve_columns(
+            [to_vector(c) for c in columns], to_vector(rhs)
+        )
+        sol, int_rank_map, int_rank_aug = solve_int_columns(columns, rhs)
+        assert (int_rank_map, int_rank_aug) == (rank_map, rank_aug)
+        assert (sol is None) == (exact is None)
+        outcomes.add((sol is None, rank_map < cols))
+        if sol is None:
+            assert rank_aug == rank_map + 1
+            continue
+        nums, den = sol
+        assert den > 0
+        for i in range(rows):
+            assert sum(n * col[i] for n, col in zip(nums, columns)) == den * rhs[i]
+        assert [Fraction(n, den) for n in nums] == [x.as_fraction() for x in exact]
+    # Consistent and inconsistent systems both occurred, with rank deficits.
+    assert {(False, True), (True, True)} <= outcomes
 
 
 def test_subspace_membership_coords_equality():
@@ -184,6 +244,13 @@ def test_ideal_decomposition_three_simple_ideals_and_a_center():
         Subspace.from_vectors(10, [unit_vector(10, i) for i in range(o, o + 3)])
         for o in (6, 3, 0)
     ]
+
+
+def test_ideal_decomposition_of_compact_a2():
+    L = build_compact_form("a2").algebra
+    center, ideals = ideal_decomposition(L)
+    assert center.is_zero()
+    assert ideals == [L.full_subspace()]
 
 
 def _scrambled_double_su2():
