@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .field import ONE, ZERO, Scalar, scalar
-from .liealg import LieAlgebra, Subspace, Vector
+from .liealg import LieAlgebra, Subspace, Vector, trace_product
 from .rootsys import (
     Root,
     RootSystem,
@@ -433,9 +433,9 @@ def build_compact_form(family: str) -> CompactForm:
 
     # Calibrate the trace form against the stored form.
     n = algebra.dim
-    basis = [algebra.basis_vector(i) for i in range(n)]
+    ads = [algebra.ad(algebra.basis_vector(i)) for i in range(n)]
     entries = [
-        (i, j, algebra.trace_form(basis[i], basis[j]), algebra.form[i][j])
+        (i, j, trace_product(ads[i], ads[j]), algebra.form[i][j])
         for i in range(n)
         for j in range(n)
     ]

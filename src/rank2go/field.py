@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 #: Radicands of the basis elements, in fixed coordinate order.
 RADICANDS: tuple[int, ...] = (1, 2, 3, 5, 6, 10, 15, 30)
@@ -416,6 +416,51 @@ def clear_denominators(values: Iterable[Scalar]) -> list[int] | None:
         return None
     d = lcm(*(v.den for v in values))
     return [v.nums[0] * (d // v.den) for v in values]
+
+
+def radical_labels(
+    rows: Sequence[Sequence[Scalar]],
+) -> tuple[list[int], list[int]] | None:
+    """Radicands u_i of the rows and t_j of the columns such that every
+    nonzero rows[i][j] * sqrt(t_j) is a rational multiple of sqrt(u_i), or
+    None when some entry mixes radicals or no such labels exist.
+
+    Rational data gets u = t = 1.  A breadth-first search over the bipartite
+    graph of nonzero entries finds the labels, rooting each connected piece
+    at radicand 1.
+    """
+    nrows = len(rows)
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
+    edges += [[] for _ in (rows[0] if rows else ())]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row, nrows):
+            if v._rat:
+                if not v.nums[0]:
+                    continue
+                k = 0
+            else:
+                ks = [k for k, n in enumerate(v.nums) if n]
+                if len(ks) > 1:
+                    return None
+                k = ks[0]
+            edges[i].append((j, k))
+            edges[j].append((i, k))
+    label: list[int | None] = [None] * len(edges)
+    for root in range(len(edges)):
+        if label[root] is not None:
+            continue
+        label[root] = 0
+        queue = [root]
+        for node in queue:
+            for other, k in edges[node]:
+                want = _MUL[label[node]][k][0]
+                if label[other] is None:
+                    label[other] = want
+                    queue.append(other)
+                elif label[other] != want:
+                    return None
+    radicands = [RADICANDS[k] for k in label]
+    return radicands[:nrows], radicands[nrows:]
 
 
 # -- spec-surface wrappers ---------------------------------------------------

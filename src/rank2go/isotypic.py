@@ -23,20 +23,18 @@ from .liealg import (
     ad_on,
     centralizer_in,
     commuting_operators,
-    eigenspace_in,
+    eigenspaces,
     gram_matrix,
     identity_matrix,
     is_positive_definite,
-    kernel_basis,
     mat_apply,
     mat_combine,
     mat_inverse,
     mat_mul,
     mat_transpose,
-    minimal_polynomial,
+    matrix_kernel_of,
     normalizer,
     operator_on_subspace,
-    rational_roots,
     scalar_of,
 )
 
@@ -152,14 +150,12 @@ def trivial_component(space: CatalogSpace) -> Subspace:
 
 def _symmetric_span(mats: list[Matrix], S: Matrix, d: int) -> list[Matrix]:
     """The subspace of span(mats) symmetric with respect to the form S."""
+    # The image of M is the antisymmetric part of S M, flattened.
     SMs = [mat_mul(S, M) for M in mats]
-    # One constraint per entry (i, j): the antisymmetric part of S M vanishes.
-    rows = [
-        [SM[i][j] - SM[j][i] for SM in SMs] for i in range(d) for j in range(d)
-    ]
-    return [
-        mat_combine(coeffs, mats, d) for coeffs in kernel_basis(rows, len(mats))
-    ]
+    return matrix_kernel_of(
+        mats,
+        [[SM[i][j] - SM[j][i] for i in range(d) for j in range(d)] for SM in SMs],
+    )
 
 
 def _multiplicity_annotation(
@@ -209,21 +205,6 @@ class _Analysis:
 _CACHE: dict[str, tuple[CatalogSpace, _Analysis]] = {}
 
 
-def _split_by_casimir(space: CatalogSpace, C: Matrix) -> list[Subspace]:
-    roots = sorted(set(rational_roots(minimal_polynomial(C))))
-    pieces = []
-    for lam in roots:
-        piece = eigenspace_in(space.m, C, lam)
-        if piece.is_zero():
-            raise ArithmeticError("minimal polynomial root with empty eigenspace")
-        pieces.append(piece)
-    if sum(p.dim for p in pieces) != space.m.dim:
-        raise ArithmeticError(
-            "casimir eigenspaces do not fill m: an eigenvalue is irrational"
-        )
-    return pieces
-
-
 def _refine_by_center(
     space: CatalogSpace, pieces: list[Subspace]
 ) -> list[tuple[Subspace, tuple[Fraction, ...]]]:
@@ -238,13 +219,10 @@ def _refine_by_center(
         for piece, tags in tagged:
             # Exact: z is central in h, so ad(z) preserves every piece.
             A = ad_on(L, z, piece)
-            R = mat_mul(A, A)
-            for mu in sorted(set(rational_roots(minimal_polynomial(R)))):
-                part = eigenspace_in(piece, R, mu)
-                if not part.is_zero():
-                    refined.append((part, tags + (mu,)))
-        if sum(p.dim for p, _ in refined) != space.m.dim:
-            raise ArithmeticError("central refinement lost dimensions")
+            refined.extend(
+                (part, tags + (mu,))
+                for mu, part in eigenspaces(piece, mat_mul(A, A))
+            )
         tagged = refined
     return tagged
 
@@ -254,7 +232,9 @@ def _analyze(space: CatalogSpace) -> _Analysis:
     C = casimir(space)
 
     # eigenvalue of C on each piece, recovered from matrix action
-    pieces = _refine_by_center(space, _split_by_casimir(space, C))
+    pieces = _refine_by_center(
+        space, [piece for _, piece in eigenspaces(space.m, C)]
+    )
 
     records = []
     for piece, tags in pieces:

@@ -3,17 +3,20 @@
 An algebra is a table of structure constants against a fixed labelled basis.
 Elements are coordinate tuples of Scalars.  Subspaces are kept in reduced
 row echelon form, which makes span equality, membership, and coordinate
-extraction exact and canonical.
+extraction exact and canonical.  rref eliminates on integers when the data
+is rational or radical-monomial (every entry a rational multiple of one
+radical, the radicals factoring over rows and columns), else on Scalars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .field import ONE, ZERO, Scalar, scalar
+from .field import ONE, ZERO, Scalar, clear_denominators, radical_labels, scalar
 
 Vector = tuple[Scalar, ...]
 Matrix = list[list[Scalar]]
@@ -59,9 +62,75 @@ def is_zero_vector(a: Vector) -> bool:
 def rref(rows: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form with deterministic first-nonzero pivoting.
 
-    Returns the nonzero rows and their pivot columns.
+    Returns the nonzero rows and their pivot columns.  When radical_labels
+    finds radicands u_i and t_j for the data (u = t = 1 when it is
+    rational), the rows M_ij * sqrt(t_j) / sqrt(u_i) are rational; they are
+    cleared of denominators and eliminated on integers, and the row with
+    pivot p maps back as x_j * sqrt(t_p) / sqrt(t_j).  Other data is
+    eliminated on Scalars.  Both give the same rows: the RREF is unique to
+    the row space, and a column scaling keeps the pivot columns.
     """
-    work = [list(to_vector(r)) for r in rows]
+    vecs = [to_vector(r) for r in rows]
+    labels = radical_labels(vecs)
+    if labels is None:
+        return _scalar_rref(vecs)
+    u, t = labels
+    work = []
+    for ui, row in zip(u, vecs):
+        ints = clear_denominators(
+            x * _root_ratio(tj, ui) if x and tj != ui else x
+            for x, tj in zip(row, t)
+        )
+        if any(ints):
+            work.append(ints)
+    pivots = _eliminate(work)
+    return [
+        tuple(
+            _root_ratio(t[p], tj) * Fraction(x, row[p]) if x else ZERO
+            for x, tj in zip(row, t)
+        )
+        for row, p in zip(work, pivots)
+    ], pivots
+
+
+@lru_cache(maxsize=None)
+def _root_ratio(a: int, b: int) -> Scalar:
+    """sqrt(a) / sqrt(b) for radicands a and b."""
+    return Scalar.of_radical(a) / Scalar.of_radical(b)
+
+
+def _eliminate(work: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
+    with first-nonzero pivoting, dividing each updated row by its gcd.
+
+    Returns the pivot columns; work[:len(pivots)] are then the pivot rows.
+    """
+    pivots: list[int] = []
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        if rank == len(work):
+            break
+        sel = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if sel is None:
+            continue
+        work[rank], work[sel] = work[sel], work[rank]
+        prow = work[rank]
+        p = prow[col]
+        for r, row in enumerate(work):
+            c = row[col]
+            if r != rank and c:
+                new = [p * x - c * y for x, y in zip(row, prow)]
+                g = gcd(*new)
+                work[r] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+        rank += 1
+    return pivots
+
+
+def _scalar_rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
+    """rref on Scalars, inverting each pivot: the path for data whose
+    entries mix radicals."""
+    work = [list(r) for r in rows]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -132,11 +201,10 @@ def solve_int_columns(
 ) -> tuple[tuple[list[int], int] | None, int, int]:
     """solve_columns for integer data, fraction-free.
 
-    Gauss-Jordan elimination on the integer augmented matrix, with the same
-    first-nonzero pivoting, dividing each updated row by the gcd of its
-    entries.  Returns ((nums, den), rank_map, rank_augmented): the solution
-    with free variables set to zero is x_j = nums[j] / den, with den > 0.
-    The solution is None when the system is inconsistent.
+    _eliminate, the integer core of rref, on the augmented matrix.  Returns
+    ((nums, den), rank_map, rank_augmented): the solution with free
+    variables set to zero is x_j = nums[j] / den, with den > 0.  The
+    solution is None when the system is inconsistent.
     """
     n = len(columns)
     work = [
@@ -144,25 +212,8 @@ def solve_int_columns(
         for row in ([col[i] for col in columns] + [b] for i, b in enumerate(rhs))
         if any(row)
     ]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n + 1):
-        if rank == len(work):
-            break
-        sel = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        prow = work[rank]
-        p = prow[col]
-        for r, row in enumerate(work):
-            c = row[col]
-            if r != rank and c:
-                new = [p * x - c * y for x, y in zip(row, prow)]
-                g = gcd(*new)
-                work[r] = [x // g for x in new] if g > 1 else new
-        pivots.append(col)
-        rank += 1
+    pivots = _eliminate(work)
+    rank = len(pivots)
     if n in pivots:
         return None, rank - 1, rank
     den = lcm(*(abs(work[i][p]) for i, p in enumerate(pivots)))
@@ -260,8 +311,7 @@ class Subspace:
         """
         if len(images) != self.dim:
             raise ValueError(f"expected {self.dim} images, got {len(images)}")
-        width = len(images[0]) if images else 0
-        constraints = [[img[c] for img in images] for c in range(width)]
+        constraints = list(zip(*images))
         return Subspace.from_vectors(
             self.ambient_dim,
             [self.combine(y) for y in kernel_basis(constraints, self.dim)],
@@ -369,15 +419,7 @@ class LieAlgebra:
 
     def trace_form(self, v: Vector, w: Vector) -> Scalar:
         """Raw trace form tr(ad v . ad w), computed from scratch."""
-        a = self.ad(v)
-        b = self.ad(w)
-        n = self.dim
-        total = ZERO
-        for i in range(n):
-            for j in range(n):
-                if a[i][j] and b[j][i]:
-                    total = total + a[i][j] * b[j][i]
-        return total
+        return trace_product(self.ad(v), self.ad(w))
 
     def killing(self, v: Vector, w: Vector) -> Scalar:
         """Trace form, divided by the stored scale when one is known."""
@@ -532,27 +574,34 @@ def subalgebra_closure(L: LieAlgebra, vectors: Iterable) -> Subspace:
         span = Subspace.from_vectors(L.dim, new_vectors)
 
 
+def matrix_kernel_of(mats: Sequence[Matrix], images: Sequence) -> list[Matrix]:
+    """{sum_t y_t * mats[t] : sum_t y_t * images[t] = 0} for square matrices
+    mats[t] with flattened images images[t]: the twin of Subspace.kernel_of."""
+    null = kernel_basis(list(zip(*images)), len(mats))
+    return [mat_combine(y, mats, len(mats[0])) for y in null]
+
+
 def commuting_operators(ads: Sequence[Matrix], d: int) -> list[Matrix]:
     """Basis of {T : TA = AT for every A in ads}, for d x d matrices A.
 
-    The unknown T is flattened row by row; the constraint (TA - AT)_ij = 0
-    is one row of the linear system, and all-zero rows are dropped.
+    T runs over the unit matrices E_pq.  E_pq A - A E_pq has row q of A as
+    its row p, minus column p of A as its column q.
     """
-    rows = []
-    for A in ads:
-        for i in range(d):
-            for j in range(d):
-                row = [ZERO] * (d * d)
-                for q in range(d):
-                    row[i * d + q] = row[i * d + q] + A[q][j]
-                for p in range(d):
-                    row[p * d + j] = row[p * d + j] - A[i][p]
-                if any(row):
-                    rows.append(row)
-    return [
-        [list(t[i * d:(i + 1) * d]) for i in range(d)]
-        for t in kernel_basis(rows, d * d)
-    ]
+    units, images = [], []
+    for p in range(d):
+        for q in range(d):
+            units.append([[ONE if (i, j) == (p, q) else ZERO for j in range(d)]
+                          for i in range(d)])
+            image = []
+            for A in ads:
+                block = [[ZERO] * d for _ in range(d)]
+                block[p] = list(A[q])
+                for i in range(d):
+                    if A[i][p]:
+                        block[i][q] = block[i][q] - A[i][p]
+                image.extend(x for row in block for x in row)
+            images.append(image)
+    return matrix_kernel_of(units, images)
 
 
 def _simple_ideals(L: LieAlgebra, derived: Subspace) -> list[Subspace]:
@@ -588,10 +637,7 @@ def _simple_ideals(L: LieAlgebra, derived: Subspace) -> list[Subspace]:
             op = operator_on_subspace(
                 lambda w: derived.combine(mat_apply(T, derived.coords(w))), part
             )
-            for lam in rational_roots(minimal_polynomial(op)):
-                piece = eigenspace_in(part, op, lam)
-                if not piece.is_zero():
-                    refined.append(piece)
+            refined.extend(piece for _, piece in eigenspaces(part, op))
         parts = refined
     return parts
 
@@ -660,10 +706,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(c, a: Matrix) -> Matrix:
     c = scalar(c)
     return [[c * x for x in row] for row in a]
@@ -674,7 +716,10 @@ def mat_combine(coeffs: Sequence, mats: Sequence[Matrix], n: int) -> Matrix:
     out = [[ZERO] * n for _ in range(n)]
     for c, M in zip(coeffs, mats):
         if c:
-            out = mat_add(out, mat_scale(c, M))
+            for row_out, row in zip(out, M):
+                for j, x in enumerate(row):
+                    if x:
+                        row_out[j] = row_out[j] + c * x
     return out
 
 
@@ -688,6 +733,16 @@ def scalar_of(mat: Matrix) -> Scalar | None:
     ):
         return c
     return None
+
+
+def trace_product(a: Matrix, b: Matrix) -> Scalar:
+    """tr(a b) for square matrices a and b."""
+    total = ZERO
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x and b[j][i]:
+                total = total + x * b[j][i]
+    return total
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -811,6 +866,19 @@ def eigenspace_in(part: Subspace, op: Matrix, lam: Fraction) -> Subspace:
             for t in range(d)
         ]
     )
+
+
+def eigenspaces(part: Subspace, op: Matrix) -> list[tuple[Fraction, Subspace]]:
+    """(lam, eigenspace_in(part, op, lam)) for each distinct eigenvalue lam
+    of op, in increasing order.  Raises ArithmeticError when an eigenvalue
+    is irrational or the eigenspaces do not fill part."""
+    pieces = [
+        (lam, eigenspace_in(part, op, lam))
+        for lam in sorted(set(rational_roots(minimal_polynomial(op))))
+    ]
+    if sum(piece.dim for _, piece in pieces) != part.dim:
+        raise ArithmeticError("eigenspaces do not fill: op is not diagonalizable")
+    return pieces
 
 
 def _divisors(n: int) -> list[int]:

@@ -2,20 +2,24 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from rank2go.chevalley import build_compact_form
 from rank2go.embed import CATALOG_IDS, catalog_space
 
-from rank2go.field import ONE, SQRT2, ZERO, Scalar, scalar
+from rank2go.field import ONE, RADICANDS, SQRT2, ZERO, Scalar, radical_labels, scalar
 from rank2go.liealg import (
+    _eliminate,
+    _scalar_rref,
     LieAlgebra,
     Subspace,
     abelian,
     centralizer_in,
     commuting_operators,
     direct_sum,
+    eigenspaces,
     ideal_decomposition,
     kernel_basis,
     minimal_polynomial,
@@ -134,6 +138,117 @@ def test_solve_int_columns_matches_solve_columns(rows, cols):
         assert [Fraction(n, den) for n in nums] == [x.as_fraction() for x in exact]
     # Consistent and inconsistent systems both occurred, with rank deficits.
     assert {(False, True), (True, True)} <= outcomes
+
+
+def _rational_rows(rng, nrows, ncols):
+    """Seeded random rationals of rank at most a random r, often with a
+    planted zero row and zero column."""
+    rank = rng.randint(0, min(nrows, ncols))
+    basis = [
+        [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+        for _ in range(rank)
+    ]
+    rows = [
+        [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = [0] * ncols
+    if rng.random() < 0.5:
+        z = rng.randrange(ncols)
+        for row in rows:
+            row[z] = 0
+    return [[scalar(x) for x in row] for row in rows]
+
+
+def _monomial_rows(rng, nrows, ncols):
+    """diag(sqrt u) . Q . diag(sqrt t) for random radicands u, t and a
+    random rational Q."""
+    u = [Scalar.of_radical(rng.choice(RADICANDS)) for _ in range(nrows)]
+    t = [Scalar.of_radical(rng.choice(RADICANDS)) for _ in range(ncols)]
+    return [
+        [ui * x * tj for x, tj in zip(row, t)]
+        for ui, row in zip(u, _rational_rows(rng, nrows, ncols))
+    ]
+
+
+def _mix(rng, rows):
+    """rows with sqrt2 + sqrt3 + sqrt5 added to one entry, which then mixes
+    radicals whatever the entry was."""
+    rows = [list(r) for r in rows]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[i][j] = rows[i][j] + SQRT2 + Scalar.of_radical(3) + Scalar.of_radical(5)
+    return rows
+
+
+@pytest.mark.parametrize("nrows, ncols", [(1, 1), (3, 5), (5, 3), (6, 6), (4, 8)])
+def test_rref_matches_the_scalar_loop(nrows, ncols):
+    """rref equals the Scalar elimination on rational, radical-monomial and
+    mixed-radical data, and each kind takes the path it should."""
+    rng = random.Random(10 * nrows + ncols)
+    for trial in range(12):
+        rational = _rational_rows(rng, nrows, ncols)
+        monomial = _monomial_rows(rng, nrows, ncols)
+        mixed = _mix(rng, _monomial_rows(rng, nrows, ncols))
+        assert radical_labels(rational) == ([1] * nrows, [1] * ncols)
+        assert radical_labels(monomial) is not None
+        assert radical_labels(mixed) is None
+        for rows in (rational, monomial, mixed):
+            assert rref(rows) == _scalar_rref(rows)
+
+
+def test_rref_matches_the_scalar_loop_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4
+            )
+        ),
+        st.lists(st.sampled_from(RADICANDS), min_size=4, max_size=4),
+        st.lists(st.sampled_from(RADICANDS), min_size=4, max_size=4),
+        st.booleans(),
+    )
+    def check(q, u, t, mixed):
+        rows = [
+            [Scalar.of_radical(ui) * x * Scalar.of_radical(tj) for x, tj in zip(row, t)]
+            for ui, row in zip(u, q)
+        ]
+        if mixed:
+            rows[0][0] = rows[0][0] + SQRT2 + Scalar.of_radical(5)
+        assert rref(rows) == _scalar_rref(rows)
+
+    check()
+
+
+def test_radical_labels():
+    r2, r3 = SQRT2, Scalar.of_radical(3)
+    # Each entry is one radical, but sqrt2 at (1, 1) contradicts the labels
+    # that the other three entries force.
+    assert radical_labels([[ONE, ONE], [ONE, r2]]) is None
+    assert radical_labels([[ONE + r2]]) is None
+    u, t = radical_labels([[r2, 2 * r3], [ONE, Scalar.of_radical(6)]])
+    assert (u, t) == ([1, 2], [2, 3])
+    assert radical_labels([]) == ([], [])
+    assert radical_labels([[ZERO, ZERO]]) == ([1], [1, 1])
+
+
+def test_eliminate_keeps_rows_primitive():
+    """Every row _eliminate leaves is divided by its gcd, when the input
+    rows are primitive, and it is in reduced echelon form."""
+    rng = random.Random(11)
+    for _ in range(40):
+        rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
+        work = [[x // gcd(*r) for x in r] for r in rows if any(r)]
+        pivots = _eliminate(work)
+        for i, p in enumerate(pivots):
+            assert gcd(*work[i]) == 1
+            assert [r[p] != 0 for r in work] == [k == i for k in range(len(work))]
+        assert not any(any(r) for r in work[len(pivots):])
 
 
 def test_subspace_membership_coords_equality():
@@ -391,3 +506,19 @@ def test_scalar_of():
     skew[0][1] = ONE
     assert scalar_of(skew) is None
     assert scalar_of([[ONE, ZERO], [ZERO, scalar(2)]]) is None
+
+
+def test_eigenspaces():
+    full = Subspace.full(3)
+    two, minus_one = scalar(2), scalar(-1)
+    diag = [[two, ZERO, ZERO], [ZERO, minus_one, ZERO], [ZERO, ZERO, two]]
+    pieces = eigenspaces(full, diag)
+    assert [lam for lam, _ in pieces] == [Fraction(-1), Fraction(2)]
+    assert [p.dim for _, p in pieces] == [1, 2]
+    # (x - 1)^2 is the minimal polynomial; its eigenspace is 2-dimensional.
+    jordan = [[ONE, ONE, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    with pytest.raises(ArithmeticError):
+        eigenspaces(full, jordan)
+    rotation = [[ZERO, -ONE], [ONE, ZERO]]
+    with pytest.raises(ArithmeticError):
+        eigenspaces(Subspace.full(2), rotation)
