@@ -364,11 +364,9 @@ def _candidate_metrics(space, dec):
     return candidates
 
 
-def _classify_space(space_id: str, samples: int, seed: int) -> dict:
-    space = catalog_space(space_id)
-    dec = isotypic_decompose(space)
+def _classify_space(space, dec, samples: int, seed: int) -> dict:
     entry = {
-        "space": space_id,
+        "space": space.space_id,
         "description": space.description,
         "dim_m": space.dim_m,
         "profile": list(dec.profile),
@@ -446,8 +444,10 @@ def classify(
     Reports, per space, the verdict lie_group_case, isotropy_irreducible,
     all_metrics_normal, or nonnormal_go_family with the passing candidates.
     Exits 0 when all verdicts match the built-in expected classification,
-    2 on any mismatch, 1 when a space errored.  The report is byte-identical
-    across runs with the same seed and configuration.
+    2 on any mismatch, 1 when a space errored; the report then names the
+    space and the stage that failed (catalog, isotypic or search).  The
+    report is byte-identical across runs with the same seed and
+    configuration.
     """
     _nonnegative("--samples", samples)
     resolved = _resolve_seed(seed)
@@ -462,12 +462,21 @@ def classify(
     entries = []
     errors = 0
     for sid in ids:
+        stage = "catalog"
         try:
-            entries.append(_classify_space(sid, samples, resolved))
+            space = catalog_space(sid)
+            stage = "isotypic"
+            dec = isotypic_decompose(space)
+            stage = "search"
+            entries.append(_classify_space(space, dec, samples, resolved))
         except Exception as exc:
             errors += 1
             entries.append(
-                {"space": sid, "error": f"{type(exc).__name__}: {exc}"}
+                {
+                    "space": sid,
+                    "stage": stage,
+                    "error": f"{type(exc).__name__}: {exc}",
+                }
             )
     flagged = [
         e["space"] for e in entries if e.get("verdict") == "nonnormal_go_family"
@@ -492,7 +501,7 @@ def classify(
     click.echo(header)
     for e in entries:
         if "error" in e:
-            click.echo(f"{e['space']:8s} error: {e['error']}")
+            click.echo(f"{e['space']:8s} error in {e['stage']}: {e['error']}")
             continue
         profile = "(" + ",".join(str(d) for d in e["profile"]) + ")"
         mark = " *" if e["space"] in flagged else ""

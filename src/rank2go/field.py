@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain, compress
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
@@ -416,6 +417,70 @@ def clear_denominators(values: Iterable[Scalar]) -> list[int] | None:
         return None
     d = lcm(*(v.den for v in values))
     return [v.nums[0] * (d // v.den) for v in values]
+
+
+# -- ring rows ----------------------------------------------------------------
+#
+# An element of the ring spanned over Z by the radical basis, as its nonzero
+# integer coordinates: (index into RADICANDS, coordinate) pairs in increasing
+# index order.  Zero is the empty tuple, so truth tests work as for ints, and
+# a product visits nonzero terms only.  Fraction-free elimination runs on
+# rows of these, with no pivot inverted.
+
+Ring = tuple[tuple[int, int], ...]
+RING_ONE: Ring = ((0, 1),)
+
+
+def ring_lift(values: Iterable[Scalar]) -> list[Ring]:
+    """The ring elements d * v for the least d > 0 that makes every v
+    integral."""
+    values = list(values)
+    d = lcm(*(v.den for v in values))
+    return [ring_pack([n * (d // v.den) for n in v.nums]) for v in values]
+
+
+def ring_pack(acc: Sequence[int]) -> Ring:
+    """The ring element with the eight coordinates acc."""
+    return tuple(compress(enumerate(acc), acc))
+
+
+def ring_mac(acc: list[int], a: Ring, b: Ring) -> None:
+    """acc += a * b on eight coordinates, in place, by the product table of
+    the radical basis."""
+    for i, x in a:
+        row = _MUL[i]
+        for j, y in b:
+            k, c = row[j]
+            acc[k] += c * x * y
+
+
+def ring_mul(a: Ring, b: Ring) -> Ring:
+    acc = [0] * 8
+    ring_mac(acc, a, b)
+    return ring_pack(acc)
+
+
+def ring_neg(a: Ring) -> Ring:
+    return tuple((i, -x) for i, x in a)
+
+
+def ring_combine(
+    p: Ring, row: Sequence[Ring], c: Ring, prow: Sequence[Ring]
+) -> list[Ring]:
+    """p * row - c * prow, divided by the gcd of all its integer
+    coordinates: a fraction-free row update, which keeps the span of the
+    row over the field."""
+    c = ring_neg(c)
+    new = []
+    for x, y in zip(row, prow):
+        acc = [0] * 8
+        ring_mac(acc, p, x)
+        ring_mac(acc, c, y)
+        new.append(acc)
+    g = gcd(*chain.from_iterable(new))
+    if g > 1:
+        new = [[v // g for v in e] for e in new]
+    return [ring_pack(e) for e in new]
 
 
 def radical_labels(

@@ -9,10 +9,14 @@ when every X admits one.  This module solves that linear problem exactly,
 samples it over structured and random directions, and applies two
 necessary-condition filters that rule metrics out without sampling.
 
-The search runs in m-coordinates: a per-space kernel holds ad(h_i)|_m and
-the bracket m x m -> h + m, and each direction needs only the rank pair of
-the resulting small system, computed on integers whenever the space, the
-metric and the direction are rational.  `solve_compensator` keeps the
+The search runs in m-coordinates, on data built once per space: a kernel
+that holds ad(h_i)|_m and the bracket m x m -> h + m, the fixed part of m
+with its fixed-vector actions and simple ideals for the filters, and the
+structured batch of directions.  Each direction needs only the rank pair of
+a small system, eliminated fraction-free on integers when the space, the
+metric and the direction are rational, and otherwise on ring rows: integer
+coordinates over the radical basis 1, sqrt2, ..., sqrt30 (field.Ring).  No
+Scalar is eliminated in the search.  `solve_compensator` keeps the
 ambient-coordinate solve with its canonical least-norm compensator, and
 `verify_witness` replays every witness through it, independently of the
 search.
@@ -23,11 +27,24 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from typing import Callable, Sequence
 
 from .embed import CatalogSpace, fibration_split, named_subalgebra
-from .field import ONE, ZERO, Scalar, clear_denominators, parse_scalar, scalar
+from .field import (
+    ONE,
+    ZERO,
+    Ring,
+    Scalar,
+    clear_denominators,
+    parse_scalar,
+    ring_lift,
+    ring_mac,
+    ring_neg,
+    ring_pack,
+    scalar,
+)
 from .isotypic import (
     commutant_symmetric_basis,
     component_projections,
@@ -36,6 +53,7 @@ from .isotypic import (
 )
 from .liealg import (
     Matrix,
+    Subspace,
     Vector,
     ad_on,
     gram_matrix,
@@ -49,10 +67,10 @@ from .liealg import (
     mat_mul,
     mat_scale,
     mat_transpose,
-    operator_on_subspace,
     scalar_of,
     solve_columns,
     solve_int_columns,
+    solve_ring_columns,
     subalgebra_closure,
     vec_sub,
 )
@@ -227,19 +245,64 @@ def solve_compensator(
     return a, rank_map, rank_aug
 
 
+# -- per-space data -----------------------------------------------------------
+
+_PER_SPACE: dict[tuple[Callable, str], tuple[CatalogSpace, object]] = {}
+
+
+def _per_space(build: Callable[[CatalogSpace], object], space: CatalogSpace):
+    """build(space), built once and kept while the same space object is in
+    use: the search of every metric on a space reads the same data."""
+    key = (build, space.space_id)
+    hit = _PER_SPACE.get(key)
+    if hit is not None and hit[0] is space:
+        return hit[1]
+    result = build(space)
+    _PER_SPACE[key] = (space, result)
+    return result
+
+
 # -- filters ------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _FixedPart:
+    """The fixed part p of m, in m-coordinates: ad(w)|_m for each row w of
+    p, p itself, and its simple ideals, or None for the ideals when p is not
+    a subalgebra."""
+
+    actions: tuple[Matrix, ...]
+    span: Subspace
+    ideals: tuple[Subspace, ...] | None
+
+
+def _build_fixed_part(space: CatalogSpace) -> _FixedPart:
+    L = space.algebra
+    p = isotypic_decompose(space).trivial_subspace
+
+    def m_span(sub: Subspace) -> Subspace:
+        return Subspace.from_vectors(
+            space.dim_m, [space.m.coords(r) for r in sub.rows]
+        )
+
+    ideals = None
+    if p.dim and subalgebra_closure(L, p.rows) == p:
+        ideals = tuple(m_span(ideal) for ideal in ideal_decomposition(L, p)[1])
+    return _FixedPart(
+        actions=tuple(ad_on(L, w, space.m) for w in p.rows),
+        span=m_span(p),
+        ideals=ideals,
+    )
+
 
 def normalizer_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
     """Necessary condition: the operator commutes with every fixed-vector
     action.  Vectors of m that centralize h generate extra isometries, and a
     geodesic-orbit metric must commute with each of their actions on m."""
-    L = space.algebra
-    fixed = isotypic_decompose(space).trivial_subspace
-    for w in fixed.rows:
-        A = ad_on(L, w, space.m)
-        if mat_mul(metric.matrix, A) != mat_mul(A, metric.matrix):
-            return False
-    return True
+    M = metric.matrix
+    return all(
+        mat_mul(M, A) == mat_mul(A, M)
+        for A in _per_space(_build_fixed_part, space).actions
+    )
 
 
 def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
@@ -248,22 +311,25 @@ def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool
     For X in p the compensator equation degenerates to [MX, X] = 0, which
     holds for every X in p exactly when M preserves p, restricts to a
     scalar on each simple ideal of p, and is arbitrary (symmetric positive
-    definite) on the center.  True when p is zero.
+    definite) on the center.  True when p is zero.  Each test is basis-free,
+    so it runs on the m-coordinate spans of p and its ideals.
     """
-    p = isotypic_decompose(space).trivial_subspace
-    if p.dim == 0:
+    fixed = _per_space(_build_fixed_part, space)
+    if fixed.span.dim == 0:
         return True
-    L = space.algebra
-    if subalgebra_closure(L, p.rows) != p:
+    if fixed.ideals is None:
         raise ValueError("the fixed part of m is not a subalgebra")
-    for r in p.rows:
-        if not p.contains(metric.apply(r)):
+    M = metric.matrix
+    if not all(fixed.span.contains(mat_apply(M, r)) for r in fixed.span.rows):
+        return False
+    for ideal in fixed.ideals:
+        images = [mat_apply(M, r) for r in ideal.rows]
+        if not all(ideal.contains(v) for v in images):
             return False
-    _center, ideals = ideal_decomposition(L, p)
-    for ideal in ideals:
-        if not all(ideal.contains(metric.apply(r)) for r in ideal.rows):
-            return False
-        if scalar_of(operator_on_subspace(metric.apply, ideal)) is None:
+        # The coordinates of a vector of the ideal against its RREF rows
+        # are its pivot entries.
+        restricted = [[v[p] for v in images] for p in ideal.pivots]
+        if scalar_of(restricted) is None:
             return False
     return True
 
@@ -340,11 +406,7 @@ class GoVerdict:
         return out
 
 
-def structured_directions(space: CatalogSpace) -> list[tuple[Scalar, ...]]:
-    """The deterministic first batch: each block basis direction of every
-    isotypic component, then every pairwise sum of two of them.  Sums that
-    mix components are the classic way block-skewed metrics fail, so these
-    run before any random draw."""
+def _build_structured(space: CatalogSpace) -> tuple[tuple[Scalar, ...], ...]:
     dec = isotypic_decompose(space)
     singles = [
         tuple(space.m.coords(r))
@@ -357,15 +419,28 @@ def structured_directions(space: CatalogSpace) -> list[tuple[Scalar, ...]]:
             batch.append(
                 tuple(a + b for a, b in zip(singles[i], singles[j]))
             )
-    return batch
+    # The batch is kept as long as the space: hold each distinct
+    # coordinate once.
+    shared: dict[Scalar, Scalar] = {}
+    return tuple(tuple(shared.setdefault(x, x) for x in d) for d in batch)
+
+
+def structured_directions(space: CatalogSpace) -> list[tuple[Scalar, ...]]:
+    """The deterministic first batch: each block basis direction of every
+    isotypic component, then every pairwise sum of two of them.  Sums that
+    mix components are the classic way block-skewed metrics fail, so these
+    run before any random draw."""
+    return list(_per_space(_build_structured, space))
+
+
+_DIGITS = tuple(Scalar.from_int(k) for k in range(-9, 10) if k != 0)
 
 
 def _random_direction(rng: random.Random, n: int) -> tuple[Scalar, ...]:
-    values = [k for k in range(-9, 10) if k != 0]
-    return tuple(Scalar.from_int(rng.choice(values)) for _ in range(n))
+    return tuple(rng.choice(_DIGITS) for _ in range(n))
 
 
-# -- the m-coordinate direction kernel -----------------------------------------
+# -- the m-coordinate direction kernel ----------------------------------------
 
 # Rows of a matrix as (column, nonzero entry) pairs.
 _SparseRows = tuple[tuple[tuple[int, object], ...], ...]
@@ -375,113 +450,149 @@ def _sparse(rows) -> _SparseRows:
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
 
 
-def _apply(rows: _SparseRows, v, zero) -> list:
+def _apply(rows: _SparseRows, v) -> list:
     out = []
     for row in rows:
-        acc = zero
+        acc = 0
         for j, c in row:
             if v[j]:
-                acc = acc + c * v[j]
+                acc += c * v[j]
         out.append(acc)
     return out
 
 
-def _lift(mats: Sequence[Matrix]) -> list[list[list[int]]] | None:
-    """The matrices times one positive integer that makes every entry
-    integral, or None when some entry is irrational."""
-    ints = clear_denominators(c for M in mats for row in M for c in row)
-    if ints is None:
+def _ring_apply(rows: _SparseRows, v: Sequence[Ring]) -> list[Ring]:
+    out = []
+    for row in rows:
+        acc = [0] * 8
+        for j, c in row:
+            ring_mac(acc, c, v[j])
+        out.append(ring_pack(acc))
+    return out
+
+
+def _lift_rows(
+    M: Matrix, lift: Callable[[list[Scalar]], list | None]
+) -> _SparseRows | None:
+    """M with its entries cleared of one common denominator by lift
+    (clear_denominators or ring_lift), as sparse rows, or None where lift
+    gives None."""
+    values = lift([c for row in M for c in row])
+    if values is None:
         return None
-    it = iter(ints)
-    return [[[next(it) for _ in row] for row in M] for M in mats]
+    n = len(M)
+    return _sparse(values[i * n:(i + 1) * n] for i in range(n))
 
 
-@dataclass(frozen=True)
-class _Tensors:
-    """ad(h_i)|_m and the bracket m x m -> h + m over one coefficient ring:
-    Scalars, or ints after clearing denominators.
-
-    brackets lists (i, j, terms) for i < j, terms being the nonzero
-    coordinates of [m_i, m_j] in the basis h.rows + m.rows.  A positive
-    rescaling of either part leaves every rank pair unchanged."""
-
-    ad: tuple[_SparseRows, ...]
-    brackets: tuple[tuple[int, int, tuple[tuple[int, object], ...]], ...]
-    dim_h: int
-    zero: object
-
-    @classmethod
-    def build(cls, ad_h, pairs, coords, dim_h, zero) -> "_Tensors":
-        return cls(
-            ad=tuple(_sparse(A) for A in ad_h),
-            brackets=tuple(
-                (i, j, terms)
-                for (i, j), terms in zip(pairs, _sparse(coords))
-                if terms
-            ),
-            dim_h=dim_h,
-            zero=zero,
-        )
-
-    def system(self, metric: _SparseRows, x: Sequence) -> tuple[list, list]:
-        """The columns C_i = ad(h_i)|_m (MX) and r = [MX, X], in m-coordinates."""
-        zero = self.zero
-        y = _apply(metric, x, zero)
-        full = [zero] * (self.dim_h + len(x))
-        for i, j, terms in self.brackets:
-            w = y[i] * x[j] - y[j] * x[i]
-            if w:
-                for k, c in terms:
-                    full[k] = full[k] + w * c
-        if any(full[: self.dim_h]):
-            raise ArithmeticError(
-                "[MX, X] left the transverse part; "
-                "the metric operator is not equivariant"
-            )
-        return [_apply(A, y, zero) for A in self.ad], full[self.dim_h:]
+_TRANSVERSE_ERROR = (
+    "[MX, X] left the transverse part; the metric operator is not equivariant"
+)
 
 
 @dataclass(frozen=True)
 class _Kernel:
-    """The direction data of one space: ad(h_i)|_m as dense matrices, and
-    the tensors on Scalars and, when all of them are rational, on ints."""
+    """The direction data of one space, on Scalars: ad(h_i)|_m, and the
+    bracket m x m -> h + m as (i, j, terms) for i < j, terms being the
+    nonzero coordinates of [m_i, m_j] in the basis h.rows + m.rows."""
 
     ad_h: tuple[Matrix, ...]
-    exact: _Tensors
-    integral: _Tensors | None
-
-
-_KERNELS: dict[str, tuple[CatalogSpace, _Kernel]] = {}
+    brackets: tuple[tuple[int, int, tuple[tuple[int, Scalar], ...]], ...]
 
 
 def _build_kernel(space: CatalogSpace) -> _Kernel:
     L = space.algebra
     rows = space.m.rows
-    ad_h = tuple(ad_on(L, a, space.m) for a in space.h.rows)
     to_basis = mat_inverse(mat_transpose(list(space.h.rows + rows)))
     pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))]
-    coords = [
-        list(mat_apply(to_basis, L.bracket(rows[i], rows[j]))) for i, j in pairs
-    ]
-    k = space.dim_h
-    lifted = _lift(list(ad_h) + [coords])
-    integral = None
-    if lifted is not None:
-        integral = _Tensors.build(lifted[:k], pairs, lifted[k], k, 0)
+    coords = _sparse(
+        mat_apply(to_basis, L.bracket(rows[i], rows[j])) for i, j in pairs
+    )
     return _Kernel(
-        ad_h=ad_h,
-        exact=_Tensors.build(ad_h, pairs, coords, k, ZERO),
-        integral=integral,
+        ad_h=tuple(ad_on(L, a, space.m) for a in space.h.rows),
+        brackets=tuple(
+            (i, j, terms) for (i, j), terms in zip(pairs, coords) if terms
+        ),
     )
 
 
 def _kernel(space: CatalogSpace) -> _Kernel:
-    hit = _KERNELS.get(space.space_id)
-    if hit is not None and hit[0] is space:
-        return hit[1]
-    result = _build_kernel(space)
-    _KERNELS[space.space_id] = (space, result)
-    return result
+    return _per_space(_build_kernel, space)
+
+
+@dataclass(frozen=True)
+class _Tensors:
+    """The kernel cleared of one common denominator: as ints, or as ring
+    rows.  A positive rescaling leaves every rank pair unchanged."""
+
+    ad: tuple[_SparseRows, ...]
+    brackets: tuple[tuple[int, int, tuple[tuple[int, object], ...]], ...]
+    dim_h: int
+
+    @classmethod
+    def lift(cls, space: CatalogSpace, lift: Callable) -> "_Tensors | None":
+        kernel = _kernel(space)
+        values = lift(
+            [c for A in kernel.ad_h for row in A for c in row]
+            + [c for _, _, terms in kernel.brackets for _, c in terms]
+        )
+        if values is None:
+            return None
+        it = iter(values)
+        return cls(
+            ad=tuple(
+                _sparse([next(it) for _ in row] for row in A)
+                for A in kernel.ad_h
+            ),
+            brackets=tuple(
+                (i, j, tuple((k, next(it)) for k, _ in terms))
+                for i, j, terms in kernel.brackets
+            ),
+            dim_h=space.dim_h,
+        )
+
+    def system(self, metric: _SparseRows, x: Sequence[int]) -> tuple[list, list]:
+        """The columns C_i = ad(h_i)|_m (MX) and r = [MX, X], in
+        m-coordinates, on ints."""
+        y = _apply(metric, x)
+        full = [0] * (self.dim_h + len(x))
+        for i, j, terms in self.brackets:
+            w = y[i] * x[j] - y[j] * x[i]
+            if w:
+                for k, c in terms:
+                    full[k] += w * c
+        if any(full[: self.dim_h]):
+            raise ArithmeticError(_TRANSVERSE_ERROR)
+        return [_apply(A, y) for A in self.ad], full[self.dim_h:]
+
+    def ring_system(
+        self, metric: _SparseRows, x: Sequence[Ring]
+    ) -> tuple[list, list]:
+        """The same system on ring rows."""
+        y = _ring_apply(metric, x)
+        neg_x = [ring_neg(v) for v in x]
+        full = [[0] * 8 for _ in range(self.dim_h + len(x))]
+        for i, j, terms in self.brackets:
+            acc = [0] * 8
+            ring_mac(acc, y[i], x[j])
+            ring_mac(acc, y[j], neg_x[i])
+            w = ring_pack(acc)
+            if w:
+                for k, c in terms:
+                    ring_mac(full[k], w, c)
+        if any(map(any, full[: self.dim_h])):
+            raise ArithmeticError(_TRANSVERSE_ERROR)
+        return (
+            [_ring_apply(A, y) for A in self.ad],
+            [ring_pack(v) for v in full[self.dim_h:]],
+        )
+
+
+def _int_tensors(space: CatalogSpace) -> _Tensors | None:
+    return _Tensors.lift(space, clear_denominators)
+
+
+def _ring_tensors(space: CatalogSpace) -> _Tensors:
+    return _Tensors.lift(space, ring_lift)
 
 
 def _direction_checker(
@@ -490,29 +601,49 @@ def _direction_checker(
     """The compensator test of one metric, direction by direction.
 
     For m-coordinates x it returns (solvable, rank_map, rank_augmented)
-    from the rank pair of [C | r], computed on ints when the space, the
-    metric and the direction are rational, otherwise on Scalars.  The
+    from the rank pair of [C | r].  The space, the metric and the direction
+    are each cleared of one common denominator; the system is built and
+    eliminated fraction-free on ints when all three are rational, and on
+    ring rows otherwise.  The ring data of the space and the metric is
+    built when a direction first needs it.  No Scalar is eliminated and no
+    pivot inverted.  A consistent system is checked exactly:
+    sum_i (P x_i) C_i = P r, for P the denominator of the solution.  The
     decision and the rank pair are those of solve_compensator."""
-    kernel = _kernel(space)
-    exact_metric = _sparse(metric.matrix)
-    lifted = _lift([metric.matrix]) if kernel.integral is not None else None
-    int_metric = None if lifted is None else _sparse(lifted[0])
+    ints = _per_space(_int_tensors, space)
+    int_metric = None
+    if ints is not None:
+        int_metric = _lift_rows(metric.matrix, clear_denominators)
+
+    @cache
+    def ring_metric() -> _SparseRows:
+        return _lift_rows(metric.matrix, ring_lift)
 
     def check(coords: tuple[Scalar, ...]) -> tuple[bool, int, int]:
         x = None if int_metric is None else clear_denominators(coords)
         if x is None:
-            columns, r = kernel.exact.system(exact_metric, coords)
-            sol, rank_map, rank_aug = solve_columns(columns, r)
-            sol = None if sol is None else (sol, ONE)
+            columns, r = _per_space(_ring_tensors, space).ring_system(
+                ring_metric(), ring_lift(coords)
+            )
+            sol, rank_map, rank_aug = solve_ring_columns(columns, r)
+            if sol is not None:
+                nums, den = sol
+                neg_den = ring_neg(den)
+                for p, rp in enumerate(r):
+                    acc = [0] * 8
+                    for a, col in zip(nums, columns):
+                        ring_mac(acc, a, col[p])
+                    ring_mac(acc, neg_den, rp)
+                    if any(acc):
+                        raise ArithmeticError("compensator verification failed")
         else:
-            columns, r = kernel.integral.system(int_metric, x)
+            columns, r = ints.system(int_metric, x)
             sol, rank_map, rank_aug = solve_int_columns(columns, r)
-        if sol is not None:
-            nums, den = sol
-            for p, rp in enumerate(r):
-                lhs = sum(a * col[p] for a, col in zip(nums, columns) if a)
-                if lhs != den * rp:
-                    raise ArithmeticError("compensator verification failed")
+            if sol is not None:
+                nums, den = sol
+                for p, rp in enumerate(r):
+                    lhs = sum(a * col[p] for a, col in zip(nums, columns) if a)
+                    if lhs != den * rp:
+                        raise ArithmeticError("compensator verification failed")
         return sol is not None, rank_map, rank_aug
 
     return check

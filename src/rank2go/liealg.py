@@ -16,7 +16,18 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .field import ONE, ZERO, Scalar, clear_denominators, radical_labels, scalar
+from .field import (
+    ONE,
+    RING_ONE,
+    ZERO,
+    Ring,
+    Scalar,
+    clear_denominators,
+    radical_labels,
+    ring_combine,
+    ring_mul,
+    scalar,
+)
 
 Vector = tuple[Scalar, ...]
 Matrix = list[list[Scalar]]
@@ -99,9 +110,21 @@ def _root_ratio(a: int, b: int) -> Scalar:
     return Scalar.of_radical(a) / Scalar.of_radical(b)
 
 
-def _eliminate(work: list[list[int]]) -> list[int]:
+def _int_combine(p: int, row: list[int], c: int, prow: list[int]) -> list[int]:
+    """p * row - c * prow, divided by its gcd."""
+    new = [p * x - c * y for x, y in zip(row, prow)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+def _eliminate(
+    work: list[list], combine: Callable = _int_combine
+) -> list[int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place,
-    with first-nonzero pivoting, dividing each updated row by its gcd.
+    with first-nonzero pivoting: a row r is replaced by
+    combine(p, r, c, pivot row) = p * r - c * (pivot row), divided by the
+    gcd of its integer coordinates.  With field.ring_combine the rows hold
+    ring elements (field.Ring) in place of ints.
 
     Returns the pivot columns; work[:len(pivots)] are then the pivot rows.
     """
@@ -119,9 +142,7 @@ def _eliminate(work: list[list[int]]) -> list[int]:
         for r, row in enumerate(work):
             c = row[col]
             if r != rank and c:
-                new = [p * x - c * y for x, y in zip(row, prow)]
-                g = gcd(*new)
-                work[r] = [x // g for x in new] if g > 1 else new
+                work[r] = combine(p, row, c, prow)
         pivots.append(col)
         rank += 1
     return pivots
@@ -196,6 +217,20 @@ def solve_columns(
     return x, rank_aug, rank_aug
 
 
+def _eliminate_augmented(
+    columns: Sequence[Sequence], rhs: Sequence, combine: Callable
+) -> tuple[list[list], list[int], bool]:
+    """_eliminate on [columns | rhs] with its zero rows dropped.  Returns
+    the rows, the pivot columns, and whether the system is consistent."""
+    work = [
+        row
+        for row in ([col[i] for col in columns] + [b] for i, b in enumerate(rhs))
+        if any(row)
+    ]
+    pivots = _eliminate(work, combine)
+    return work, pivots, len(columns) not in pivots
+
+
 def solve_int_columns(
     columns: Sequence[Sequence[int]], rhs: Sequence[int]
 ) -> tuple[tuple[list[int], int] | None, int, int]:
@@ -206,21 +241,43 @@ def solve_int_columns(
     variables set to zero is x_j = nums[j] / den, with den > 0.  The
     solution is None when the system is inconsistent.
     """
-    n = len(columns)
-    work = [
-        row
-        for row in ([col[i] for col in columns] + [b] for i, b in enumerate(rhs))
-        if any(row)
-    ]
-    pivots = _eliminate(work)
+    work, pivots, consistent = _eliminate_augmented(columns, rhs, _int_combine)
     rank = len(pivots)
-    if n in pivots:
+    if not consistent:
         return None, rank - 1, rank
+    n = len(columns)
     den = lcm(*(abs(work[i][p]) for i, p in enumerate(pivots)))
     nums = [0] * n
     for i, p in enumerate(pivots):
         nums[p] = work[i][n] * (den // work[i][p])
     return (nums, den), rank, rank
+
+
+def solve_ring_columns(
+    columns: Sequence[Sequence[Ring]], rhs: Sequence[Ring]
+) -> tuple[tuple[list[Ring], Ring] | None, int, int]:
+    """solve_int_columns for ring rows (field.Ring): _eliminate with the
+    row update field.ring_combine, with no pivot inverted.
+
+    Returns ((nums, P), rank_map, rank_augmented): P is the product of the
+    pivots and x_j = nums[j] / P is the solution with free variables set to
+    zero.  The solution is None when the system is inconsistent.
+    """
+    work, pivots, consistent = _eliminate_augmented(columns, rhs, ring_combine)
+    rank = len(pivots)
+    if not consistent:
+        return None, rank - 1, rank
+    n = len(columns)
+    nums: list[Ring] = [()] * n
+    P = RING_ONE
+    for i, p in enumerate(pivots):
+        num = work[i][n]
+        for k, q in enumerate(pivots):
+            if k != i:
+                num = ring_mul(num, work[k][q])
+        nums[p] = num
+        P = ring_mul(P, work[i][p])
+    return (nums, P), rank, rank
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_expected_verdict_table_covers_catalog():
 
 def test_classify_report_matches_the_golden_hash(runner, tmp_path):
     # The first case covers rational spaces only; c2.3 and g2.4 have
-    # irrational structure constants, so the second covers the Scalar path.
+    # irrational structure constants, so the second covers the ring-row path.
     cases = [
         (
             ["berger", "cp3", "c2.2", "g2.1", "--samples", "25"],
@@ -268,3 +268,47 @@ def test_classify_mismatch_exits_2(runner, monkeypatch):
     result = runner.invoke(main, ["classify", "berger", "--samples", "5"])
     assert result.exit_code == 2
     assert tail_json(result.output)["mismatches"] == ["berger"]
+
+
+@pytest.mark.parametrize(
+    "stage, target",
+    [
+        ("catalog", "catalog_space"),
+        ("isotypic", "isotypic_decompose"),
+        ("search", "go_sample_check"),
+    ],
+)
+def test_classify_error_names_the_space_and_the_stage(
+    runner, monkeypatch, stage, target
+):
+    import rank2go.cli as cli
+
+    original = getattr(cli, target)
+
+    def failing(space, *args, **kwargs):
+        sid = space if isinstance(space, str) else space.space_id
+        if sid == "cp3":
+            raise ArithmeticError("planted failure")
+        return original(space, *args, **kwargs)
+
+    monkeypatch.setattr(cli, target, failing)
+    result = runner.invoke(
+        main, ["classify", "berger", "cp3", "a2.2", "--samples", "3"]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"cp3      error in {stage}: ArithmeticError: planted failure" in (
+        result.output
+    )
+    report = tail_json(result.output)
+    by_space = {e["space"]: e for e in report["results"]}
+    assert by_space["cp3"] == {
+        "space": "cp3",
+        "stage": stage,
+        "error": "ArithmeticError: planted failure",
+    }
+    assert by_space["berger"]["verdict"] == "nonnormal_go_family"
+    assert by_space["a2.2"]["verdict"] == "isotropy_irreducible"
+    assert report["flagged"] == ["berger"]
+    assert report["mismatches"] == []

@@ -236,3 +236,108 @@ def test_parse_scalar_rejects_a_zero_denominator():
     for text in ("1/0", "-3/0*r2", "1 + 2/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_scalar(text)
+
+
+# -- property tests (hypothesis, with sympy as an optional oracle) -------------
+
+def _scalars(st, max_coeff=6, max_den=6):
+    """Field elements with small coordinates, often sparse."""
+    coords = st.lists(
+        st.one_of(st.just(0), st.integers(-max_coeff, max_coeff)),
+        min_size=8,
+        max_size=8,
+    )
+    return st.builds(
+        lambda nums, den: Scalar(tuple(nums), den), coords, st.integers(1, max_den)
+    )
+
+
+def _to_sympy(x):
+    sympy = pytest.importorskip("sympy")
+    return sum(
+        (sympy.Rational(n, x.den) * sympy.sqrt(r) for n, r in zip(x.nums, RADICANDS)),
+        sympy.Integer(0),
+    )
+
+
+def test_field_axioms_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(_scalars(st), _scalars(st), _scalars(st))
+    def check(a, b, c):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
+        assert a + (-a) == ZERO and a - b == a + (-b)
+        if a:
+            assert a * a.inverse() == ONE
+            assert (b / a) * a == b
+
+    check()
+
+
+def test_sign_agrees_with_approx_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(_scalars(st, max_coeff=40, max_den=12), st.integers(1, 40))
+    def check(x, bits):
+        lo, hi = x.approx(bits)
+        assert lo <= hi and hi - lo <= Fraction(1, 2**bits)
+        s = x.sign()
+        assert (s == 0) == (x == ZERO)
+        assert s >= 0 or lo < 0
+        assert s <= 0 or hi > 0
+        if lo > 0:
+            assert s == 1
+        if hi < 0:
+            assert s == -1
+        assert (-x).sign() == -s
+
+    check()
+
+
+def test_exact_strings_round_trip_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from rank2go.gocheck import Witness
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(
+        st.lists(_scalars(st, max_coeff=10**6, max_den=10**4), max_size=12),
+        st.integers(0, 6),
+        st.booleans(),
+    )
+    def check(coords, rank_map, inconsistent):
+        for x in coords:
+            assert parse_scalar(x.exact_str()) == x
+            assert parse_scalar(str(x)) == x
+        w = Witness(
+            coords=tuple(coords),
+            rank_map=rank_map,
+            rank_augmented=rank_map + inconsistent,
+        )
+        assert Witness.from_dict(w.to_dict()) == w
+
+    check()
+
+
+def test_sign_and_inverse_against_sympy_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(_scalars(st, max_coeff=20, max_den=8))
+    def check(x):
+        expr = _to_sympy(x)
+        assert x.sign() == int(sympy.sign(expr))
+        if x:
+            assert sympy.expand(expr * _to_sympy(x.inverse())) == 1
+
+    check()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rank2go.embed import CATALOG_IDS, catalog_space
-from rank2go.field import SQRT2, ZERO, parse_scalar, scalar
+from rank2go.field import SQRT2, SQRT3, ZERO, parse_scalar, scalar
 from rank2go.gocheck import (
     GoVerdict,
     Witness,
@@ -25,13 +25,19 @@ from rank2go.gocheck import (
 )
 from rank2go.isotypic import isotypic_decompose
 from rank2go.liealg import (
+    ad_on,
     eigenspace_in,
     gram_matrix,
+    ideal_decomposition,
     kernel_basis,
     mat_inverse,
     mat_mul,
     minimal_polynomial,
+    operator_on_subspace,
     rational_roots,
+    scalar_of,
+    solve_columns,
+    subalgebra_closure,
     vec_add,
     vec_scale,
     zero_vector,
@@ -405,8 +411,8 @@ def test_find_witness_is_the_unfiltered_sample_check(space_id, coeffs):
 def test_direction_kernel_matches_the_ambient_solve(space_id):
     # The m-coordinate checker of the search loop agrees with the ambient
     # solve_compensator on the decision and on the rank pair, on the
-    # integer path, on Scalars for the irrational spaces, and on Scalars
-    # for an irrational metric on a rational space.
+    # integer path, and on ring rows for the irrational spaces and for
+    # irrational (monomial and mixed-radical) metrics on rational spaces.
     import random as _random
 
     sp = catalog_space(space_id)
@@ -414,7 +420,10 @@ def test_direction_kernel_matches_the_ambient_solve(space_id):
     if len(isotypic_decompose(sp).components) == 2:
         metrics += [
             metric_from_blocks(sp, coeffs)
-            for coeffs in ((2, 1), (Fraction(1, 3), 1), (SQRT2, 1))
+            for coeffs in (
+                (2, 1), (Fraction(1, 3), 1), (SQRT2, 1), (1 + SQRT2, 3),
+                (2 - SQRT3, SQRT2),
+            )
         ]
     rng = _random.Random(space_id)
     directions = structured_directions(sp) + [
@@ -432,3 +441,110 @@ def test_direction_kernel_matches_the_ambient_solve(space_id):
             refuted += sol is None
     if space_id in dict(REFUTATION_CASES):
         assert refuted > 0
+
+
+# -- the cached m-coordinate filters against the ambient reference ------------
+
+def ambient_normalizer_filter(space, metric):
+    """The normalizer filter as first written, in ambient coordinates."""
+    L = space.algebra
+    fixed = isotypic_decompose(space).trivial_subspace
+    for w in fixed.rows:
+        A = ad_on(L, w, space.m)
+        if mat_mul(metric.matrix, A) != mat_mul(A, metric.matrix):
+            return False
+    return True
+
+
+def ambient_biinvariance_filter(space, metric):
+    """The bi-invariance filter as first written, in ambient coordinates."""
+    p = isotypic_decompose(space).trivial_subspace
+    if p.dim == 0:
+        return True
+    L = space.algebra
+    if subalgebra_closure(L, p.rows) != p:
+        raise ValueError("the fixed part of m is not a subalgebra")
+    for r in p.rows:
+        if not p.contains(metric.apply(r)):
+            return False
+    _center, ideals = ideal_decomposition(L, p)
+    for ideal in ideals:
+        if not all(ideal.contains(metric.apply(r)) for r in ideal.rows):
+            return False
+        if scalar_of(operator_on_subspace(metric.apply, ideal)) is None:
+            return False
+    return True
+
+
+FIXED_PART_MATRICES = (
+    [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+    [[2, 1, 0], [1, 2, 0], [0, 0, 2]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 5]],
+    [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+)
+
+
+def filter_metrics(sp):
+    """Standard, three block metrics (two of them mixed-radical), every
+    fibration metric the space defines, and explicit metrics on a fixed
+    part of dimension 1 or 3."""
+    metrics = [standard_metric(sp)]
+    k = len(isotypic_decompose(sp).components)
+    if k >= 2:
+        for pair in ((2, 1), (1 + SQRT2, 3), (2 - SQRT3, SQRT2)):
+            metrics.append(metric_from_blocks(sp, pair + (1,) * (k - 2)))
+    for name in ("hopf", "ngh", "sp1sp1"):
+        for lam in (2, Fraction(1, 3), SQRT2):
+            try:
+                metrics.append(fibration_metric(sp, name, lam))
+            except ValueError:
+                break
+    p_dim = isotypic_decompose(sp).trivial_subspace.dim
+    blocks = {1: [[[7]]], 3: FIXED_PART_MATRICES}.get(p_dim, [])
+    for p_mat in blocks:
+        try:
+            metrics.append(p_block_metric(sp, p_mat, rest_coeff=Fraction(1, 3)))
+        except ValueError:
+            pass
+    return metrics
+
+
+def filter_outcome(fn, sp, metric):
+    try:
+        return fn(sp, metric)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_filters_match_the_ambient_reference(space_id):
+    sp = catalog_space(space_id)
+    seen = set()
+    for metric in filter_metrics(sp):
+        for cached, ambient in (
+            (normalizer_filter, ambient_normalizer_filter),
+            (biinvariance_filter, ambient_biinvariance_filter),
+        ):
+            outcome = filter_outcome(cached, sp, metric)
+            assert outcome == filter_outcome(ambient, sp, metric), (
+                cached.__name__, metric.provenance, metric.params,
+            )
+            seen.add((cached.__name__, outcome))
+    if space_id == "c2.1":
+        # Both filters accept and reject something on c2.1.
+        assert seen == {
+            (name, ok)
+            for name in ("normalizer_filter", "biinvariance_filter")
+            for ok in (True, False)
+        }
+
+
+def test_structured_directions_returns_a_fresh_list():
+    sp = catalog_space("c2.2")
+    first = structured_directions(sp)
+    expected = list(first)
+    first.clear()
+    second = structured_directions(sp)
+    assert second == expected and second is not first
+    second.append(second[0])
+    assert structured_directions(sp) == expected

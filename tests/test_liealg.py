@@ -9,7 +9,17 @@ import pytest
 from rank2go.chevalley import build_compact_form
 from rank2go.embed import CATALOG_IDS, catalog_space
 
-from rank2go.field import ONE, RADICANDS, SQRT2, ZERO, Scalar, radical_labels, scalar
+from rank2go.field import (
+    ONE,
+    RADICANDS,
+    SQRT2,
+    SQRT3,
+    ZERO,
+    Scalar,
+    radical_labels,
+    ring_lift,
+    scalar,
+)
 from rank2go.liealg import (
     _eliminate,
     _scalar_rref,
@@ -31,6 +41,7 @@ from rank2go.liealg import (
     scalar_of,
     solve_columns,
     solve_int_columns,
+    solve_ring_columns,
     su2,
     subalgebra_closure,
     to_vector,
@@ -138,6 +149,101 @@ def test_solve_int_columns_matches_solve_columns(rows, cols):
         assert [Fraction(n, den) for n in nums] == [x.as_fraction() for x in exact]
     # Consistent and inconsistent systems both occurred, with rank deficits.
     assert {(False, True), (True, True)} <= outcomes
+
+
+RING_ENTRIES = (
+    ZERO, ONE, -ONE, 2 * ONE, SQRT2, SQRT3, 1 + SQRT2, 2 - SQRT3,
+    SQRT2 + SQRT3, Scalar.of_radical(5, Fraction(1, 2)) - 1,
+    Scalar.of_radical(6) + Scalar.of_radical(30, 3), Fraction(2, 3) * SQRT2,
+)
+
+
+def mixed_radical_system(rng, nrows, ncols):
+    """Columns spanning a random number of mixed-radical basis columns
+    (a planted rank deficit over the field), often with a zero row and a
+    zero column, and a right-hand side that is half the time in their
+    span and otherwise random."""
+    rank = rng.randint(0, min(nrows, ncols))
+    basis = [
+        [rng.choice(RING_ENTRIES) for _ in range(nrows)] for _ in range(rank)
+    ]
+
+    def combination():
+        coeffs = [rng.choice(RING_ENTRIES) for _ in basis]
+        return [
+            sum((c * b[i] for c, b in zip(coeffs, basis)), ZERO)
+            for i in range(nrows)
+        ]
+
+    columns = [combination() for _ in range(ncols)]
+    if rng.random() < 0.5:
+        columns[rng.randrange(ncols)] = [ZERO] * nrows
+    if rng.random() < 0.5:
+        z = rng.randrange(nrows)
+        for col in columns:
+            col[z] = ZERO
+    if rng.random() < 0.5:
+        coeffs = [rng.choice(RING_ENTRIES) for _ in columns]
+        rhs = [
+            sum((c * col[i] for c, col in zip(coeffs, columns)), ZERO)
+            for i in range(nrows)
+        ]
+    else:
+        rhs = [rng.choice(RING_ENTRIES) for _ in range(nrows)]
+    return columns, rhs
+
+
+def ring_scalar(a):
+    """The field element of a ring row."""
+    nums = [0] * 8
+    for i, x in a:
+        nums[i] = x
+    return Scalar(tuple(nums))
+
+
+def assert_ring_solve_matches(columns, rhs):
+    """solve_ring_columns on the system cleared of one denominator gives
+    the rank pair and the solution of solve_columns."""
+    nrows = len(rhs)
+    ring = ring_lift([x for col in columns for x in col] + list(rhs))
+    ring_columns = [ring[j * nrows:(j + 1) * nrows] for j in range(len(columns))]
+    sol, rank_map, rank_aug = solve_ring_columns(ring_columns, ring[-nrows:])
+    exact, exact_map, exact_aug = solve_columns(columns, rhs)
+    assert (sol is None, rank_map, rank_aug) == (exact is None, exact_map, exact_aug)
+    if sol is None:
+        assert rank_aug == rank_map + 1
+    else:
+        nums, den = sol
+        assert [ring_scalar(n) / ring_scalar(den) for n in nums] == exact
+    return sol is not None, rank_map < len(columns)
+
+
+@pytest.mark.parametrize("nrows, ncols", [(1, 1), (4, 2), (7, 4), (11, 5), (3, 5)])
+def test_ring_solve_matches_solve_columns(nrows, ncols):
+    rng = random.Random(100 * nrows + ncols)
+    outcomes = set()
+    for _ in range(15):
+        system = mixed_radical_system(rng, nrows, ncols)
+        outcomes.add(assert_ring_solve_matches(*system))
+    if nrows > ncols:
+        # Consistent and inconsistent systems, each with a rank deficit.
+        assert {(True, True), (False, True)} <= outcomes
+
+
+def test_ring_solve_matches_solve_columns_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 6),
+        st.integers(1, 5),
+        st.randoms(use_true_random=False),
+    )
+    def check(nrows, ncols, rng):
+        assert_ring_solve_matches(*mixed_radical_system(rng, nrows, ncols))
+
+    check()
 
 
 def _rational_rows(rng, nrows, ncols):
