@@ -573,22 +573,20 @@ def parse_scalar(text: str) -> Scalar:
     tokens = re.findall(r"[+-][^+-]+", s)
     if "".join(tokens) != s:
         raise ValueError(f"cannot parse scalar literal {text!r}")
-    coords = [Fraction(0)] * 8
+    # Each radical coordinate accumulates as an integer pair nums[i]/dens[i].
+    nums, dens = [0] * 8, [1] * 8
     for tok in tokens:
-        sign, body = tok[0], tok[1:]
-        m = _TERM_RE.match(body)
+        m = _TERM_RE.match(tok[1:])
         if not m or (m.group("coef") is None and m.group("rad") is None):
             raise ValueError(f"bad term {tok!r} in scalar literal {text!r}")
-        try:
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        except ZeroDivisionError:
+        p, _, q = (m.group("coef") or "1").partition("/")
+        p, q = int(p), int(q or 1)
+        if not q:
             raise ValueError(f"zero denominator in scalar literal {text!r}")
-        if sign == "-":
-            coef = -coef
+        if tok[0] == "-":
+            p = -p
         rad = m.group("rad")
         idx = _INDEX[int(rad[1:])] if rad else 0
-        coords[idx] += coef
-    den = 1
-    for q in coords:
-        den = den * q.denominator // gcd(den, q.denominator)
-    return Scalar(tuple(int(q * den) for q in coords), den)
+        nums[idx], dens[idx] = nums[idx] * q + p * dens[idx], dens[idx] * q
+    den = lcm(*dens)
+    return Scalar([n * (den // d) for n, d in zip(nums, dens)], den)

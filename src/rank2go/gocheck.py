@@ -16,7 +16,8 @@ structured batch of directions.  Each direction needs only the rank pair of
 a small system, eliminated fraction-free on integers when the space, the
 metric and the direction are rational, and otherwise on ring rows: integer
 coordinates over the radical basis 1, sqrt2, ..., sqrt30 (field.Ring).  No
-Scalar is eliminated in the search.  `solve_compensator` keeps the
+Scalar is eliminated in the search, and a scalar metric builds no system at
+all: [cX, X] = 0 for every X.  `solve_compensator` keeps the
 ambient-coordinate solve with its canonical least-norm compensator, and
 `verify_witness` replays every witness through it, independently of the
 search.
@@ -658,7 +659,12 @@ def _search(
 ) -> GoVerdict:
     """The one direction search: filters (always computed, and applied only
     when asked), the structured batch, then `draws` seeded random draws,
-    stopping at the first direction with no compensator."""
+    stopping at the first direction with no compensator.  samples_run counts
+    the directions decided.  For a scalar metric M = cI every direction is
+    decided by the identity r(X) = [cX, X] = 0, so a = 0 compensates it:
+    no system is built, and samples_run is the batch length plus draws."""
+    if draws < 0:
+        raise ValueError(f"random draws must be >= 0, got {draws}")
     start = time.perf_counter()
     filters = _filter_results(space, metric)
     filter_name = None
@@ -667,6 +673,8 @@ def _search(
     status, run, witness = STATUS_GO_SAMPLED, 0, None
     if filter_name is not None:
         status = STATUS_FILTERED
+    elif scalar_of(metric.matrix) is not None:
+        run = len(structured_directions(space)) + draws
     else:
         rng = random.Random(seed)
         n = space.dim_m
@@ -706,8 +714,10 @@ def go_sample_check(
 
     Random directions draw every coordinate uniformly from the nonzero
     integers in [-9, 9].  The first direction with no compensator stops the
-    run with a witness.  samples counts the random draws; samples_run in
-    the verdict counts every direction actually checked.
+    run with a witness.  samples counts the random draws and must be >= 0;
+    samples_run in the verdict counts every direction decided.  For a
+    scalar metric M = cI they are all decided by r(X) = [cX, X] = 0 (the
+    compensator is a = 0), without a system being solved.
     """
     return _search(space, metric, samples, seed, apply_filters)
 
@@ -719,9 +729,9 @@ def find_witness(
     seed: int = DEFAULT_SEED,
 ) -> GoVerdict:
     """Search for a refuting direction: structured batch first, then up to
-    budget random draws.  The budget counts random draws only; the
-    structured batch always runs in full if no witness appears sooner.
-    The filters are reported but never stop the search."""
+    budget random draws.  The budget counts random draws only and must be
+    >= 0; the structured batch always runs in full if no witness appears
+    sooner.  The filters are reported but never stop the search."""
     return _search(space, metric, budget, seed, apply_filters=False)
 
 

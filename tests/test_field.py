@@ -1,7 +1,9 @@
 """Unit tests for exact arithmetic in Q(sqrt2, sqrt3, sqrt5)."""
 
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -236,6 +238,34 @@ def test_parse_scalar_rejects_a_zero_denominator():
     for text in ("1/0", "-3/0*r2", "1 + 2/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_scalar(text)
+
+
+def fraction_parse_scalar(text):
+    """The parser as first written, one Fraction per term: the reference for
+    the integer accumulation of parse_scalar."""
+    s = text.strip().replace(" ", "").replace("+-", "-")
+    if s[0] not in "+-":
+        s = "+" + s
+    coords = [Fraction(0)] * 8
+    for tok in re.findall(r"[+-][^+-]+", s):
+        coef, _, rad = tok[1:].partition("*")
+        if coef.startswith("r"):
+            coef, rad = "1", coef
+        q = Fraction(coef) * (-1 if tok[0] == "-" else 1)
+        coords[RADICANDS.index(int(rad[1:])) if rad else 0] += q
+    den = 1
+    for q in coords:
+        den = den * q.denominator // gcd(den, q.denominator)
+    return Scalar(tuple(int(q * den) for q in coords), den)
+
+
+def test_parse_scalar_matches_the_fraction_parser():
+    rng = random.Random(8)
+    texts = ["2", "1/3", "-3/2*r6", "1 - r2 + 1/2*r30", "6/4 + 2/6*r2 - 1/6*r2"]
+    texts += [_random_scalar(rng).exact_str() for _ in range(50)]
+    for text in texts:
+        new, old = parse_scalar(text), fraction_parse_scalar(text)
+        assert (new.nums, new.den) == (old.nums, old.den), text
 
 
 # -- property tests (hypothesis, with sympy as an optional oracle) -------------

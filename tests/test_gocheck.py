@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rank2go import gocheck
 from rank2go.embed import CATALOG_IDS, catalog_space
 from rank2go.field import SQRT2, SQRT3, ZERO, parse_scalar, scalar
 from rank2go.gocheck import (
     GoVerdict,
     Witness,
     _direction_checker,
+    _random_direction,
     biinvariance_filter,
     explicit_metric,
     fibration_metric,
@@ -23,12 +25,13 @@ from rank2go.gocheck import (
     structured_directions,
     verify_witness,
 )
-from rank2go.isotypic import isotypic_decompose
+from rank2go.isotypic import commutant_symmetric_basis, isotypic_decompose
 from rank2go.liealg import (
     ad_on,
     eigenspace_in,
     gram_matrix,
     ideal_decomposition,
+    identity_matrix,
     kernel_basis,
     mat_inverse,
     mat_mul,
@@ -548,3 +551,79 @@ def test_structured_directions_returns_a_fresh_list():
     assert second == expected and second is not first
     second.append(second[0])
     assert structured_directions(sp) == expected
+
+
+# -- scalar metrics: decided by [cX, X] = 0 -----------------------------------
+
+def scalar_metrics(sp):
+    standard = standard_metric(sp)
+    return [standard, standard.scaled(3), standard.scaled(SQRT2)]
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_the_checker_solves_every_direction_of_a_scalar_metric(space_id):
+    # The identity the search's shortcut rests on: for M = cI the real
+    # checker finds every direction solvable, on the int path and on ring
+    # rows (c * sqrt2 is irrational, and c2.3 and g2.4 are irrational).
+    import random as _random
+
+    sp = catalog_space(space_id)
+    rng = _random.Random(space_id)
+    directions = structured_directions(sp) + [
+        _random_direction(rng, sp.dim_m) for _ in range(20)
+    ]
+    for metric in scalar_metrics(sp):
+        check = _direction_checker(sp, metric)
+        assert all(check(coords)[0] for coords in directions), metric.params
+
+
+@pytest.mark.parametrize("space_id", ["c2.2", "c2.3", "g2.4", "berger"])
+def test_scalar_metric_search_counts_batch_and_draws(space_id, monkeypatch):
+    # No checker is built for a scalar metric; every direction of the batch
+    # and every draw still counts.
+    def no_checker(*_args):
+        raise AssertionError("a scalar metric reached the direction loop")
+
+    monkeypatch.setattr(gocheck, "_direction_checker", no_checker)
+    sp = catalog_space(space_id)
+    batch = len(structured_directions(sp))
+    for metric in scalar_metrics(sp):
+        for k in (0, 7):
+            for verdict in (
+                go_sample_check(sp, metric, samples=k),
+                find_witness(sp, metric, budget=k),
+            ):
+                assert verdict.status == "go_sampled"
+                assert verdict.witness is None
+                assert verdict.samples_run == batch + k
+
+
+def test_nonscalar_metrics_near_the_identity_still_run_the_loop():
+    sp = catalog_space("c2.2")
+
+    def e(*ones):
+        return tuple(scalar(int(i in ones)) for i in range(sp.dim_m))
+
+    verdict = find_witness(sp, metric_from_blocks(sp, (2, 1)), budget=7)
+    assert verdict.samples_run == 10
+    assert verdict.witness == Witness(coords=e(0, 3), rank_map=2, rank_augmented=3)
+    # A constant diagonal does not make a metric scalar: I + B/4, for a
+    # commutant direction B with zero diagonal, is refuted by the loop.
+    B = commutant_symmetric_basis(sp)[1]
+    assert all(not B[i][i] for i in range(sp.dim_m))
+    skew = explicit_metric(sp, [
+        [a + Fraction(1, 4) * b for a, b in zip(row_i, row_b)]
+        for row_i, row_b in zip(identity_matrix(sp.dim_m), B)
+    ])
+    verdict = find_witness(sp, skew, budget=7)
+    assert verdict.samples_run == 4
+    assert verdict.witness == Witness(coords=e(3), rank_map=2, rank_augmented=3)
+
+
+def test_negative_draw_counts_are_rejected():
+    sp = catalog_space("g2.3")
+    metric = standard_metric(sp)
+    with pytest.raises(ValueError, match="must be >= 0, got -5"):
+        go_sample_check(sp, metric, samples=-5)
+    with pytest.raises(ValueError, match="must be >= 0, got -2"):
+        find_witness(sp, metric, budget=-2)
