@@ -6,6 +6,11 @@ coordinates taken against the radical basis
 
     1, sqrt2, sqrt3, sqrt5, sqrt6, sqrt10, sqrt15, sqrt30.
 
+The form is canonical: the denominator is positive and coprime to the
+numerators together, so zero is eight zeros over 1.  Sums, differences,
+products and negations of rational operands compute the one rational
+coordinate only, and every result is reduced to the same canonical form.
+
 All operations are exact; floating point appears only in the optional
 decimal rendering of reports.
 """
@@ -16,6 +21,7 @@ import re
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 #: Radicands of the basis elements, in fixed coordinate order.
@@ -59,6 +65,7 @@ _CONJ_SIGNS: tuple[tuple[int, ...], ...] = tuple(
     if s2 or s3 or s5
 )
 
+_ZERO7 = (0,) * 7
 _ZERO8 = (0,) * 8
 
 
@@ -68,28 +75,34 @@ class Scalar:
     __slots__ = ("nums", "den", "_rat")
 
     def __init__(self, nums: tuple[int, ...] | list[int], den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("scalar denominator is zero")
         nums = tuple(nums)
         if len(nums) != 8:
             raise ValueError("a scalar needs exactly 8 coordinates")
-        if den < 0:
+        if den <= 0:
+            if not den:
+                raise ZeroDivisionError("scalar denominator is zero")
             nums = tuple(-n for n in nums)
             den = -den
-        g = den
-        for n in nums:
-            g = gcd(g, n)
-            if g == 1:
-                break
+        g = gcd(den, *nums)
         if g > 1:
             nums = tuple(n // g for n in nums)
             den //= g
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_rat", not any(nums[1:]))
+        _set_nums(self, nums)
+        _set_den(self, den)
+        _set_rat(self, nums[1:] == _ZERO7)
 
     def __setattr__(self, *_args):  # pragma: no cover - immutability guard
         raise AttributeError("Scalar is immutable")
+
+    # Copies and pickles rebuild through __init__, not the guard above.
+    def __reduce__(self):
+        return (Scalar, (self.nums, self.den))
+
+    def __copy__(self) -> "Scalar":
+        return self
+
+    def __deepcopy__(self, memo) -> "Scalar":
+        return self
 
     # -- constructors ----------------------------------------------------
 
@@ -124,12 +137,13 @@ class Scalar:
         return Fraction(self.nums[0], self.den)
 
     def __bool__(self) -> bool:
-        return any(self.nums)
+        return self.nums != _ZERO8
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
@@ -140,13 +154,18 @@ class Scalar:
     # -- ring operations --------------------------------------------------
 
     def __neg__(self) -> "Scalar":
+        if self._rat:
+            return Scalar((-self.nums[0],) + _ZERO7, self.den)
         return Scalar(tuple(-n for n in self.nums), self.den)
 
     def __add__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         da, db = self.den, other.den
+        if self._rat and other._rat:
+            return Scalar((self.nums[0] * db + other.nums[0] * da,) + _ZERO7, da * db)
         return Scalar(
             tuple(a * db + b * da for a, b in zip(self.nums, other.nums)),
             da * db,
@@ -155,25 +174,35 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(-other)
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        da, db = self.den, other.den
+        if self._rat and other._rat:
+            return Scalar((self.nums[0] * db - other.nums[0] * da,) + _ZERO7, da * db)
+        return Scalar(
+            tuple(a * db - b * da for a, b in zip(self.nums, other.nums)),
+            da * db,
+        )
 
     def __rsub__(self, other) -> "Scalar":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other.__add__(-self)
+        return other - self
 
     def __mul__(self, other) -> "Scalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self._rat:
             a = self.nums[0]
             if a == 0:
                 return ZERO
+            if other._rat:
+                return Scalar((a * other.nums[0],) + _ZERO7, self.den * other.den)
             return Scalar(tuple(a * n for n in other.nums), self.den * other.den)
         if other._rat:
             b = other.nums[0]
@@ -195,10 +224,10 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if not any(self.nums):
+        if self.nums == _ZERO8:
             raise ZeroDivisionError("division by zero scalar")
         if self._rat:
-            return Scalar((self.den, 0, 0, 0, 0, 0, 0, 0), self.nums[0])
+            return Scalar((self.den,) + _ZERO7, self.nums[0])
         # Product of the seven nontrivial conjugates; times self it gives the
         # (rational) field norm, so inverse = product / norm.
         prod = _conjugate(self, 0)
@@ -241,7 +270,7 @@ class Scalar:
 
     def sign(self) -> int:
         """Exact sign under the real embedding (sqrt2 = 1.414..., etc.)."""
-        if not any(self.nums):
+        if self.nums == _ZERO8:
             return 0
         if self._rat:
             return 1 if self.nums[0] > 0 else -1
@@ -386,9 +415,12 @@ def _coerce(x) -> "Scalar":
 
 
 def _conjugate(a: Scalar, which: int) -> Scalar:
-    signs = _CONJ_SIGNS[which]
-    return Scalar(tuple(s * n for s, n in zip(signs, a.nums)), a.den)
+    return Scalar(tuple(map(mul, _CONJ_SIGNS[which], a.nums)), a.den)
 
+
+_set_nums = Scalar.nums.__set__
+_set_den = Scalar.den.__set__
+_set_rat = Scalar._rat.__set__
 
 ZERO = Scalar(_ZERO8, 1)
 ONE = Scalar.from_int(1)
@@ -403,6 +435,8 @@ SQRT30 = Scalar.of_radical(30)
 
 def scalar(x: "Scalar | int | Fraction") -> Scalar:
     """Coerce an int or Fraction (or pass a Scalar through)."""
+    if type(x) is Scalar:
+        return x
     s = _coerce(x)
     if s is NotImplemented:
         raise TypeError(f"cannot make a scalar from {x!r}")

@@ -325,7 +325,7 @@ class Subspace:
         for row, p in zip(self.rows, self.pivots):
             c = w[p]
             if c:
-                w = [x - c * y for x, y in zip(w, row)]
+                w = [x - c * y if y else x for x, y in zip(w, row)]
         return tuple(w)
 
     def contains(self, v: Vector) -> bool:

@@ -1,9 +1,12 @@
 """Unit tests for exact arithmetic in Q(sqrt2, sqrt3, sqrt5)."""
 
+import copy
+import operator
+import pickle
 import random
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -268,6 +271,109 @@ def test_parse_scalar_matches_the_fraction_parser():
         assert (new.nums, new.den) == (old.nums, old.den), text
 
 
+def test_scalars_pickle_and_copy():
+    from rank2go.embed import catalog_space
+    from rank2go.gocheck import find_witness, metric_from_blocks
+
+    for x in (ZERO, ONE, SQRT2, Scalar((1, -3, 0, 0, 0, 0, 0, 1), 2)):
+        back = pickle.loads(pickle.dumps(x))
+        assert (back.nums, back.den, back.is_rational) == (x.nums, x.den, x.is_rational)
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+    sp = catalog_space("c2.2")
+    w = find_witness(sp, metric_from_blocks(sp, (2, 1)), budget=50).witness
+    assert copy.deepcopy(w) == w
+    assert pickle.loads(pickle.dumps(w)) == w
+
+
+# -- the arithmetic against a coordinate-wise Fraction reference ---------------
+
+def _coords(x):
+    """x as eight Fraction coordinates; an int or Fraction is rational."""
+    if isinstance(x, Scalar):
+        return [Fraction(n, x.den) for n in x.nums]
+    return [Fraction(x)] + [Fraction(0)] * 7
+
+
+def _basis_product(i, j):
+    """(k, c) with sqrt(RADICANDS[i]) * sqrt(RADICANDS[j]) = c * sqrt(RADICANDS[k])."""
+    n = RADICANDS[i] * RADICANDS[j]
+    c = max(c for c in RADICANDS if n % (c * c) == 0)
+    return RADICANDS.index(n // (c * c)), c
+
+
+def reference_arith(op, a, b=None):
+    """The coordinates of a op b (or of -a), computed one Fraction at a time."""
+    x = _coords(a)
+    if op == "neg":
+        return [-p for p in x]
+    y = _coords(b)
+    if op == "add":
+        return [p + q for p, q in zip(x, y)]
+    if op == "sub":
+        return [p - q for p, q in zip(x, y)]
+    out = [Fraction(0)] * 8
+    for i, p in enumerate(x):
+        for j, q in enumerate(y):
+            k, c = _basis_product(i, j)
+            out[k] += c * p * q
+    return out
+
+
+def assert_matches_reference(got, coords):
+    den = lcm(*(q.denominator for q in coords))
+    want = Scalar(tuple(int(q * den) for q in coords), den)
+    assert type(got) is Scalar
+    assert (got.nums, got.den) == (want.nums, want.den)
+    assert _coords(got) == coords
+    assert got.is_rational == (not any(coords[1:]))
+    assert got.den > 0 and gcd(got.den, *got.nums) == 1
+    if not any(coords):
+        assert (got.nums, got.den) == ((0,) * 8, 1)
+    assert bool(got) == (got != 0) == any(coords)
+
+
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def assert_arith_matches_reference(a, b):
+    """+, - and * both ways round, and unary - of each Scalar operand."""
+    for op, fn in _BINARY.items():
+        assert_matches_reference(fn(a, b), reference_arith(op, a, b))
+        assert_matches_reference(fn(b, a), reference_arith(op, b, a))
+    for x in (a, b):
+        if isinstance(x, Scalar):
+            assert_matches_reference(-x, reference_arith("neg", x))
+
+
+def test_arithmetic_matches_the_fraction_reference():
+    rng = random.Random(9)
+
+    def rat():
+        return scalar(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+
+    def irr():
+        x = _random_scalar(rng, sparse=rng.random() < 0.5)
+        return x if not x.is_rational else x + SQRT2
+
+    for _ in range(60):
+        pairs = [
+            (rat(), rat()),
+            (rat(), irr()),
+            (irr(), irr()),
+            (ZERO, rat()),
+            (ZERO, irr()),
+            (ZERO, ZERO),
+            (rat(), rng.randint(-9, 9)),
+            (irr(), Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+        ]
+        # Sums that cancel to zero, to a rational and to a denominator
+        # that reduces.
+        a = irr()
+        pairs += [(a, -a), (a, Scalar((1,) + a.nums[1:], a.den)), (a, a)]
+        for a, b in pairs:
+            assert_arith_matches_reference(a, b)
+
+
 # -- property tests (hypothesis, with sympy as an optional oracle) -------------
 
 def _scalars(st, max_coeff=6, max_den=6):
@@ -369,5 +475,22 @@ def test_sign_and_inverse_against_sympy_hypothesis():
         assert x.sign() == int(sympy.sign(expr))
         if x:
             assert sympy.expand(expr * _to_sympy(x.inverse())) == 1
+
+    check()
+
+
+def test_arithmetic_matches_the_fraction_reference_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    scalars = st.one_of(
+        rationals.map(scalar), _scalars(st, max_coeff=30, max_den=12), st.just(ZERO)
+    )
+    operands = st.one_of(scalars, st.integers(-20, 20), rationals)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(scalars, operands)
+    def check(a, b):
+        assert_arith_matches_reference(a, b)
 
     check()

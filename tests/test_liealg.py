@@ -331,6 +331,57 @@ def test_rref_matches_the_scalar_loop_hypothesis():
     check()
 
 
+def _invertible_rational(rng, n):
+    """P = perm . L . U with L lower and U upper triangular, both with a
+    nonzero diagonal: a random invertible rational n x n matrix."""
+    def entry():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def diag():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    lower = [[diag() if i == j else entry() if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[diag() if i == j else entry() if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    p = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    rng.shuffle(p)
+    return p
+
+
+def test_rref_is_a_canonical_form_hypothesis():
+    """rref depends on the row space alone: it is unchanged by an
+    invertible row operation P, each pivot is 1 and the first nonzero of
+    its row, and each pivot column is zero in every other row."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 5),
+        st.integers(1, 6),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def check(nrows, ncols, monomial, rng):
+        make = _monomial_rows if monomial else _rational_rows
+        rows = make(rng, nrows, ncols)
+        p = _invertible_rational(rng, nrows)
+        mixed = [
+            [sum((c * r[j] for c, r in zip(prow, rows)), ZERO) for j in range(ncols)]
+            for prow in p
+        ]
+        basis, pivots = rref(rows)
+        assert (basis, pivots) == rref(mixed)
+        assert pivots == sorted(set(pivots))
+        for i, (row, piv) in enumerate(zip(basis, pivots)):
+            assert row[piv] == ONE and not any(row[:piv])
+            assert all(not other[piv] for k, other in enumerate(basis) if k != i)
+
+    check()
+
+
 def test_radical_labels():
     r2, r3 = SQRT2, Scalar.of_radical(3)
     # Each entry is one radical, but sqrt2 at (1, 1) contradicts the labels
