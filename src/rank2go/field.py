@@ -418,6 +418,7 @@ def _conjugate(a: Scalar, which: int) -> Scalar:
     return Scalar(tuple(map(mul, _CONJ_SIGNS[which], a.nums)), a.den)
 
 
+# The slot setters that __init__ writes through, past the immutability guard.
 _set_nums = Scalar.nums.__set__
 _set_den = Scalar.den.__set__
 _set_rat = Scalar._rat.__set__
