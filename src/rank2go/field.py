@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 #: Radicands of the basis elements, in fixed coordinate order.
 RADICANDS: tuple[int, ...] = (1, 2, 3, 5, 6, 10, 15, 30)
@@ -519,32 +519,30 @@ def ring_combine(
 
 
 def radical_labels(
-    rows: Sequence[Sequence[Scalar]],
+    rows: Sequence[Mapping[int, Scalar]], ncols: int
 ) -> tuple[list[int], list[int]] | None:
-    """Radicands u_i of the rows and t_j of the columns such that every
-    nonzero rows[i][j] * sqrt(t_j) is a rational multiple of sqrt(u_i), or
-    None when some entry mixes radicals or no such labels exist.
+    """Radicands u_i of the rows and t_j of the ncols columns such that
+    every entry rows[i][j] * sqrt(t_j) is a rational multiple of sqrt(u_i),
+    or None when some entry mixes radicals or no such labels exist.
 
-    Rational data gets u = t = 1.  A breadth-first search over the bipartite
-    graph of nonzero entries finds the labels, rooting each connected piece
-    at radicand 1.
+    Each row maps its columns to its nonzero entries; the other entries are
+    zero.  Rational data gets u = t = 1.  A breadth-first search over the
+    bipartite graph of nonzero entries finds the labels, rooting each
+    connected piece at radicand 1.
     """
     nrows = len(rows)
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(nrows)]
-    edges += [[] for _ in (rows[0] if rows else ())]
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(nrows + ncols)]
     for i, row in enumerate(rows):
-        for j, v in enumerate(row, nrows):
+        for j, v in row.items():
             if v._rat:
-                if not v.nums[0]:
-                    continue
                 k = 0
             else:
                 ks = [k for k, n in enumerate(v.nums) if n]
                 if len(ks) > 1:
                     return None
                 k = ks[0]
-            edges[i].append((j, k))
-            edges[j].append((i, k))
+            edges[i].append((nrows + j, k))
+            edges[nrows + j].append((i, k))
     label: list[int | None] = [None] * len(edges)
     for root in range(len(edges)):
         if label[root] is not None:
@@ -613,7 +611,9 @@ def parse_scalar(text: str) -> Scalar:
     for tok in tokens:
         m = _TERM_RE.match(tok[1:])
         if not m or (m.group("coef") is None and m.group("rad") is None):
-            raise ValueError(f"bad term {tok!r} in scalar literal {text!r}")
+            # The term as written: without the "+" that leads s.
+            term = tok[1:] if tok[0] == "+" else tok
+            raise ValueError(f"bad term {term!r} in scalar literal {text!r}")
         p, _, q = (m.group("coef") or "1").partition("/")
         p, q = int(p), int(q or 1)
         if not q:

@@ -3,9 +3,11 @@
 An algebra is a table of structure constants against a fixed labelled basis.
 Elements are coordinate tuples of Scalars.  Subspaces are kept in reduced
 row echelon form, which makes span equality, membership, and coordinate
-extraction exact and canonical.  rref eliminates on integers when the data
+extraction exact and canonical.  rref reads its rows into sparse rows of
+their nonzero entries and eliminates on sparse integer rows when the data
 is rational or radical-monomial (every entry a rational multiple of one
-radical, the radicals factoring over rows and columns), else on Scalars.
+radical, the radicals factoring over rows and columns), else on dense
+Scalar rows.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .field import (
     ZERO,
     Ring,
     Scalar,
-    clear_denominators,
     radical_labels,
     ring_combine,
     ring_mul,
@@ -31,6 +32,8 @@ from .field import (
 
 Vector = tuple[Scalar, ...]
 Matrix = list[list[Scalar]]
+
+_ZERO7 = (0,) * 7
 
 
 # ---------------------------------------------------------------------------
@@ -73,41 +76,67 @@ def is_zero_vector(a: Vector) -> bool:
 def rref(rows: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form with deterministic first-nonzero pivoting.
 
-    Returns the nonzero rows and their pivot columns.  When radical_labels
-    finds radicands u_i and t_j for the data (u = t = 1 when it is
-    rational), the rows M_ij * sqrt(t_j) / sqrt(u_i) are rational; they are
-    cleared of denominators and eliminated on integers, and the row with
-    pivot p maps back as x_j * sqrt(t_p) / sqrt(t_j).  Other data is
-    eliminated on Scalars.  Both give the same rows: the RREF is unique to
-    the row space, and a column scaling keeps the pivot columns.
+    Returns the nonzero rows and their pivot columns.  Each dense row is
+    read once into a sparse row {column: nonzero Scalar}; the work below
+    touches nonzero entries only.  When radical_labels finds radicands u_i
+    and t_j for the data (u = t = 1 when it is rational), the rows
+    M_ij * sqrt(t_j) / sqrt(u_i) are rational; each is lifted to a sparse
+    integer row by one lcm and eliminated on integers, and the row with
+    pivot p maps back as x_j * sqrt(t_p) / sqrt(t_j), one Scalar per
+    nonzero entry.  Other data is eliminated on dense Scalar rows.  Both
+    give the same rows: the RREF is unique to the row space, and a column
+    scaling keeps the pivot columns.
     """
-    vecs = [to_vector(r) for r in rows]
-    labels = radical_labels(vecs)
+    ncols = len(rows[0]) if rows else 0
+    sparse = _sparse_rows(rows)
+    labels = radical_labels(sparse, ncols)
     if labels is None:
-        return _scalar_rref(vecs)
+        return _scalar_rref([to_vector(r) for r in rows])
     u, t = labels
     work = []
-    for ui, row in zip(u, vecs):
-        ints = clear_denominators(
-            x * _root_ratio(tj, ui) if x and tj != ui else x
-            for x, tj in zip(row, t)
-        )
-        if any(ints):
-            work.append(ints)
-    pivots = _eliminate(work)
+    for ui, row in zip(u, sparse):
+        if row:
+            vals = [(j, x if t[j] == ui else x * _root_ratio(t[j], ui))
+                    for j, x in row.items()]
+            d = lcm(*(v.den for _, v in vals))
+            work.append(_SparseRow((j, v.nums[0] * (d // v.den)) for j, v in vals))
+    pivots = _eliminate(work, ncols, _sparse_combine)
+    out = []
+    for row, p in zip(work, pivots):
+        lead, tp = row[p], t[p]
+        vec = [ZERO] * ncols
+        for j, x in row.items():
+            if t[j] == tp:
+                vec[j] = Scalar((x,) + _ZERO7, lead)
+            else:
+                ratio = _root_ratio(tp, t[j])
+                vec[j] = Scalar(tuple(x * n for n in ratio.nums), lead * ratio.den)
+        out.append(tuple(vec))
+    return out, pivots
+
+
+def _sparse_rows(rows: Iterable[Iterable]) -> list[dict[int, Scalar]]:
+    """Each row as {column: nonzero entry as a Scalar}.  The shared ZERO is
+    skipped by identity, before any truth test."""
     return [
-        tuple(
-            _root_ratio(t[p], tj) * Fraction(x, row[p]) if x else ZERO
-            for x, tj in zip(row, t)
-        )
-        for row, p in zip(work, pivots)
-    ], pivots
+        {j: scalar(x) for j, x in enumerate(r) if x is not ZERO and x}
+        for r in rows
+    ]
 
 
 @lru_cache(maxsize=None)
 def _root_ratio(a: int, b: int) -> Scalar:
     """sqrt(a) / sqrt(b) for radicands a and b."""
     return Scalar.of_radical(a) / Scalar.of_radical(b)
+
+
+class _SparseRow(dict):
+    """An integer row as {column: nonzero int}; a missing column reads 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, col: int) -> int:
+        return 0
 
 
 def _int_combine(p: int, row: list[int], c: int, prow: list[int]) -> list[int]:
@@ -117,20 +146,30 @@ def _int_combine(p: int, row: list[int], c: int, prow: list[int]) -> list[int]:
     return [x // g for x in new] if g > 1 else new
 
 
+def _sparse_combine(p: int, row: dict, c: int, prow: dict) -> _SparseRow:
+    """_int_combine on sparse rows, dropping the entries that cancel."""
+    new = {j: p * x for j, x in row.items()}
+    for j, y in prow.items():
+        new[j] = new.get(j, 0) - c * y
+    g = gcd(*new.values()) or 1
+    return _SparseRow((j, x // g) for j, x in new.items() if x)
+
+
 def _eliminate(
-    work: list[list], combine: Callable = _int_combine
+    work: list, ncols: int, combine: Callable = _int_combine
 ) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
-    with first-nonzero pivoting: a row r is replaced by
+    """Fraction-free Gauss-Jordan elimination of integer rows of ncols
+    columns, in place, with first-nonzero pivoting: a row r is replaced by
     combine(p, r, c, pivot row) = p * r - c * (pivot row), divided by the
-    gcd of its integer coordinates.  With field.ring_combine the rows hold
-    ring elements (field.Ring) in place of ints.
+    gcd of its integer coordinates.  The rows are lists of ints, or
+    _SparseRow with _sparse_combine; with field.ring_combine they are lists
+    of ring elements (field.Ring).
 
     Returns the pivot columns; work[:len(pivots)] are then the pivot rows.
     """
     pivots: list[int] = []
     rank = 0
-    for col in range(len(work[0]) if work else 0):
+    for col in range(ncols):
         if rank == len(work):
             break
         sel = next((r for r in range(rank, len(work)) if work[r][col]), None)
@@ -227,7 +266,7 @@ def _eliminate_augmented(
         for row in ([col[i] for col in columns] + [b] for i, b in enumerate(rhs))
         if any(row)
     ]
-    pivots = _eliminate(work, combine)
+    pivots = _eliminate(work, len(columns) + 1, combine)
     return work, pivots, len(columns) not in pivots
 
 
@@ -641,24 +680,24 @@ def matrix_kernel_of(mats: Sequence[Matrix], images: Sequence) -> list[Matrix]:
 def commuting_operators(ads: Sequence[Matrix], d: int) -> list[Matrix]:
     """Basis of {T : TA = AT for every A in ads}, for d x d matrices A.
 
-    T runs over the unit matrices E_pq.  E_pq A - A E_pq has row q of A as
-    its row p, minus column p of A as its column q.
+    Entry (i, j) of TA - AT is sum_q T_iq A_qj - sum_p A_ip T_pj: one
+    constraint row on T flattened row by row, with column j of A at the
+    columns of T's row i, minus row i of A at the columns of T's column j.
     """
-    units, images = [], []
-    for p in range(d):
-        for q in range(d):
-            units.append([[ONE if (i, j) == (p, q) else ZERO for j in range(d)]
-                          for i in range(d)])
-            image = []
-            for A in ads:
-                block = [[ZERO] * d for _ in range(d)]
-                block[p] = list(A[q])
-                for i in range(d):
-                    if A[i][p]:
-                        block[i][q] = block[i][q] - A[i][p]
-                image.extend(x for row in block for x in row)
-            images.append(image)
-    return matrix_kernel_of(units, images)
+    rows = []
+    for A in ads:
+        for i in range(d):
+            for j in range(d):
+                row = [ZERO] * (d * d)
+                row[i * d:(i + 1) * d] = [A[q][j] for q in range(d)]
+                for p, a in enumerate(A[i]):
+                    if a:
+                        row[p * d + j] = row[p * d + j] - a
+                rows.append(row)
+    return [
+        [list(t[i * d:(i + 1) * d]) for i in range(d)]
+        for t in kernel_basis(rows, d * d)
+    ]
 
 
 def _simple_ideals(L: LieAlgebra, derived: Subspace) -> list[Subspace]:

@@ -44,6 +44,16 @@ def test_space_command(runner):
     assert "unknown space" in result.output
 
 
+@pytest.mark.parametrize("literal", ["r7", "1/2*r7", "2-x"])
+def test_bad_metric_term_is_quoted_as_written(runner, literal):
+    result = runner.invoke(
+        main, ["certify", "c2.2", "--metric", f"blocks:{literal},1"]
+    )
+    assert result.exit_code == 1
+    term = result.output.split("bad term '", 1)[1].split("'", 1)[0]
+    assert term and term in literal
+
+
 def test_decompose_command(runner):
     result = runner.invoke(main, ["decompose", "c2.2"])
     assert result.exit_code == 0

@@ -208,6 +208,17 @@ def test_parse_compact_literals():
             parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text, term", [("r7", "r7"), ("1/2*r7", "1/2*r7"),
+                                        ("2-x", "-x"), ("1 + r7", "r7")])
+def test_parse_error_quotes_the_term_as_written(text, term):
+    """The bad term is reported as the user wrote it, a substring of the
+    input, not with the sign the parser puts in front."""
+    with pytest.raises(ValueError) as err:
+        parse_scalar(text)
+    assert str(err.value) == f"bad term {term!r} in scalar literal {text!r}"
+    assert term in text
+
+
 def test_wrapper_functions():
     a, b = SQRT2, SQRT3
     assert scalar_arith(a, b, "add") == a + b

@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from rank2go import gocheck
@@ -345,7 +344,8 @@ def test_verdict_serialization():
 def test_float_least_squares_cross_check():
     # For a spread of spaces, metrics, and directions, the exact
     # solvability decision matches a floating-point least-squares residual
-    # test at 1e-8 on the same linear system.
+    # test at 1e-8 on the same linear system.  numpy is an optional oracle.
+    np = pytest.importorskip("numpy")
     rng_cases = []
     for space_id in CATALOG_IDS:
         sp = catalog_space(space_id)

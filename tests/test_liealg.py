@@ -8,6 +8,7 @@ import pytest
 
 from rank2go.chevalley import build_compact_form
 from rank2go.embed import CATALOG_IDS, catalog_space
+from rank2go.isotypic import isotypic_decompose
 
 from rank2go.field import (
     ONE,
@@ -21,17 +22,22 @@ from rank2go.field import (
     scalar,
 )
 from rank2go.liealg import (
+    _SparseRow,
     _eliminate,
     _scalar_rref,
+    _sparse_combine,
+    _sparse_rows,
     LieAlgebra,
     Subspace,
     abelian,
+    ad_on,
     centralizer_in,
     commuting_operators,
     direct_sum,
     eigenspaces,
     ideal_decomposition,
     kernel_basis,
+    matrix_kernel_of,
     minimal_polynomial,
     normalizer,
     operator_on_subspace,
@@ -296,9 +302,9 @@ def test_rref_matches_the_scalar_loop(nrows, ncols):
         rational = _rational_rows(rng, nrows, ncols)
         monomial = _monomial_rows(rng, nrows, ncols)
         mixed = _mix(rng, _monomial_rows(rng, nrows, ncols))
-        assert radical_labels(rational) == ([1] * nrows, [1] * ncols)
-        assert radical_labels(monomial) is not None
-        assert radical_labels(mixed) is None
+        assert _labels(rational) == ([1] * nrows, [1] * ncols)
+        assert _labels(monomial) is not None
+        assert _labels(mixed) is None
         for rows in (rational, monomial, mixed):
             assert rref(rows) == _scalar_rref(rows)
 
@@ -327,6 +333,71 @@ def test_rref_matches_the_scalar_loop_hypothesis():
         if mixed:
             rows[0][0] = rows[0][0] + SQRT2 + Scalar.of_radical(5)
         assert rref(rows) == _scalar_rref(rows)
+
+    check()
+
+
+def _sparse_case(rng, nrows, ncols, density, monomial):
+    """A matrix shaped like a commutant solve: each entry nonzero with
+    probability density, plus zero rows, all-zero columns and duplicate
+    rows (some scaled).  Zeros come as the shared ZERO, as fresh zero
+    Scalars and as int 0; monomial data is diag(sqrt u) . Q . diag(sqrt t)."""
+    def entry():
+        if rng.random() < density:
+            return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 4))
+        return rng.choice([ZERO, ZERO, scalar(0), 0])
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(1, 3)):
+        rows[rng.randrange(nrows)] = [ZERO] * ncols
+    for _ in range(rng.randint(1, 3)):
+        z = rng.randrange(ncols)
+        for row in rows:
+            row[z] = ZERO
+    for _ in range(rng.randint(1, 3)):
+        c = rng.choice([1, 1, -2, Fraction(1, 3)])
+        rows[rng.randrange(nrows)] = [c * x for x in rows[rng.randrange(nrows)]]
+    if not monomial:
+        return rows
+    u = [Scalar.of_radical(rng.choice(RADICANDS)) for _ in range(nrows)]
+    t = [Scalar.of_radical(rng.choice(RADICANDS)) for _ in range(ncols)]
+    return [
+        [ui * x * tj if x else x for x, tj in zip(row, t)]
+        for ui, row in zip(u, rows)
+    ]
+
+
+@pytest.mark.parametrize(
+    "nrows, ncols, density",
+    [(60, 36, 0.03), (60, 36, 0.1), (36, 36, 0.05), (12, 30, 0.1), (45, 9, 0.1)],
+)
+@pytest.mark.parametrize("monomial", [False, True])
+def test_sparse_rref_matches_the_scalar_loop(nrows, ncols, density, monomial):
+    """rref's sparse integer rows give the Scalar elimination's rows on
+    sparse rational and radical-monomial matrices of commutant-solve
+    shape."""
+    rng = random.Random(1000 * nrows + 10 * ncols + monomial)
+    for _ in range(3):
+        rows = _sparse_case(rng, nrows, ncols, density, monomial)
+        assert _labels(rows) is not None
+        assert rref(rows) == _scalar_rref([to_vector(r) for r in rows])
+
+
+def test_sparse_rref_matches_the_scalar_loop_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(
+        st.integers(1, 30),
+        st.integers(1, 20),
+        st.sampled_from([0.03, 0.06, 0.1, 0.2]),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def check(nrows, ncols, density, monomial, rng):
+        rows = _sparse_case(rng, nrows, ncols, density, monomial)
+        assert rref(rows) == _scalar_rref([to_vector(r) for r in rows])
 
     check()
 
@@ -382,30 +453,40 @@ def test_rref_is_a_canonical_form_hypothesis():
     check()
 
 
+def _labels(rows):
+    """radical_labels of dense rows, read into sparse rows as rref does."""
+    return radical_labels(_sparse_rows(rows), len(rows[0]) if rows else 0)
+
+
 def test_radical_labels():
     r2, r3 = SQRT2, Scalar.of_radical(3)
     # Each entry is one radical, but sqrt2 at (1, 1) contradicts the labels
     # that the other three entries force.
-    assert radical_labels([[ONE, ONE], [ONE, r2]]) is None
-    assert radical_labels([[ONE + r2]]) is None
-    u, t = radical_labels([[r2, 2 * r3], [ONE, Scalar.of_radical(6)]])
+    assert _labels([[ONE, ONE], [ONE, r2]]) is None
+    assert _labels([[ONE + r2]]) is None
+    u, t = _labels([[r2, 2 * r3], [ONE, Scalar.of_radical(6)]])
     assert (u, t) == ([1, 2], [2, 3])
-    assert radical_labels([]) == ([], [])
-    assert radical_labels([[ZERO, ZERO]]) == ([1], [1, 1])
+    assert _labels([]) == ([], [])
+    assert _labels([[ZERO, ZERO]]) == ([1], [1, 1])
 
 
 def test_eliminate_keeps_rows_primitive():
     """Every row _eliminate leaves is divided by its gcd, when the input
-    rows are primitive, and it is in reduced echelon form."""
+    rows are primitive, and it is in reduced echelon form: with dense rows
+    and _int_combine, and with sparse rows and _sparse_combine."""
     rng = random.Random(11)
     for _ in range(40):
         rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
-        work = [[x // gcd(*r) for x in r] for r in rows if any(r)]
-        pivots = _eliminate(work)
-        for i, p in enumerate(pivots):
-            assert gcd(*work[i]) == 1
-            assert [r[p] != 0 for r in work] == [k == i for k in range(len(work))]
-        assert not any(any(r) for r in work[len(pivots):])
+        dense = [[x // gcd(*r) for x in r] for r in rows if any(r)]
+        sparse = [_SparseRow((j, x) for j, x in enumerate(r) if x) for r in dense]
+        dense_pivots = _eliminate(dense, 6)
+        sparse_pivots = _eliminate(sparse, 6, _sparse_combine)
+        assert sparse_pivots == dense_pivots
+        for work in (dense, [[r[j] for j in range(6)] for r in sparse]):
+            for i, p in enumerate(dense_pivots):
+                assert gcd(*work[i]) == 1
+                assert [r[p] != 0 for r in work] == [k == i for k in range(len(work))]
+            assert not any(any(r) for r in work[len(dense_pivots):])
 
 
 def test_subspace_membership_coords_equality():
@@ -636,6 +717,62 @@ def test_commuting_operators():
     assert commuting_operators(ads, 3) == [[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]]
     # With no constraint every matrix commutes.
     assert len(commuting_operators([], 2)) == 4
+
+
+def _unit_matrix_commutant(ads, d):
+    """The construction commuting_operators replaced, kept as the
+    reference: T runs over the unit matrices E_pq, E_pq A - A E_pq has row
+    q of A as its row p, minus column p of A as its column q, and the
+    kernel maps back through mat_combine of the units."""
+    units, images = [], []
+    for p in range(d):
+        for q in range(d):
+            units.append([[ONE if (i, j) == (p, q) else ZERO for j in range(d)]
+                          for i in range(d)])
+            image = []
+            for A in ads:
+                block = [[ZERO] * d for _ in range(d)]
+                block[p] = list(A[q])
+                for i in range(d):
+                    if A[i][p]:
+                        block[i][q] = block[i][q] - A[i][p]
+                image.extend(x for row in block for x in row)
+            images.append(image)
+    return matrix_kernel_of(units, images)
+
+
+def _commutant_cases():
+    """(name, ads, d): the h-action on every isotypic piece of the 14
+    catalogue spaces, and su(2)^3 + u(1) under its own adjoint action and
+    under the diagonal su(2)."""
+    for sid in CATALOG_IDS:
+        sp = catalog_space(sid)
+        for k, comp in enumerate(isotypic_decompose(sp).components):
+            ads = [ad_on(sp.algebra, a, comp.subspace) for a in sp.h.rows]
+            yield f"{sid}[{k}]", ads, comp.dim
+    L = direct_sum(
+        "su2^3+u1", su2("A."), su2("B."), su2("C."), abelian(["Z"], [-4])
+    )
+    full = L.full_subspace()
+    yield "su2^3+u1", [ad_on(L, b, full) for b in full.rows], L.dim
+    diagonal = [
+        vec_add(vec_add(unit_vector(10, i), unit_vector(10, i + 3)),
+                unit_vector(10, i + 6))
+        for i in range(3)
+    ]
+    yield "diagonal su2", [ad_on(L, b, full) for b in diagonal], L.dim
+
+
+def test_commuting_operators_match_the_unit_matrix_construction():
+    """The constraint rows written from the action matrices span the same
+    row space as the unit-matrix images, so the canonical bases agree."""
+    sizes = {}
+    for name, ads, d in _commutant_cases():
+        basis = commuting_operators(ads, d)
+        assert basis == _unit_matrix_commutant(ads, d), name
+        sizes[name] = len(basis)
+    assert sizes["su2^3+u1"] == 4
+    assert sizes["diagonal su2"] == 10
 
 
 def test_kernel_of():
