@@ -29,6 +29,7 @@ RADICANDS: tuple[int, ...] = (1, 2, 3, 5, 6, 10, 15, 30)
 
 _INDEX = {r: i for i, r in enumerate(RADICANDS)}
 _RAD_NAMES = tuple("1" if r == 1 else f"r{r}" for r in RADICANDS)
+_EXACT_SUFFIXES = ("",) + tuple(f"*{name}" for name in _RAD_NAMES[1:])
 
 
 def _split_square(n: int) -> tuple[int, int]:
@@ -374,12 +375,15 @@ class Scalar:
         return Fraction(self.nums[_INDEX[radicand]], self.den)
 
     def exact_str(self) -> str:
-        """Full fixed-form rendering: p0 + p1*r2 + ... + p7*r30."""
+        """Full fixed-form rendering: p0 + p1*r2 + ... + p7*r30, each p_i
+        in lowest terms."""
+        den = self.den
         parts = []
-        for i, name in enumerate(_RAD_NAMES):
-            q = Fraction(self.nums[i], self.den)
-            text = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-            parts.append(text if i == 0 else f"{text}*{name}")
+        for n, suffix in zip(self.nums, _EXACT_SUFFIXES):
+            g = gcd(n, den)
+            parts.append(
+                f"{n // g}{suffix}" if g == den else f"{n // g}/{den // g}{suffix}"
+            )
         return " + ".join(parts)
 
     def __str__(self) -> str:

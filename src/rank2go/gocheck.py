@@ -16,11 +16,16 @@ structured batch of directions.  Each direction needs only the rank pair of
 a small system, eliminated fraction-free on integers when the space, the
 metric and the direction are rational, and otherwise on ring rows: integer
 coordinates over the radical basis 1, sqrt2, ..., sqrt30 (field.Ring).  No
-Scalar is eliminated in the search, and a scalar metric builds no system at
-all: [cX, X] = 0 for every X.  `solve_compensator` keeps the
-ambient-coordinate solve with its canonical least-norm compensator, and
-`verify_witness` replays every witness through it, independently of the
-search.
+Scalar is eliminated in the search.  A direction X with MX = lambda X
+builds no system at all: [MX, X] = lambda [X, X] = 0, so a = 0 compensates
+it (the geodesic lemma: X is geodesic exactly when [MX, X] lies in
+[h, MX]; Alekseevsky-Nikonorov, SIGMA 5 (2009) 093).  The search finds the
+scalar lambda_k of M on each isotypic component V_k, where there is one,
+and decides every structured direction built from components that share
+one lambda; a scalar metric M = cI decides every direction this way.
+`solve_compensator` keeps the ambient-coordinate solve with its canonical
+least-norm compensator, and `verify_witness` replays every witness through
+it, independently of the search.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -407,23 +412,46 @@ class GoVerdict:
         return out
 
 
-def _build_structured(space: CatalogSpace) -> tuple[tuple[Scalar, ...], ...]:
+@dataclass(frozen=True)
+class _Batch:
+    """The structured batch of one space: its directions, and for each the
+    indices of the isotypic components it was built from.  singles holds
+    (component, basis vector cleared to ints) for the basis vectors, which
+    lead the batch, or None when one of them is irrational."""
+
+    directions: tuple[tuple[Scalar, ...], ...]
+    parts: tuple[frozenset[int], ...]
+    singles: tuple[tuple[int, list[int]], ...] | None
+    components: int
+
+
+def _build_structured(space: CatalogSpace) -> _Batch:
     dec = isotypic_decompose(space)
     singles = [
-        tuple(space.m.coords(r))
-        for comp in dec.components
+        (tuple(space.m.coords(r)), frozenset((k,)))
+        for k, comp in enumerate(dec.components)
         for r in comp.subspace.rows
     ]
     batch = list(singles)
-    for i in range(len(singles)):
-        for j in range(i + 1, len(singles)):
+    for i, (x, parts_x) in enumerate(singles):
+        for y, parts_y in singles[i + 1:]:
             batch.append(
-                tuple(a + b for a, b in zip(singles[i], singles[j]))
+                (tuple(a + b for a, b in zip(x, y)), parts_x | parts_y)
             )
+    lifted = [clear_denominators(x) for x, _ in singles]
     # The batch is kept as long as the space: hold each distinct
     # coordinate once.
     shared: dict[Scalar, Scalar] = {}
-    return tuple(tuple(shared.setdefault(x, x) for x in d) for d in batch)
+    return _Batch(
+        directions=tuple(
+            tuple(shared.setdefault(x, x) for x in d) for d, _ in batch
+        ),
+        parts=tuple(parts for _, parts in batch),
+        singles=None if None in lifted else tuple(
+            (k, x) for (_, (k,)), x in zip(singles, lifted)
+        ),
+        components=len(dec.components),
+    )
 
 
 def structured_directions(space: CatalogSpace) -> list[tuple[Scalar, ...]]:
@@ -431,7 +459,7 @@ def structured_directions(space: CatalogSpace) -> list[tuple[Scalar, ...]]:
     isotypic component, then every pairwise sum of two of them.  Sums that
     mix components are the classic way block-skewed metrics fail, so these
     run before any random draw."""
-    return list(_per_space(_build_structured, space))
+    return list(_per_space(_build_structured, space).directions)
 
 
 _DIGITS = tuple(Scalar.from_int(k) for k in range(-9, 10) if k != 0)
@@ -596,8 +624,68 @@ def _ring_tensors(space: CatalogSpace) -> _Tensors:
     return _Tensors.lift(space, ring_lift)
 
 
+class _MetricRows:
+    """One metric's matrix cleared of one common denominator d > 0, lifted
+    once for the eigen labels and the checker: as int rows when it is
+    rational (else ints is None), and as ring rows on first use."""
+
+    def __init__(self, metric: MetricEndomorphism):
+        self.matrix = metric.matrix
+        self.ints = _lift_rows(metric.matrix, clear_denominators)
+
+    @cached_property
+    def ring(self) -> _SparseRows:
+        return _lift_rows(self.matrix, ring_lift)
+
+    def image(self, x: Sequence[int]) -> list[Sequence[int]]:
+        """(d M) x for an integer vector x, each entry as its coordinates
+        over the radical basis: one int on int rows, eight on ring rows."""
+        if self.ints is not None:
+            return [(v,) for v in _apply(self.ints, x)]
+        out = []
+        for row in self.ring:
+            acc = [0] * 8
+            for j, c in row:
+                if x[j]:
+                    for i, v in c:
+                        acc[i] += v * x[j]
+            out.append(acc)
+        return out
+
+    def eigen_labels(self, batch: _Batch) -> list[int | None]:
+        """For each isotypic component V_k, a label when M|V_k = lambda_k I,
+        shared by two components exactly when their lambdas are equal, and
+        None otherwise.  For each rational basis vector x of V_k, (d M) x
+        must equal (a / b) x, where b = x_p and a = ((d M) x)_p at the first
+        nonzero coordinate p of the first one; a / b and a' / b' are equal
+        when a b' = a' b.  Components with an irrational basis vector get
+        None."""
+        ratios: dict[int, tuple | None] = {}
+        for k, x in batch.singles or ():
+            if ratios.get(k, ()) is None:
+                continue
+            y = self.image(x)
+            if k not in ratios:
+                p = next(j for j, u in enumerate(x) if u)
+                ratios[k] = (y[p], x[p])
+            a, b = ratios[k]
+            if any([b * t for t in v] != [u * t for t in a] if u else any(v)
+                   for u, v in zip(x, y)):
+                ratios[k] = None
+        eigen = [(k, r) for k, r in ratios.items() if r is not None]
+        labels: list[int | None] = [None] * batch.components
+        for k, (a, b) in eigen:
+            labels[k] = next(
+                label for label, (a2, b2) in eigen
+                if [t * b2 for t in a] == [t * b for t in a2]
+            )
+        return labels
+
+
 def _direction_checker(
-    space: CatalogSpace, metric: MetricEndomorphism
+    space: CatalogSpace,
+    metric: MetricEndomorphism,
+    rows: _MetricRows | None = None,
 ) -> Callable[[tuple[Scalar, ...]], tuple[bool, int, int]]:
     """The compensator test of one metric, direction by direction.
 
@@ -609,21 +697,18 @@ def _direction_checker(
     built when a direction first needs it.  No Scalar is eliminated and no
     pivot inverted.  A consistent system is checked exactly:
     sum_i (P x_i) C_i = P r, for P the denominator of the solution.  The
-    decision and the rank pair are those of solve_compensator."""
+    decision and the rank pair are those of solve_compensator.  rows, when
+    given, is the metric already lifted (by the search)."""
+    if rows is None:
+        rows = _MetricRows(metric)
     ints = _per_space(_int_tensors, space)
-    int_metric = None
-    if ints is not None:
-        int_metric = _lift_rows(metric.matrix, clear_denominators)
-
-    @cache
-    def ring_metric() -> _SparseRows:
-        return _lift_rows(metric.matrix, ring_lift)
+    int_metric = None if ints is None else rows.ints
 
     def check(coords: tuple[Scalar, ...]) -> tuple[bool, int, int]:
         x = None if int_metric is None else clear_denominators(coords)
         if x is None:
             columns, r = _per_space(_ring_tensors, space).ring_system(
-                ring_metric(), ring_lift(coords)
+                rows.ring, ring_lift(coords)
             )
             sol, rank_map, rank_aug = solve_ring_columns(columns, r)
             if sol is not None:
@@ -660,9 +745,15 @@ def _search(
     """The one direction search: filters (always computed, and applied only
     when asked), the structured batch, then `draws` seeded random draws,
     stopping at the first direction with no compensator.  samples_run counts
-    the directions decided.  For a scalar metric M = cI every direction is
-    decided by the identity r(X) = [cX, X] = 0, so a = 0 compensates it:
-    no system is built, and samples_run is the batch length plus draws."""
+    the directions decided.
+
+    A direction X with MX = lambda X is decided without a system: r(X) =
+    [MX, X] = lambda [X, X] = 0, so a = 0 compensates it.  The scalar
+    lambda_k of M on each isotypic component is found once per metric, and
+    a structured direction is decided this way when every component it was
+    built from has one, the same for all of them.  When one lambda covers
+    all of m (M = cI), every direction is decided so, no random draw is
+    made, and samples_run is the batch length plus draws."""
     if draws < 0:
         raise ValueError(f"random draws must be >= 0, got {draws}")
     start = time.perf_counter()
@@ -673,25 +764,33 @@ def _search(
     status, run, witness = STATUS_GO_SAMPLED, 0, None
     if filter_name is not None:
         status = STATUS_FILTERED
-    elif scalar_of(metric.matrix) is not None:
-        run = len(structured_directions(space)) + draws
     else:
-        rng = random.Random(seed)
-        n = space.dim_m
-        directions = chain(
-            structured_directions(space),
-            (_random_direction(rng, n) for _ in range(draws)),
-        )
-        check = _direction_checker(space, metric)
-        for coords in directions:
-            run += 1
-            solvable, rank_map, rank_aug = check(coords)
-            if not solvable:
-                status = STATUS_NOT_GO
-                witness = Witness(
-                    coords=coords, rank_map=rank_map, rank_augmented=rank_aug
-                )
-                break
+        directions = structured_directions(space)
+        batch = _per_space(_build_structured, space)
+        rows = _MetricRows(metric)
+        labels = rows.eigen_labels(batch)
+        if None not in labels and len(set(labels)) == 1:
+            run = len(directions) + draws
+        else:
+            rng = random.Random(seed)
+            n = space.dim_m
+            candidates = chain(
+                zip(directions, batch.parts),
+                ((_random_direction(rng, n), ()) for _ in range(draws)),
+            )
+            check = _direction_checker(space, metric, rows)
+            for coords, parts in candidates:
+                run += 1
+                eigen = {labels[k] for k in parts}
+                if len(eigen) == 1 and None not in eigen:
+                    continue
+                solvable, rank_map, rank_aug = check(coords)
+                if not solvable:
+                    status = STATUS_NOT_GO
+                    witness = Witness(
+                        coords=coords, rank_map=rank_map, rank_augmented=rank_aug
+                    )
+                    break
     return GoVerdict(
         status=status,
         samples_run=run,
@@ -715,9 +814,12 @@ def go_sample_check(
     Random directions draw every coordinate uniformly from the nonzero
     integers in [-9, 9].  The first direction with no compensator stops the
     run with a witness.  samples counts the random draws and must be >= 0;
-    samples_run in the verdict counts every direction decided.  For a
-    scalar metric M = cI they are all decided by r(X) = [cX, X] = 0 (the
-    compensator is a = 0), without a system being solved.
+    samples_run in the verdict counts every direction decided.  A
+    direction with MX = lambda X is decided by r(X) = [MX, X] =
+    lambda [X, X] = 0 (the compensator is a = 0), without a system being
+    solved: the structured directions built from components on which M is
+    one and the same scalar, and, for a scalar metric M = cI, every
+    direction.
     """
     return _search(space, metric, samples, seed, apply_filters)
 
@@ -731,7 +833,10 @@ def find_witness(
     """Search for a refuting direction: structured batch first, then up to
     budget random draws.  The budget counts random draws only and must be
     >= 0; the structured batch always runs in full if no witness appears
-    sooner.  The filters are reported but never stop the search."""
+    sooner.  The filters are reported but never stop the search.  A
+    direction with MX = lambda X cannot refute, since [MX, X] =
+    lambda [X, X] = 0 is compensated by a = 0; such directions are counted
+    in samples_run without a system being solved."""
     return _search(space, metric, budget, seed, apply_filters=False)
 
 

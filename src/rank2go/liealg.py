@@ -229,7 +229,9 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vector]:
         x = [ZERO] * ncols
         x[free] = ONE
         for i, p in enumerate(pivots):
-            x[p] = -rr[i][free]
+            c = rr[i][free]
+            if c is not ZERO and c:
+                x[p] = -c
         basis.append(tuple(x))
     return basis
 

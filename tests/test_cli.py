@@ -221,6 +221,19 @@ def test_classify_report_matches_the_golden_hash(runner, tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
+def test_full_classify_report_matches_the_golden_hash(runner, tmp_path):
+    # The whole catalog with the default 200 samples: every candidate of
+    # every space, as the README's headline command runs it.
+    out = tmp_path / "all.json"
+    result = runner.invoke(
+        main, ["classify", "--all", "--seed", "42", "--out", str(out)]
+    )
+    assert result.exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6ac51427baf1607c676eeeb0bee6b8c220b87798893a5cdc6f03fb02145f003b"
+    )
+
+
 def test_zero_denominator_metric_is_a_clean_error(runner):
     result = runner.invoke(
         main, ["check-go", "a2.1", "--metric", "blocks:1/0,1", "--samples", "5"]

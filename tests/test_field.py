@@ -194,6 +194,37 @@ def test_exact_str_format():
     assert str(-SQRT2) == "-r2"
 
 
+def fraction_exact_str(x):
+    """exact_str as first written: each coordinate through a Fraction."""
+    parts = []
+    for i, r in enumerate(RADICANDS):
+        q = Fraction(x.nums[i], x.den)
+        text = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        parts.append(text if i == 0 else f"{text}*r{r}")
+    return " + ".join(parts)
+
+
+def test_exact_str_matches_the_fraction_formula():
+    rng = random.Random(2024)
+    values = [ZERO, ONE, -ONE, SQRT2, -SQRT6, Scalar((0, 4, -6, 0, 9, 0, 0, -12), 6)]
+    for _ in range(3000):
+        x = _random_scalar(rng, den_span=24, sparse=rng.random() < 0.5)
+        values += [x, -x]
+    seen = set()
+    for x in values:
+        assert x.exact_str() == fraction_exact_str(x)
+        for n in x.nums:
+            g = gcd(n, x.den)
+            seen.add(
+                "zero" if n == 0
+                else "integral" if g == x.den
+                else "reducible" if g > 1
+                else "lowest"
+            )
+            seen.add("negative" if n < 0 else "nonnegative")
+    assert seen == {"zero", "integral", "reducible", "lowest", "negative", "nonnegative"}
+
+
 def test_parse_compact_literals():
     assert parse_scalar("2") == scalar(2)
     assert parse_scalar("1/3") == scalar(Fraction(1, 3))

@@ -1,10 +1,13 @@
 """Tests for invariant metrics and the geodesic-orbit checker."""
 
+import random
 from fractions import Fraction
+from itertools import chain, product
 
 import pytest
 
 from rank2go import gocheck
+from rank2go.cli import _candidate_metrics
 from rank2go.embed import CATALOG_IDS, catalog_space
 from rank2go.field import SQRT2, SQRT3, ZERO, parse_scalar, scalar
 from rank2go.gocheck import (
@@ -32,6 +35,7 @@ from rank2go.liealg import (
     ideal_decomposition,
     identity_matrix,
     kernel_basis,
+    mat_apply,
     mat_inverse,
     mat_mul,
     minimal_polynomial,
@@ -627,3 +631,164 @@ def test_negative_draw_counts_are_rejected():
         go_sample_check(sp, metric, samples=-5)
     with pytest.raises(ValueError, match="must be >= 0, got -2"):
         find_witness(sp, metric, budget=-2)
+
+
+# -- metric-eigen directions: decided by [lambda X, X] = 0 ----------------------
+
+EIGEN_BLOCKS = (
+    (2, 1), (Fraction(1, 3), 1), (SQRT2, 1), (1 + SQRT2, 3), (2 - SQRT3, SQRT2),
+)
+
+
+def eigen_metrics(sp):
+    """The standard metric times 1, 3 and sqrt2, the block metrics on
+    two-component spaces, and the commutant probes of classify's
+    candidates."""
+    dec = isotypic_decompose(sp)
+    metrics = scalar_metrics(sp)
+    if len(dec.components) == 2:
+        metrics += [metric_from_blocks(sp, c) for c in EIGEN_BLOCKS]
+    metrics += [
+        metric
+        for label, metric in _candidate_metrics(sp, dec)
+        if label["kind"] == "commutant_probe"
+    ]
+    return metrics
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_eigen_directions_are_solvable(space_id):
+    # The labels of the search against M restricted to each component, on
+    # Scalars; and every structured direction whose components share one
+    # lambda is an eigenvector that both solvers find solvable.
+    sp = catalog_space(space_id)
+    components = isotypic_decompose(sp).components
+    batch = gocheck._per_space(gocheck._build_structured, sp)
+    decided = 0
+    for metric in eigen_metrics(sp):
+        lams = [
+            scalar_of(operator_on_subspace(metric.apply, comp.subspace))
+            for comp in components
+        ]
+        labels = gocheck._MetricRows(metric).eigen_labels(batch)
+        assert [label is None for label in labels] == [lam is None for lam in lams]
+        for k, j in product(range(len(lams)), repeat=2):
+            if lams[k] is not None:
+                assert (labels[k] == labels[j]) == (lams[k] == lams[j])
+        check = _direction_checker(sp, metric)
+        for coords, parts in zip(structured_directions(sp), batch.parts):
+            lam = lams[min(parts)]
+            if lam is None or any(lams[k] != lam for k in parts):
+                continue
+            decided += 1
+            assert mat_apply(metric.matrix, coords) == tuple(lam * c for c in coords)
+            assert check(coords)[0], (metric.params, coords)
+            sol, _, _ = solve_compensator(sp, metric, sp.m.combine(coords))
+            assert sol is not None, (metric.params, coords)
+    assert decided >= 3 * len(batch.parts)
+
+
+def reference_verdict(sp, metric, draws, seed, apply_filters):
+    """The search as a loop that checks every direction, scalar metrics
+    and eigen directions included."""
+    filters = gocheck._filter_results(sp, metric)
+    out = {
+        "status": "go_sampled",
+        "seed": seed,
+        "samples_run": 0,
+        "witness": None,
+        "filter_name": None,
+        "filters": dict(filters),
+    }
+    if apply_filters:
+        out["filter_name"] = next((n for n, ok in filters if not ok), None)
+        if out["filter_name"] is not None:
+            out["status"] = "filtered_out"
+            return out
+    rng = random.Random(seed)
+    check = _direction_checker(sp, metric)
+    for coords in chain(
+        structured_directions(sp),
+        (_random_direction(rng, sp.dim_m) for _ in range(draws)),
+    ):
+        out["samples_run"] += 1
+        solvable, rank_map, rank_aug = check(coords)
+        if not solvable:
+            out["status"] = "not_go_certified"
+            out["witness"] = Witness(coords, rank_map, rank_aug).to_dict()
+            break
+    return out
+
+
+def assert_search_matches_reference(sp, metric, draws, seed):
+    found = find_witness(sp, metric, budget=draws, seed=seed)
+    assert found.to_dict(include_time=False) == reference_verdict(
+        sp, metric, draws, seed, apply_filters=False
+    ), metric.params
+    sampled = go_sample_check(sp, metric, samples=draws, seed=seed)
+    assert sampled.to_dict(include_time=False) == reference_verdict(
+        sp, metric, draws, seed, apply_filters=True
+    ), metric.params
+    return found
+
+
+REFUTE_COEFFS = (
+    "1/2", "1", "2", "3", "5/3", "r2", "r3", "r5", "3/2*r6", "1+r2", "2-r3",
+)
+
+
+def test_search_matches_the_every_direction_loop_on_refutations():
+    rng = random.Random(11)
+    refuted = 0
+    for i in range(60):
+        sp = catalog_space(("c2.2", "g2.1", "g2.2", "g2.3")[i % 4])
+        coeffs = rng.sample(REFUTE_COEFFS, 2)
+        metric = metric_from_blocks(sp, [parse_scalar(c) for c in coeffs])
+        found = assert_search_matches_reference(
+            sp, metric, 50, rng.randrange(2**31)
+        )
+        refuted += found.witness is not None
+    assert refuted == 60
+
+
+def classify_candidates():
+    for space_id in CATALOG_IDS:
+        sp = catalog_space(space_id)
+        dec = isotypic_decompose(sp)
+        if dec.trivial_subspace == sp.m:
+            continue
+        if len(dec.components) == 1 and dec.invariant_metric_dim == 1:
+            yield sp, standard_metric(sp)
+        else:
+            for _, metric in _candidate_metrics(sp, dec):
+                yield sp, metric
+
+
+def test_search_matches_the_every_direction_loop_on_classify_candidates():
+    candidates = list(classify_candidates())
+    assert len(candidates) == 64
+    for sp, metric in candidates:
+        assert_search_matches_reference(sp, metric, 12, 42)
+
+
+def test_eigen_directions_are_counted_but_not_checked(monkeypatch):
+    # blocks (sqrt2, 1) on g2.3: components of dimensions 5 and 6.  The 11
+    # basis vectors and the 4 sums within the first component are decided
+    # by their lambda; the loop checks 3 cross sums, the last one refutes.
+    calls = []
+
+    def counting_checker(*args):
+        check = _direction_checker(*args)
+
+        def counted(coords):
+            calls.append(coords)
+            return check(coords)
+
+        return counted
+
+    monkeypatch.setattr(gocheck, "_direction_checker", counting_checker)
+    sp = catalog_space("g2.3")
+    verdict = find_witness(sp, metric_from_blocks(sp, (SQRT2, 1)), budget=50)
+    assert len(calls) == 3
+    assert verdict.samples_run == 18
+    assert verdict.witness is not None and calls[-1] == verdict.witness.coords

@@ -775,6 +775,50 @@ def test_commuting_operators_match_the_unit_matrix_construction():
     assert sizes["diagonal su2"] == 10
 
 
+def negating_kernel_basis(rows, ncols):
+    """kernel_basis as first written: every entry of the pivot rows at the
+    free column is negated, zero ones too."""
+    rr, pivots = rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        x = [ZERO] * ncols
+        x[free] = ONE
+        for i, p in enumerate(pivots):
+            x[p] = -rr[i][free]
+        basis.append(tuple(x))
+    return basis
+
+
+def test_kernel_basis_of_every_commutant_solve_is_unchanged(monkeypatch):
+    # Every kernel_basis call of commuting_operators over the isotypic
+    # pieces of the 14 spaces, against the negating loop; a zero entry of
+    # the RREF is left as the shared ZERO, not negated into a new Scalar.
+    import rank2go.liealg as liealg
+
+    solves = []
+
+    def recording(rows, ncols):
+        solves.append((rows, ncols))
+        return kernel_basis(rows, ncols)
+
+    cases = list(_commutant_cases())
+    monkeypatch.setattr(liealg, "kernel_basis", recording)
+    for _, ads, d in cases:
+        commuting_operators(ads, d)
+    monkeypatch.undo()
+    negated_zeros = 0
+    for rows, ncols in solves:
+        basis = kernel_basis(rows, ncols)
+        reference = negating_kernel_basis(rows, ncols)
+        assert basis == reference
+        assert all(x is ZERO for v in basis for x in v if not x)
+        negated_zeros += sum(not x and x is not ZERO for v in reference for x in v)
+    assert len(solves) == len(cases)
+    assert negated_zeros > 0
+
+
 def test_kernel_of():
     zero = Subspace.zero(3)
     assert zero.kernel_of([]) == zero
