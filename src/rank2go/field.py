@@ -483,6 +483,14 @@ def ring_pack(acc: Sequence[int]) -> Ring:
     return tuple(compress(enumerate(acc), acc))
 
 
+def ring_scalar(a: Ring, den: int = 1) -> Scalar:
+    """The scalar a / den."""
+    nums = [0] * 8
+    for i, x in a:
+        nums[i] = x
+    return Scalar(nums, den)
+
+
 def ring_mac(acc: list[int], a: Ring, b: Ring) -> None:
     """acc += a * b on eight coordinates, in place, by the product table of
     the radical basis."""

@@ -26,14 +26,23 @@ one lambda; a scalar metric M = cI decides every direction this way.
 `solve_compensator` keeps the ambient-coordinate solve with its canonical
 least-norm compensator, and `verify_witness` replays every witness through
 it, independently of the search.
+
+Each metric is lifted once, when it is validated: its nonzero entries are
+cleared of one common denominator d > 0, as ring rows (and as int rows
+when it is rational).  Validation, both filters, the eigen labels and the
+checker all run on that lift, against ring rows of the space's data (the
+Gram matrix of m, ad(h_i)|_m and the fixed-vector actions) lifted once per
+space.  No Scalar matrix is multiplied per metric.  A positive factor is
+harmless to every test made there: d d' (S M) is symmetric exactly when
+S M is, (d M)(d' A) = (d' A)(d M) exactly when MA = AM, and membership in
+a span and being a scalar on it do not change under a positive factor.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field as dc_field
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -49,6 +58,7 @@ from .field import (
     ring_mac,
     ring_neg,
     ring_pack,
+    ring_scalar,
     scalar,
 )
 from .isotypic import (
@@ -59,6 +69,7 @@ from .isotypic import (
 )
 from .liealg import (
     Matrix,
+    SparseRows,
     Subspace,
     Vector,
     ad_on,
@@ -67,13 +78,16 @@ from .liealg import (
     identity_matrix,
     is_positive_definite,
     kernel_basis,
+    lift_rows,
     mat_apply,
     mat_combine,
     mat_inverse,
     mat_mul,
     mat_scale,
     mat_transpose,
-    scalar_of,
+    ring_rows_commute,
+    ring_rows_mul,
+    rows_symmetric,
     solve_columns,
     solve_int_columns,
     solve_ring_columns,
@@ -94,13 +108,15 @@ class MetricEndomorphism:
     """A validated invariant-metric operator on m, in m-coordinates.
 
     provenance is one of "standard", "block_coeffs", "fibration",
-    "explicit"; params carries the defining data as exact strings.
+    "explicit"; params carries the defining data as exact strings.  rows is
+    the matrix lifted once, at validation, for every per-metric test.
     """
 
     space: CatalogSpace
     matrix: Matrix
     provenance: str
     params: tuple[str, ...]
+    rows: "_MetricRows" = dc_field(compare=False, repr=False)
 
     def apply(self, v: Vector) -> Vector:
         """Apply to an ambient vector lying in m; returns an ambient vector."""
@@ -120,27 +136,52 @@ class MetricEndomorphism:
         )
 
 
+def _invariance_rows(
+    space: CatalogSpace,
+) -> tuple[SparseRows, tuple[SparseRows, ...]]:
+    """The Gram matrix S of the invariant form on m and each ad(h_i)|_m, as
+    ring rows, each cleared of its own denominator."""
+    return (
+        lift_rows(m_gram(space), ring_lift),
+        tuple(lift_rows(A, ring_lift) for A in _kernel(space).ad_h),
+    )
+
+
 def _validated(
     space: CatalogSpace,
     matrix: Matrix,
     provenance: str,
     params: tuple[str, ...],
 ) -> MetricEndomorphism:
+    """The metric of an operator on m, after three checks in this order: S M
+    is symmetric, for S the Gram matrix of the invariant form on m; M
+    commutes with each ad(h_i)|_m; S M is positive definite.  They run on
+    the metric's lift and on ring rows of S and of the ad(h_i)|_m, each
+    cleared of its own denominator d > 0: d d' (S M) is symmetric and
+    (d M)(d' A) = (d' A)(d M) exactly when S M is symmetric and MA = AM.
+    The Sylvester test runs on the Scalars of the lifted d d' (S M), which
+    is positive definite exactly when S M is."""
     n = space.dim_m
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError(f"metric matrix must be {n}x{n} for {space.space_id}")
     mat = [[scalar(x) for x in row] for row in matrix]
-    S = m_gram(space)
-    SM = mat_mul(S, mat)
-    if SM != mat_transpose(SM):
+    rows = _MetricRows.lift(mat)
+    M = rows.ring
+    S, ads = _per_space(_invariance_rows, space)
+    SM = ring_rows_mul(S, M)
+    if not rows_symmetric(SM):
         raise ValueError("metric operator is not symmetric for the invariant form")
-    for A in _kernel(space).ad_h:
-        if mat_mul(mat, A) != mat_mul(A, mat):
+    for A in ads:
+        if not ring_rows_commute(M, A):
             raise ValueError("metric operator does not commute with the isotropy action")
-    if not is_positive_definite(SM):
+    dense = [[ZERO] * n for _ in range(n)]
+    for out, row in zip(dense, SM):
+        for j, c in row:
+            out[j] = ring_scalar(c)
+    if not is_positive_definite(dense):
         raise ValueError("metric operator is not positive definite")
     return MetricEndomorphism(
-        space=space, matrix=mat, provenance=provenance, params=params
+        space=space, matrix=mat, provenance=provenance, params=params, rows=rows
     )
 
 
@@ -271,30 +312,57 @@ def _per_space(build: Callable[[CatalogSpace], object], space: CatalogSpace):
 # -- filters ------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _FixedPart:
-    """The fixed part p of m, in m-coordinates: ad(w)|_m for each row w of
-    p, p itself, and its simple ideals, or None for the ideals when p is not
-    a subalgebra."""
+class _Span:
+    """A subspace of m as ring rows: its RREF rows cleared of one common
+    denominator d > 0, their pivots, and the sparse rows of a basis of its
+    annihilator, so that v lies in the span exactly when every annihilator
+    row has zero product with v."""
 
-    actions: tuple[Matrix, ...]
-    span: Subspace
-    ideals: tuple[Subspace, ...] | None
+    rows: tuple[list[Ring], ...]
+    pivots: tuple[int, ...]
+    annihilator: SparseRows
+
+    @classmethod
+    def lift(cls, sub: Subspace) -> "_Span":
+        n = sub.ambient_dim
+        values = ring_lift([c for row in sub.rows for c in row])
+        return cls(
+            rows=tuple(values[i * n:(i + 1) * n] for i in range(sub.dim)),
+            pivots=sub.pivots,
+            annihilator=lift_rows(kernel_basis(sub.rows, n), ring_lift),
+        )
+
+    def contains(self, v: Sequence[Ring]) -> bool:
+        return not any(_ring_apply(self.annihilator, v))
+
+
+@dataclass(frozen=True)
+class _FixedPart:
+    """The fixed part p of m, in m-coordinates, on ring rows: ad(w)|_m for
+    each row w of p, each cleared of its own denominator, p itself, and its
+    simple ideals, or None for the ideals when p is not a subalgebra."""
+
+    actions: tuple[SparseRows, ...]
+    span: _Span
+    ideals: tuple[_Span, ...] | None
 
 
 def _build_fixed_part(space: CatalogSpace) -> _FixedPart:
     L = space.algebra
     p = isotypic_decompose(space).trivial_subspace
 
-    def m_span(sub: Subspace) -> Subspace:
-        return Subspace.from_vectors(
+    def m_span(sub: Subspace) -> _Span:
+        return _Span.lift(Subspace.from_vectors(
             space.dim_m, [space.m.coords(r) for r in sub.rows]
-        )
+        ))
 
     ideals = None
     if p.dim and subalgebra_closure(L, p.rows) == p:
         ideals = tuple(m_span(ideal) for ideal in ideal_decomposition(L, p)[1])
     return _FixedPart(
-        actions=tuple(ad_on(L, w, space.m) for w in p.rows),
+        actions=tuple(
+            lift_rows(ad_on(L, w, space.m), ring_lift) for w in p.rows
+        ),
         span=m_span(p),
         ideals=ideals,
     )
@@ -303,10 +371,12 @@ def _build_fixed_part(space: CatalogSpace) -> _FixedPart:
 def normalizer_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
     """Necessary condition: the operator commutes with every fixed-vector
     action.  Vectors of m that centralize h generate extra isometries, and a
-    geodesic-orbit metric must commute with each of their actions on m."""
-    M = metric.matrix
+    geodesic-orbit metric must commute with each of their actions on m.
+    The test runs on the metric's lift and the ring rows of each action:
+    (d M)(d' A) = (d' A)(d M) exactly when MA = AM, as d, d' > 0."""
+    M = metric.rows.ring
     return all(
-        mat_mul(M, A) == mat_mul(A, M)
+        ring_rows_commute(M, A)
         for A in _per_space(_build_fixed_part, space).actions
     )
 
@@ -318,24 +388,31 @@ def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool
     holds for every X in p exactly when M preserves p, restricts to a
     scalar on each simple ideal of p, and is arbitrary (symmetric positive
     definite) on the center.  True when p is zero.  Each test is basis-free,
-    so it runs on the m-coordinate spans of p and its ideals.
+    so it runs on the m-coordinate spans of p and its ideals.  The images
+    M r are taken on the metric's lift and the ring rows of each span, so
+    each is d d' M r for d, d' > 0: membership in a span, and M being a
+    scalar on an ideal, do not change under that positive factor.
     """
     fixed = _per_space(_build_fixed_part, space)
-    if fixed.span.dim == 0:
+    if not fixed.span.rows:
         return True
     if fixed.ideals is None:
         raise ValueError("the fixed part of m is not a subalgebra")
-    M = metric.matrix
-    if not all(fixed.span.contains(mat_apply(M, r)) for r in fixed.span.rows):
+    M = metric.rows.ring
+    if not all(fixed.span.contains(_ring_apply(M, r)) for r in fixed.span.rows):
         return False
     for ideal in fixed.ideals:
-        images = [mat_apply(M, r) for r in ideal.rows]
+        images = [_ring_apply(M, r) for r in ideal.rows]
         if not all(ideal.contains(v) for v in images):
             return False
         # The coordinates of a vector of the ideal against its RREF rows
         # are its pivot entries.
-        restricted = [[v[p] for v in images] for p in ideal.pivots]
-        if scalar_of(restricted) is None:
+        c = images[0][ideal.pivots[0]]
+        if any(
+            v[p] != (c if i == j else ())
+            for j, v in enumerate(images)
+            for i, p in enumerate(ideal.pivots)
+        ):
             return False
     return True
 
@@ -471,15 +548,11 @@ def _random_direction(rng: random.Random, n: int) -> tuple[Scalar, ...]:
 
 # -- the m-coordinate direction kernel ----------------------------------------
 
-# Rows of a matrix as (column, nonzero entry) pairs.
-_SparseRows = tuple[tuple[tuple[int, object], ...], ...]
-
-
-def _sparse(rows) -> _SparseRows:
+def _sparse(rows) -> SparseRows:
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
 
 
-def _apply(rows: _SparseRows, v) -> list:
+def _apply(rows: SparseRows, v) -> list:
     out = []
     for row in rows:
         acc = 0
@@ -490,7 +563,7 @@ def _apply(rows: _SparseRows, v) -> list:
     return out
 
 
-def _ring_apply(rows: _SparseRows, v: Sequence[Ring]) -> list[Ring]:
+def _ring_apply(rows: SparseRows, v: Sequence[Ring]) -> list[Ring]:
     out = []
     for row in rows:
         acc = [0] * 8
@@ -498,19 +571,6 @@ def _ring_apply(rows: _SparseRows, v: Sequence[Ring]) -> list[Ring]:
             ring_mac(acc, c, v[j])
         out.append(ring_pack(acc))
     return out
-
-
-def _lift_rows(
-    M: Matrix, lift: Callable[[list[Scalar]], list | None]
-) -> _SparseRows | None:
-    """M with its entries cleared of one common denominator by lift
-    (clear_denominators or ring_lift), as sparse rows, or None where lift
-    gives None."""
-    values = lift([c for row in M for c in row])
-    if values is None:
-        return None
-    n = len(M)
-    return _sparse(values[i * n:(i + 1) * n] for i in range(n))
 
 
 _TRANSVERSE_ERROR = (
@@ -553,7 +613,7 @@ class _Tensors:
     """The kernel cleared of one common denominator: as ints, or as ring
     rows.  A positive rescaling leaves every rank pair unchanged."""
 
-    ad: tuple[_SparseRows, ...]
+    ad: tuple[SparseRows, ...]
     brackets: tuple[tuple[int, int, tuple[tuple[int, object], ...]], ...]
     dim_h: int
 
@@ -579,7 +639,7 @@ class _Tensors:
             dim_h=space.dim_h,
         )
 
-    def system(self, metric: _SparseRows, x: Sequence[int]) -> tuple[list, list]:
+    def system(self, metric: SparseRows, x: Sequence[int]) -> tuple[list, list]:
         """The columns C_i = ad(h_i)|_m (MX) and r = [MX, X], in
         m-coordinates, on ints."""
         y = _apply(metric, x)
@@ -594,7 +654,7 @@ class _Tensors:
         return [_apply(A, y) for A in self.ad], full[self.dim_h:]
 
     def ring_system(
-        self, metric: _SparseRows, x: Sequence[Ring]
+        self, metric: SparseRows, x: Sequence[Ring]
     ) -> tuple[list, list]:
         """The same system on ring rows."""
         y = _ring_apply(metric, x)
@@ -624,18 +684,22 @@ def _ring_tensors(space: CatalogSpace) -> _Tensors:
     return _Tensors.lift(space, ring_lift)
 
 
+@dataclass(frozen=True)
 class _MetricRows:
-    """One metric's matrix cleared of one common denominator d > 0, lifted
-    once for the eigen labels and the checker: as int rows when it is
-    rational (else ints is None), and as ring rows on first use."""
+    """One metric's matrix lifted once, at validation: its nonzero entries
+    cleared of one common denominator d > 0, as ring rows, and as int rows
+    when the metric is rational (else ints is None).  Validation, both
+    filters, the eigen labels and the checker all read this lift."""
 
-    def __init__(self, metric: MetricEndomorphism):
-        self.matrix = metric.matrix
-        self.ints = _lift_rows(metric.matrix, clear_denominators)
+    ring: SparseRows
+    ints: SparseRows | None
 
-    @cached_property
-    def ring(self) -> _SparseRows:
-        return _lift_rows(self.matrix, ring_lift)
+    @classmethod
+    def lift(cls, matrix: Matrix) -> "_MetricRows":
+        return cls(
+            ring=lift_rows(matrix, ring_lift),
+            ints=lift_rows(matrix, clear_denominators),
+        )
 
     def image(self, x: Sequence[int]) -> list[Sequence[int]]:
         """(d M) x for an integer vector x, each entry as its coordinates
@@ -683,9 +747,7 @@ class _MetricRows:
 
 
 def _direction_checker(
-    space: CatalogSpace,
-    metric: MetricEndomorphism,
-    rows: _MetricRows | None = None,
+    space: CatalogSpace, metric: MetricEndomorphism
 ) -> Callable[[tuple[Scalar, ...]], tuple[bool, int, int]]:
     """The compensator test of one metric, direction by direction.
 
@@ -693,14 +755,12 @@ def _direction_checker(
     from the rank pair of [C | r].  The space, the metric and the direction
     are each cleared of one common denominator; the system is built and
     eliminated fraction-free on ints when all three are rational, and on
-    ring rows otherwise.  The ring data of the space and the metric is
-    built when a direction first needs it.  No Scalar is eliminated and no
-    pivot inverted.  A consistent system is checked exactly:
-    sum_i (P x_i) C_i = P r, for P the denominator of the solution.  The
-    decision and the rank pair are those of solve_compensator.  rows, when
-    given, is the metric already lifted (by the search)."""
-    if rows is None:
-        rows = _MetricRows(metric)
+    ring rows otherwise, on the space's data lifted once per space and on
+    the metric's lift.  No Scalar is eliminated and no pivot inverted.  A
+    consistent system is checked exactly: sum_i (P x_i) C_i = P r, for P
+    the denominator of the solution.  The decision and the rank pair are
+    those of solve_compensator."""
+    rows = metric.rows
     ints = _per_space(_int_tensors, space)
     int_metric = None if ints is None else rows.ints
 
@@ -767,8 +827,7 @@ def _search(
     else:
         directions = structured_directions(space)
         batch = _per_space(_build_structured, space)
-        rows = _MetricRows(metric)
-        labels = rows.eigen_labels(batch)
+        labels = metric.rows.eigen_labels(batch)
         if None not in labels and len(set(labels)) == 1:
             run = len(directions) + draws
         else:
@@ -778,7 +837,7 @@ def _search(
                 zip(directions, batch.parts),
                 ((_random_direction(rng, n), ()) for _ in range(draws)),
             )
-            check = _direction_checker(space, metric, rows)
+            check = _direction_checker(space, metric)
             for coords, parts in candidates:
                 run += 1
                 eigen = {labels[k] for k in parts}

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import product
+from math import isqrt, lcm
 
 from .embed import CatalogSpace
-from .field import ZERO
+from .field import ZERO, ring_lift, ring_scalar
 from .liealg import (
     Matrix,
     Subspace,
@@ -27,14 +28,17 @@ from .liealg import (
     gram_matrix,
     identity_matrix,
     is_positive_definite,
+    lift_rows,
     mat_apply,
-    mat_combine,
     mat_inverse,
     mat_mul,
     mat_transpose,
     matrix_kernel_of,
     normalizer,
     operator_on_subspace,
+    ring_rows_commute,
+    ring_rows_mul,
+    rows_symmetric,
     scalar_of,
 )
 
@@ -99,7 +103,9 @@ def casimir(space: CatalogSpace) -> Matrix:
 
     C = sum_ij (G^-1)_ij ad(e_i)|_m ad(e_j)|_m for a basis {e_i} of h and
     G_ij = -form(e_i, e_j).  Exactly symmetric for the invariant form and
-    commuting with the action; both are verified before returning.
+    commuting with the action; both are verified before returning, on ring
+    rows of the matrices, each cleared of one denominator d > 0, which
+    scales both sides of each test.
     """
     L = space.algebra
     G = gram_matrix(L, space.h.rows)
@@ -109,21 +115,23 @@ def casimir(space: CatalogSpace) -> Matrix:
         )
     Ginv = mat_inverse(G)
     ads = [ad_on(L, a, space.m) for a in space.h.rows]
-    pairs = [
-        (i, j) for i in range(len(ads)) for j in range(len(ads)) if Ginv[i][j]
-    ]
-    C = mat_combine(
-        [Ginv[i][j] for i, j in pairs],
-        [mat_mul(ads[i], ads[j]) for i, j in pairs],
-        space.m.dim,
-    )
-    S = gram_matrix(L, space.m.rows)
-    SC = mat_mul(S, C)
-    if SC != mat_transpose(SC):
+    n = space.m.dim
+    # The products run on ring rows of the d A_i, for one common d > 0.
+    d = lcm(*(c.den for A in ads for row in A for c in row))
+    stacked = lift_rows([row for A in ads for row in A], ring_lift)
+    lifted = [stacked[k * n:(k + 1) * n] for k in range(len(ads))]
+    C = [[ZERO] * n for _ in range(n)]
+    for i, j in product(range(len(ads)), repeat=2):
+        if Ginv[i][j]:
+            for out, row in zip(C, ring_rows_mul(lifted[i], lifted[j])):
+                for k, v in row:
+                    out[k] = out[k] + Ginv[i][j] * ring_scalar(v, d * d)
+    S = lift_rows(gram_matrix(L, space.m.rows), ring_lift)
+    C_rows = lift_rows(C, ring_lift)
+    if not rows_symmetric(ring_rows_mul(S, C_rows)):
         raise ArithmeticError("casimir is not symmetric for the form")
-    for A in ads:
-        if mat_mul(C, A) != mat_mul(A, C):
-            raise ArithmeticError("casimir does not commute with the action")
+    if not all(ring_rows_commute(C_rows, A) for A in lifted):
+        raise ArithmeticError("casimir does not commute with the action")
     return C
 
 

@@ -26,7 +26,10 @@ from .field import (
     Scalar,
     radical_labels,
     ring_combine,
+    ring_mac,
     ring_mul,
+    ring_neg,
+    ring_pack,
     scalar,
 )
 
@@ -851,6 +854,66 @@ def mat_apply(a: Matrix, v: Vector) -> Vector:
     return tuple(
         sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in a
     )
+
+
+# A matrix as sparse rows: for each row, the (column, entry) pairs of its
+# nonzero entries in column order.  Lifted entries are ints or ring elements.
+SparseRows = tuple[tuple[tuple[int, object], ...], ...]
+
+
+def lift_rows(
+    mat: Matrix, lift: Callable[[list[Scalar]], list | None]
+) -> SparseRows | None:
+    """The nonzero entries of mat cleared of one common denominator d > 0
+    by lift (field.clear_denominators or field.ring_lift), as sparse rows,
+    or None where lift gives None.  Zero entries are skipped: they do not
+    change d."""
+    values = lift([c for row in mat for c in row if c])
+    if values is None:
+        return None
+    it = iter(values)
+    return tuple(
+        tuple((j, next(it)) for j, c in enumerate(row) if c) for row in mat
+    )
+
+
+def _ring_row_mac(acc: dict[int, list[int]], row, b: SparseRows) -> dict:
+    """acc += row b, for a sparse ring row and sparse ring rows b, on eight
+    coordinates per column."""
+    for k, x in row:
+        for j, y in b[k]:
+            if j not in acc:
+                acc[j] = [0] * 8
+            ring_mac(acc[j], x, y)
+    return acc
+
+
+def ring_rows_mul(a: SparseRows, b: SparseRows) -> SparseRows:
+    """The product a b of matrices given as sparse ring rows, exactly, as
+    sparse ring rows: equal products compare equal."""
+    out = []
+    for row in a:
+        acc = _ring_row_mac({}, row, b)
+        packed = ((j, ring_pack(acc[j])) for j in sorted(acc))
+        out.append(tuple((j, v) for j, v in packed if v))
+    return tuple(out)
+
+
+def ring_rows_commute(a: SparseRows, b: SparseRows) -> bool:
+    """Whether a b = b a, for square matrices given as sparse ring rows:
+    row by row, a b - b a accumulates exactly and must vanish."""
+    for row_a, row_b in zip(a, b):
+        acc = _ring_row_mac({}, row_a, b)
+        _ring_row_mac(acc, [(k, ring_neg(y)) for k, y in row_b], a)
+        if any(map(any, acc.values())):
+            return False
+    return True
+
+
+def rows_symmetric(rows: SparseRows) -> bool:
+    """Whether the square matrix given as sparse rows equals its transpose."""
+    entries = {(i, j): c for i, row in enumerate(rows) for j, c in row}
+    return all(entries.get((j, i)) == c for (i, j), c in entries.items())
 
 
 def mat_inverse(mat: Matrix) -> Matrix:

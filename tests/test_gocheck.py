@@ -1,15 +1,24 @@
 """Tests for invariant metrics and the geodesic-orbit checker."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import chain, product
 
 import pytest
 
 from rank2go import gocheck
-from rank2go.cli import _candidate_metrics
+from rank2go.cli import COMMUTANT_PROBE_STEPS, _candidate_metrics, metric_from_spec
 from rank2go.embed import CATALOG_IDS, catalog_space
-from rank2go.field import SQRT2, SQRT3, ZERO, parse_scalar, scalar
+from rank2go.field import (
+    SQRT2,
+    SQRT3,
+    ZERO,
+    clear_denominators,
+    parse_scalar,
+    ring_lift,
+    scalar,
+)
 from rank2go.gocheck import (
     GoVerdict,
     Witness,
@@ -27,17 +36,26 @@ from rank2go.gocheck import (
     structured_directions,
     verify_witness,
 )
-from rank2go.isotypic import commutant_symmetric_basis, isotypic_decompose
+from rank2go.isotypic import (
+    commutant_symmetric_basis,
+    component_projections,
+    isotypic_decompose,
+    m_gram,
+)
 from rank2go.liealg import (
     ad_on,
     eigenspace_in,
     gram_matrix,
     ideal_decomposition,
     identity_matrix,
+    is_positive_definite,
     kernel_basis,
+    lift_rows,
     mat_apply,
+    mat_combine,
     mat_inverse,
     mat_mul,
+    mat_transpose,
     minimal_polynomial,
     operator_on_subspace,
     rational_roots,
@@ -670,7 +688,7 @@ def test_eigen_directions_are_solvable(space_id):
             scalar_of(operator_on_subspace(metric.apply, comp.subspace))
             for comp in components
         ]
-        labels = gocheck._MetricRows(metric).eigen_labels(batch)
+        labels = metric.rows.eigen_labels(batch)
         assert [label is None for label in labels] == [lam is None for lam in lams]
         for k, j in product(range(len(lams)), repeat=2):
             if lams[k] is not None:
@@ -792,3 +810,202 @@ def test_eigen_directions_are_counted_but_not_checked(monkeypatch):
     assert len(calls) == 3
     assert verdict.samples_run == 18
     assert verdict.witness is not None and calls[-1] == verdict.witness.coords
+
+
+# -- validation and the filters on the metric's lift ----------------------------
+
+def reference_validated(space, matrix):
+    """gocheck._validated as first written, on dense Scalar products: S M
+    symmetric, M commuting with each ad(h_i)|_m, then S M positive
+    definite.  Raises ValueError as the library does; returns None when the
+    operator is accepted."""
+    mat = [[scalar(x) for x in row] for row in matrix]
+    S = m_gram(space)
+    SM = mat_mul(S, mat)
+    if SM != mat_transpose(SM):
+        raise ValueError("metric operator is not symmetric for the invariant form")
+    for a in space.h.rows:
+        A = ad_on(space.algebra, a, space.m)
+        if mat_mul(mat, A) != mat_mul(A, mat):
+            raise ValueError("metric operator does not commute with the isotropy action")
+    if not is_positive_definite(SM):
+        raise ValueError("metric operator is not positive definite")
+
+
+def validation_outcome(fn, space, matrix):
+    try:
+        fn(space, matrix)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def validation_cases(sp):
+    """(label, matrix) pairs: accepted metrics, the commutant probes of
+    classify at every step, and operators that break each check, alone and
+    together."""
+    n = sp.dim_m
+    dec = isotypic_decompose(sp)
+    ident = identity_matrix(n)
+    cases = [("metric", m.matrix) for m in filter_metrics(sp)]
+    cases += [
+        ("probe", m.matrix)
+        for label, m in _candidate_metrics(sp, dec)
+        if label["kind"] == "commutant_probe"
+    ]
+    for B in commutant_symmetric_basis(sp):
+        for step in COMMUTANT_PROBE_STEPS + ("-2",):
+            cases.append((
+                f"probe step {step}",
+                mat_combine((1, parse_scalar(step)), (ident, B), n),
+            ))
+
+    def neg(M):
+        return [[-x for x in row] for row in M]
+
+    asymmetric = [list(row) for row in ident]
+    asymmetric[0][1] = scalar(1)
+    cases += [("asymmetric", asymmetric), ("asymmetric, negative", neg(asymmetric))]
+    # E_uw + E_wu for the invariant form: X -> u <w, X> + w <u, X>, with u
+    # and w basis vectors of two components (of one when there is one).
+    rows = [
+        sp.m.coords(r)
+        for comp in dec.components
+        for r in (comp.subspace.rows if len(dec.components) == 1
+                  else comp.subspace.rows[:1])
+    ]
+    u, w = rows[0], rows[1]
+    S = m_gram(sp)
+    Su, Sw = mat_apply(S, u), mat_apply(S, w)
+    swap = [
+        [u[i] * Sw[j] + w[i] * Su[j] for j in range(n)] for i in range(n)
+    ]
+    cases += [
+        ("not equivariant", swap),
+        ("not equivariant, negative", mat_combine((-1, 1), (ident, swap), n)),
+        ("not equivariant, near the identity",
+         mat_combine((1, Fraction(1, 100)), (ident, swap), n)),
+    ]
+    k = len(dec.components)
+    projections = component_projections(sp)
+    for coeffs in (
+        (-1, 1), (1, 0), (1 + SQRT2, 3), (2 - SQRT3, SQRT2),
+        (1 - SQRT2, 3), (SQRT3 - 2, SQRT2),
+    ):
+        coeffs = (coeffs + (1,) * k)[:k]
+        cases.append((f"blocks {coeffs}", mat_combine(coeffs, projections, n)))
+    return cases
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_validation_matches_the_dense_reference(space_id):
+    sp = catalog_space(space_id)
+    seen = set()
+    for label, matrix in validation_cases(sp):
+        outcome = validation_outcome(explicit_metric, sp, matrix)
+        assert outcome == validation_outcome(reference_validated, sp, matrix), label
+        seen.add(outcome)
+    expected = {
+        "accepted",
+        "metric operator is not symmetric for the invariant form",
+        "metric operator does not commute with the isotropy action",
+        "metric operator is not positive definite",
+    }
+    if isotypic_decompose(sp).trivial_subspace == sp.m:
+        # h acts trivially on m: every operator commutes with it.
+        expected.remove("metric operator does not commute with the isotropy action")
+    assert seen == expected
+
+
+def dense_lift(matrix, lift):
+    """The lift as first written: every entry lifted, zeros included, then
+    the zeros dropped."""
+    values = lift([c for row in matrix for c in row])
+    if values is None:
+        return None
+    n = len(matrix)
+    return tuple(
+        tuple((j, c) for j, c in enumerate(values[i * n:(i + 1) * n]) if c)
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_each_metric_keeps_its_own_lift(space_id):
+    sp = catalog_space(space_id)
+    for base in filter_metrics(sp):
+        for metric in (base, base.scaled(3)):
+            M = metric.matrix
+            rational = all(c.is_rational for row in M for c in row)
+            assert metric.rows.ring == lift_rows(M, ring_lift) == dense_lift(
+                M, ring_lift
+            )
+            assert metric.rows.ints == lift_rows(M, clear_denominators)
+            assert metric.rows.ints == dense_lift(M, clear_denominators)
+            assert (metric.rows.ints is not None) == rational
+
+
+def test_the_search_lifts_no_metric_again(monkeypatch):
+    cases = [
+        ("g2.1", "blocks:r2,1"),
+        ("c2.2", "blocks:2,1"),
+        ("g2.3", "blocks:1+r2,3"),
+        ("c2.1", "blocks:1/3,1"),
+    ]
+    metrics = []
+    for space_id, spec in cases:
+        sp = catalog_space(space_id)
+        metric = metric_from_spec(sp, spec)
+        find_witness(sp, metric)  # builds the per-space data
+        metrics.append((sp, metric))
+    lifted = []
+    for name in ("ring_lift", "clear_denominators"):
+        original = getattr(gocheck, name)
+
+        def recorded(values, _original=original):
+            values = list(values)
+            lifted.append(values)
+            return _original(values)
+
+        monkeypatch.setattr(gocheck, name, recorded)
+    for sp, metric in metrics:
+        entries = [c for row in metric.matrix for c in row]
+        nonzero = [c for c in entries if c]
+        lifted.clear()
+        find_witness(sp, metric)
+        go_sample_check(sp, metric, samples=5)
+        assert lifted, "the directions are lifted through the patched names"
+        assert sum(v in (entries, nonzero) for v in lifted) == 0, metric.params
+
+
+def test_metric_build_and_search_make_no_dense_product(monkeypatch):
+    # metric_from_spec and find_witness of a block metric run on the lift
+    # and on per-space ring rows only.  verify_witness is not measured: it
+    # replays the witness through the ambient solve_compensator on Scalars,
+    # independently of the search, by design.
+    from rank2go import liealg
+
+    cases = [("g2.1", "blocks:r2,1"), ("c2.2", "blocks:2,1")]
+    for space_id, spec in cases:
+        sp = catalog_space(space_id)
+        find_witness(sp, metric_from_spec(sp, spec))  # builds per-space data
+    calls = []
+    modules = [
+        module for name, module in sys.modules.items()
+        if module is not None and name.startswith("rank2go")
+    ]
+    for name in ("mat_mul", "mat_apply"):
+        original = getattr(liealg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for space_id, spec in cases:
+        sp = catalog_space(space_id)
+        verdict = find_witness(sp, metric_from_spec(sp, spec))
+        assert verdict.witness is not None
+    assert calls == []

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -19,6 +19,7 @@ from rank2go.field import (
     Scalar,
     radical_labels,
     ring_lift,
+    ring_scalar,
     scalar,
 )
 from rank2go.liealg import (
@@ -36,13 +37,21 @@ from rank2go.liealg import (
     direct_sum,
     eigenspaces,
     ideal_decomposition,
+    identity_matrix,
     kernel_basis,
+    lift_rows,
+    mat_combine,
+    mat_mul,
+    mat_transpose,
     matrix_kernel_of,
     minimal_polynomial,
     normalizer,
     operator_on_subspace,
     orth_complement,
     rational_roots,
+    ring_rows_commute,
+    ring_rows_mul,
+    rows_symmetric,
     rref,
     scalar_of,
     solve_columns,
@@ -197,14 +206,6 @@ def mixed_radical_system(rng, nrows, ncols):
     else:
         rhs = [rng.choice(RING_ENTRIES) for _ in range(nrows)]
     return columns, rhs
-
-
-def ring_scalar(a):
-    """The field element of a ring row."""
-    nums = [0] * 8
-    for i, x in a:
-        nums[i] = x
-    return Scalar(tuple(nums))
 
 
 def assert_ring_solve_matches(columns, rhs):
@@ -860,3 +861,44 @@ def test_eigenspaces():
     rotation = [[ZERO, -ONE], [ONE, ZERO]]
     with pytest.raises(ArithmeticError):
         eigenspaces(Subspace.full(2), rotation)
+
+
+def test_ring_row_products_match_dense_products():
+    # ring_rows_mul, ring_rows_commute and rows_symmetric on lifted rows
+    # against mat_mul and the transpose on Scalars, with zero, rational and
+    # mixed-radical entries; b is sometimes a polynomial in a, so that the
+    # two commute.
+    rng = random.Random(12)
+    pool = [ZERO] * 8 + [
+        scalar(Fraction(p, q)) for p in (-3, -1, 1, 2, 5) for q in (1, 2, 9)
+    ] + [SQRT2, 1 + SQRT3, Fraction(1, 3) * SQRT2 * SQRT3, 2 - SQRT3 / 5]
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            b = mat_combine(
+                (rng.choice(pool), 1, 2),
+                (mat_mul(a, a), a, identity_matrix(n)),
+                n,
+            )
+        else:
+            b = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            a = mat_combine((1, 1), (a, mat_transpose(a)), n)
+        ra, rb = lift_rows(a, ring_lift), lift_rows(b, ring_lift)
+        scale = (
+            lcm(*(c.den for row in a for c in row))
+            * lcm(*(c.den for row in b for c in row))
+        )
+        product = [[ZERO] * n for _ in range(n)]
+        for out, row in zip(product, ring_rows_mul(ra, rb)):
+            for j, v in row:
+                out[j] = ring_scalar(v, scale)
+        assert product == mat_mul(a, b)
+        commute = mat_mul(a, b) == mat_mul(b, a)
+        symmetric = a == mat_transpose(a)
+        assert ring_rows_commute(ra, rb) == commute
+        assert rows_symmetric(ra) == symmetric
+        seen.add((commute, symmetric))
+    assert seen == {(c, s) for c in (True, False) for s in (True, False)}
