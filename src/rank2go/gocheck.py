@@ -9,10 +9,12 @@ when every X admits one.  This module solves that linear problem exactly,
 samples it over structured and random directions, and applies two
 necessary-condition filters that rule metrics out without sampling.
 
-The search runs in m-coordinates, on data built once per space: a kernel
-that holds ad(h_i)|_m and the bracket m x m -> h + m, the fixed part of m
-with its fixed-vector actions and simple ideals for the filters, and the
-structured batch of directions.  Each direction needs only the rank pair of
+The search runs in m-coordinates, on data built once per space: the
+isotropy action ad(h_i)|_m (isotypic.isotropy_action, which casimir and
+validation read too), a kernel that holds the bracket m x m -> h + m and
+that only the direction checker reads, the fixed part of m with its
+fixed-vector actions and simple ideals for the filters, and the structured
+batch of directions.  Each direction needs only the rank pair of
 a small system, eliminated fraction-free on integers when the space, the
 metric and the direction are rational, and otherwise on ring rows: integer
 coordinates over the radical basis 1, sqrt2, ..., sqrt30 (field.Ring).  No
@@ -64,8 +66,10 @@ from .field import (
 from .isotypic import (
     commutant_symmetric_basis,
     component_projections,
+    isotropy_action,
     isotypic_decompose,
     m_gram,
+    per_space,
 )
 from .liealg import (
     Matrix,
@@ -143,7 +147,7 @@ def _invariance_rows(
     ring rows, each cleared of its own denominator."""
     return (
         lift_rows(m_gram(space), ring_lift),
-        tuple(lift_rows(A, ring_lift) for A in _kernel(space).ad_h),
+        tuple(lift_rows(A, ring_lift) for A in isotropy_action(space)),
     )
 
 
@@ -167,7 +171,7 @@ def _validated(
     mat = [[scalar(x) for x in row] for row in matrix]
     rows = _MetricRows.lift(mat)
     M = rows.ring
-    S, ads = _per_space(_invariance_rows, space)
+    S, ads = per_space(_invariance_rows, space)
     SM = ring_rows_mul(S, M)
     if not rows_symmetric(SM):
         raise ValueError("metric operator is not symmetric for the invariant form")
@@ -292,23 +296,6 @@ def solve_compensator(
     return a, rank_map, rank_aug
 
 
-# -- per-space data -----------------------------------------------------------
-
-_PER_SPACE: dict[tuple[Callable, str], tuple[CatalogSpace, object]] = {}
-
-
-def _per_space(build: Callable[[CatalogSpace], object], space: CatalogSpace):
-    """build(space), built once and kept while the same space object is in
-    use: the search of every metric on a space reads the same data."""
-    key = (build, space.space_id)
-    hit = _PER_SPACE.get(key)
-    if hit is not None and hit[0] is space:
-        return hit[1]
-    result = build(space)
-    _PER_SPACE[key] = (space, result)
-    return result
-
-
 # -- filters ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -377,7 +364,7 @@ def normalizer_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
     M = metric.rows.ring
     return all(
         ring_rows_commute(M, A)
-        for A in _per_space(_build_fixed_part, space).actions
+        for A in per_space(_build_fixed_part, space).actions
     )
 
 
@@ -393,7 +380,7 @@ def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool
     each is d d' M r for d, d' > 0: membership in a span, and M being a
     scalar on an ideal, do not change under that positive factor.
     """
-    fixed = _per_space(_build_fixed_part, space)
+    fixed = per_space(_build_fixed_part, space)
     if not fixed.span.rows:
         return True
     if fixed.ideals is None:
@@ -536,7 +523,7 @@ def structured_directions(space: CatalogSpace) -> list[tuple[Scalar, ...]]:
     isotypic component, then every pairwise sum of two of them.  Sums that
     mix components are the classic way block-skewed metrics fail, so these
     run before any random draw."""
-    return list(_per_space(_build_structured, space).directions)
+    return list(per_space(_build_structured, space).directions)
 
 
 _DIGITS = tuple(Scalar.from_int(k) for k in range(-9, 10) if k != 0)
@@ -578,17 +565,12 @@ _TRANSVERSE_ERROR = (
 )
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    """The direction data of one space, on Scalars: ad(h_i)|_m, and the
-    bracket m x m -> h + m as (i, j, terms) for i < j, terms being the
-    nonzero coordinates of [m_i, m_j] in the basis h.rows + m.rows."""
-
-    ad_h: tuple[Matrix, ...]
-    brackets: tuple[tuple[int, int, tuple[tuple[int, Scalar], ...]], ...]
-
-
-def _build_kernel(space: CatalogSpace) -> _Kernel:
+def _build_kernel(
+    space: CatalogSpace,
+) -> tuple[tuple[int, int, tuple[tuple[int, Scalar], ...]], ...]:
+    """The bracket m x m -> h + m of one space, on Scalars, as (i, j, terms)
+    for i < j, terms being the nonzero coordinates of [m_i, m_j] in the
+    basis h.rows + m.rows."""
     L = space.algebra
     rows = space.m.rows
     to_basis = mat_inverse(mat_transpose(list(space.h.rows + rows)))
@@ -596,22 +578,14 @@ def _build_kernel(space: CatalogSpace) -> _Kernel:
     coords = _sparse(
         mat_apply(to_basis, L.bracket(rows[i], rows[j])) for i, j in pairs
     )
-    return _Kernel(
-        ad_h=tuple(ad_on(L, a, space.m) for a in space.h.rows),
-        brackets=tuple(
-            (i, j, terms) for (i, j), terms in zip(pairs, coords) if terms
-        ),
-    )
-
-
-def _kernel(space: CatalogSpace) -> _Kernel:
-    return _per_space(_build_kernel, space)
+    return tuple((i, j, terms) for (i, j), terms in zip(pairs, coords) if terms)
 
 
 @dataclass(frozen=True)
 class _Tensors:
-    """The kernel cleared of one common denominator: as ints, or as ring
-    rows.  A positive rescaling leaves every rank pair unchanged."""
+    """ad(h_i)|_m and the kernel cleared of one common denominator: as ints,
+    or as ring rows.  A positive rescaling leaves every rank pair
+    unchanged."""
 
     ad: tuple[SparseRows, ...]
     brackets: tuple[tuple[int, int, tuple[tuple[int, object], ...]], ...]
@@ -619,22 +593,20 @@ class _Tensors:
 
     @classmethod
     def lift(cls, space: CatalogSpace, lift: Callable) -> "_Tensors | None":
-        kernel = _kernel(space)
+        ad_h = isotropy_action(space)
+        brackets = per_space(_build_kernel, space)
         values = lift(
-            [c for A in kernel.ad_h for row in A for c in row]
-            + [c for _, _, terms in kernel.brackets for _, c in terms]
+            [c for A in ad_h for row in A for c in row]
+            + [c for _, _, terms in brackets for _, c in terms]
         )
         if values is None:
             return None
         it = iter(values)
         return cls(
-            ad=tuple(
-                _sparse([next(it) for _ in row] for row in A)
-                for A in kernel.ad_h
-            ),
+            ad=tuple(_sparse([next(it) for _ in row] for row in A) for A in ad_h),
             brackets=tuple(
                 (i, j, tuple((k, next(it)) for k, _ in terms))
-                for i, j, terms in kernel.brackets
+                for i, j, terms in brackets
             ),
             dim_h=space.dim_h,
         )
@@ -761,13 +733,13 @@ def _direction_checker(
     the denominator of the solution.  The decision and the rank pair are
     those of solve_compensator."""
     rows = metric.rows
-    ints = _per_space(_int_tensors, space)
+    ints = per_space(_int_tensors, space)
     int_metric = None if ints is None else rows.ints
 
     def check(coords: tuple[Scalar, ...]) -> tuple[bool, int, int]:
         x = None if int_metric is None else clear_denominators(coords)
         if x is None:
-            columns, r = _per_space(_ring_tensors, space).ring_system(
+            columns, r = per_space(_ring_tensors, space).ring_system(
                 rows.ring, ring_lift(coords)
             )
             sol, rank_map, rank_aug = solve_ring_columns(columns, r)
@@ -826,7 +798,7 @@ def _search(
         status = STATUS_FILTERED
     else:
         directions = structured_directions(space)
-        batch = _per_space(_build_structured, space)
+        batch = per_space(_build_structured, space)
         labels = metric.rows.eigen_labels(batch)
         if None not in labels and len(set(labels)) == 1:
             run = len(directions) + draws

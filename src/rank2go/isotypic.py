@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
+from typing import Callable
 
 from .embed import CatalogSpace
 from .field import ZERO, ring_lift, ring_scalar
@@ -95,6 +96,35 @@ class IsotypicDecomposition:
 
 
 # ---------------------------------------------------------------------------
+# per-space data
+# ---------------------------------------------------------------------------
+
+_PER_SPACE: dict[tuple[Callable, str], tuple[CatalogSpace, object]] = {}
+
+
+def per_space(build: Callable[[CatalogSpace], object], space: CatalogSpace):
+    """build(space), built once and kept while the same space object is in
+    use: every later reader of the space gets the same data."""
+    key = (build, space.space_id)
+    hit = _PER_SPACE.get(key)
+    if hit is not None and hit[0] is space:
+        return hit[1]
+    result = build(space)
+    _PER_SPACE[key] = (space, result)
+    return result
+
+
+def _build_isotropy_action(space: CatalogSpace) -> tuple[Matrix, ...]:
+    return tuple(ad_on(space.algebra, a, space.m) for a in space.h.rows)
+
+
+def isotropy_action(space: CatalogSpace) -> tuple[Matrix, ...]:
+    """ad(h_i)|_m in the basis of m, for each row h_i of h: built once per
+    space for casimir, metric validation and the direction search."""
+    return per_space(_build_isotropy_action, space)
+
+
+# ---------------------------------------------------------------------------
 # the casimir operator of the isotropy action
 # ---------------------------------------------------------------------------
 
@@ -114,7 +144,7 @@ def casimir(space: CatalogSpace) -> Matrix:
             "invariant form is degenerate or not negative definite on h"
         )
     Ginv = mat_inverse(G)
-    ads = [ad_on(L, a, space.m) for a in space.h.rows]
+    ads = isotropy_action(space)
     n = space.m.dim
     # The products run on ring rows of the d A_i, for one common d > 0.
     d = lcm(*(c.den for A in ads for row in A for c in row))
@@ -208,9 +238,6 @@ class _Analysis:
     projections: tuple[Matrix, ...]
     symmetric_basis: tuple[Matrix, ...]
     m_gram: Matrix
-
-
-_CACHE: dict[str, tuple[CatalogSpace, _Analysis]] = {}
 
 
 def _refine_by_center(
@@ -352,13 +379,7 @@ def _scalar_eigenvalue(op: Matrix) -> Fraction:
 
 
 def _analysis(space: CatalogSpace) -> _Analysis:
-    key = space.space_id
-    hit = _CACHE.get(key)
-    if hit is not None and hit[0] is space:
-        return hit[1]
-    result = _analyze(space)
-    _CACHE[key] = (space, result)
-    return result
+    return per_space(_analyze, space)
 
 
 def isotypic_decompose(space: CatalogSpace) -> IsotypicDecomposition:

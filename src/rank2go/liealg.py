@@ -8,6 +8,10 @@ their nonzero entries and eliminates on sparse integer rows when the data
 is rational or radical-monomial (every entry a rational multiple of one
 radical, the radicals factoring over rows and columns), else on dense
 Scalar rows.
+
+The Scalar loops below (bracket, the form, the matrix products, residuals)
+walk lists of nonzero entries only.  An entry is zero when it is the shared
+ZERO, which is tested by identity before any truth test.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ def is_zero_vector(a: Vector) -> bool:
     return not any(a)
 
 
+def nonzero_entries(row: Iterable) -> list[tuple[int, Scalar]]:
+    """(j, x) for each nonzero entry x = row[j], in column order."""
+    return [(j, x) for j, x in enumerate(row) if x is not ZERO and x]
+
+
 # ---------------------------------------------------------------------------
 # exact Gaussian elimination
 # ---------------------------------------------------------------------------
@@ -102,8 +111,8 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
             vals = [(j, x if t[j] == ui else x * _root_ratio(t[j], ui))
                     for j, x in row.items()]
             d = lcm(*(v.den for _, v in vals))
-            work.append(_SparseRow((j, v.nums[0] * (d // v.den)) for j, v in vals))
-    pivots = _eliminate(work, ncols, _sparse_combine)
+            work.append({j: v.nums[0] * (d // v.den) for j, v in vals})
+    pivots = _eliminate(work, sorted(set().union(*work)), _sparse_combine, dict.get)
     out = []
     for row, p in zip(work, pivots):
         lead, tp = row[p], t[p]
@@ -133,15 +142,6 @@ def _root_ratio(a: int, b: int) -> Scalar:
     return Scalar.of_radical(a) / Scalar.of_radical(b)
 
 
-class _SparseRow(dict):
-    """An integer row as {column: nonzero int}; a missing column reads 0."""
-
-    __slots__ = ()
-
-    def __missing__(self, col: int) -> int:
-        return 0
-
-
 def _int_combine(p: int, row: list[int], c: int, prow: list[int]) -> list[int]:
     """p * row - c * prow, divided by its gcd."""
     new = [p * x - c * y for x, y in zip(row, prow)]
@@ -149,42 +149,48 @@ def _int_combine(p: int, row: list[int], c: int, prow: list[int]) -> list[int]:
     return [x // g for x in new] if g > 1 else new
 
 
-def _sparse_combine(p: int, row: dict, c: int, prow: dict) -> _SparseRow:
+def _sparse_combine(p: int, row: dict, c: int, prow: dict) -> dict:
     """_int_combine on sparse rows, dropping the entries that cancel."""
     new = {j: p * x for j, x in row.items()}
     for j, y in prow.items():
         new[j] = new.get(j, 0) - c * y
     g = gcd(*new.values()) or 1
-    return _SparseRow((j, x // g) for j, x in new.items() if x)
+    return {j: x // g for j, x in new.items() if x}
 
 
 def _eliminate(
-    work: list, ncols: int, combine: Callable = _int_combine
+    work: list,
+    columns: Iterable[int],
+    combine: Callable = _int_combine,
+    get: Callable = list.__getitem__,
 ) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of integer rows of ncols
-    columns, in place, with first-nonzero pivoting: a row r is replaced by
-    combine(p, r, c, pivot row) = p * r - c * (pivot row), divided by the
-    gcd of its integer coordinates.  The rows are lists of ints, or
-    _SparseRow with _sparse_combine; with field.ring_combine they are lists
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place,
+    with first-nonzero pivoting over the given increasing columns, which
+    must hold every nonzero entry: a row r is replaced by combine(p, r, c,
+    pivot row) = p * r - c * (pivot row), divided by the gcd of its integer
+    coordinates.  get(row, col) reads an entry.  The rows are lists of ints,
+    or dicts {column: nonzero int} with _sparse_combine and dict.get, which
+    reads a missing column as None; with field.ring_combine they are lists
     of ring elements (field.Ring).
 
     Returns the pivot columns; work[:len(pivots)] are then the pivot rows.
     """
     pivots: list[int] = []
     rank = 0
-    for col in range(ncols):
+    for col in columns:
         if rank == len(work):
             break
-        sel = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        hits = [r for r, row in enumerate(work) if get(row, col)]
+        sel = next((r for r in hits if r >= rank), None)
         if sel is None:
             continue
-        work[rank], work[sel] = work[sel], work[rank]
-        prow = work[rank]
+        prow = work[sel]
         p = prow[col]
-        for r, row in enumerate(work):
-            c = row[col]
-            if r != rank and c:
-                work[r] = combine(p, row, c, prow)
+        for r in hits:
+            if r != sel:
+                row = work[r]
+                work[r] = combine(p, row, row[col], prow)
+        work[rank], work[sel] = prow, work[rank]
         pivots.append(col)
         rank += 1
     return pivots
@@ -271,7 +277,7 @@ def _eliminate_augmented(
         for row in ([col[i] for col in columns] + [b] for i, b in enumerate(rhs))
         if any(row)
     ]
-    pivots = _eliminate(work, len(columns) + 1, combine)
+    pivots = _eliminate(work, range(len(columns) + 1), combine)
     return work, pivots, len(columns) not in pivots
 
 
@@ -330,11 +336,18 @@ def solve_ring_columns(
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of K^n held as canonical RREF rows."""
+    """A subspace of K^n held as canonical RREF rows, and the nonzero
+    entries of each row."""
 
     ambient_dim: int
     rows: tuple[Vector, ...]
     pivots: tuple[int, ...]
+    _entries: tuple = dc_field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_entries", tuple(nonzero_entries(r) for r in self.rows)
+        )
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
@@ -366,10 +379,11 @@ class Subspace:
         """v minus its projection onto the span along pivot coordinates;
         zero exactly when v lies in the subspace."""
         w = list(to_vector(v))
-        for row, p in zip(self.rows, self.pivots):
+        for entries, p in zip(self._entries, self.pivots):
             c = w[p]
-            if c:
-                w = [x - c * y if y else x for x, y in zip(w, row)]
+            if c is not ZERO and c:
+                for j, y in entries:
+                    w[j] = w[j] - c * y
         return tuple(w)
 
     def contains(self, v: Vector) -> bool:
@@ -392,11 +406,10 @@ class Subspace:
                 f"expected {self.dim} coefficients, got {len(coeffs)}"
             )
         out = [ZERO] * self.ambient_dim
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                for k, x in enumerate(row):
-                    if x:
-                        out[k] = out[k] + c * x
+        for c, entries in zip(coeffs, self._entries):
+            if c is not ZERO and c:
+                for k, x in entries:
+                    out[k] = out[k] + c * x
         return tuple(out)
 
     def add(self, other: "Subspace") -> "Subspace":
@@ -438,8 +451,9 @@ class LieAlgebra:
 
     table[i][j] lists (k, c) pairs with [e_i, e_j] = sum c * e_k.
     form is the invariant negative-definite symmetric form used for all
-    orthogonality and metric constructions.  killing_scale, when set, is the
-    rational ratio between the raw trace form and the stored form.
+    orthogonality and metric constructions, kept with the nonzero entries of
+    each of its rows.  killing_scale, when set, is the rational ratio
+    between the raw trace form and the stored form.
     """
 
     name: str
@@ -448,10 +462,14 @@ class LieAlgebra:
     form: tuple[Vector, ...]
     killing_scale: Fraction | None = None
     _label_index: dict = dc_field(default=None, compare=False, repr=False)
+    _form_entries: tuple = dc_field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "_label_index", {lab: i for i, lab in enumerate(self.labels)}
+        )
+        object.__setattr__(
+            self, "_form_entries", tuple(nonzero_entries(r) for r in self.form)
         )
 
     @classmethod
@@ -500,16 +518,15 @@ class LieAlgebra:
 
     def bracket(self, v: Vector, w: Vector) -> Vector:
         acc = [ZERO] * self.dim
-        for i, a in enumerate(v):
-            if not a:
-                continue
+        w_entries = nonzero_entries(w)
+        for i, a in nonzero_entries(v):
             row = self.table[i]
-            for j, b in enumerate(w):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in row[j]:
-                    acc[k] = acc[k] + ab * c
+            for j, b in w_entries:
+                terms = row[j]
+                if terms:
+                    ab = a * b
+                    for k, c in terms:
+                        acc[k] = acc[k] + ab * c
         return tuple(acc)
 
     def ad(self, v: Vector) -> Matrix:
@@ -531,13 +548,11 @@ class LieAlgebra:
 
     def form_value(self, v: Vector, w: Vector) -> Scalar:
         total = ZERO
-        for i, a in enumerate(v):
-            if not a:
-                continue
-            row = self.form[i]
-            for j, b in enumerate(w):
-                if b and row[j]:
-                    total = total + a * b * row[j]
+        for i, a in nonzero_entries(v):
+            for j, c in self._form_entries[i]:
+                b = w[j]
+                if b is not ZERO and b:
+                    total = total + a * b * c
         return total
 
     def full_subspace(self) -> Subspace:
@@ -691,13 +706,13 @@ def commuting_operators(ads: Sequence[Matrix], d: int) -> list[Matrix]:
     """
     rows = []
     for A in ads:
+        entries = [nonzero_entries(r) for r in A]
         for i in range(d):
             for j in range(d):
                 row = [ZERO] * (d * d)
                 row[i * d:(i + 1) * d] = [A[q][j] for q in range(d)]
-                for p, a in enumerate(A[i]):
-                    if a:
-                        row[p * d + j] = row[p * d + j] - a
+                for p, a in entries[i]:
+                    row[p * d + j] = row[p * d + j] - a
                 rows.append(row)
     return [
         [list(t[i * d:(i + 1) * d]) for i in range(d)]
@@ -788,18 +803,15 @@ def ad_on(L: LieAlgebra, a: Vector, sub: Subspace) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     m = len(b[0])
-    inner_dim = len(b)
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        for k in range(inner_dim):
-            if not a[i][k]:
-                continue
-            aik = a[i][k]
-            for j in range(m):
-                if b[k][j]:
-                    out[i][j] = out[i][j] + aik * b[k][j]
+    b_entries = [nonzero_entries(row) for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * m
+        for k, x in nonzero_entries(row):
+            for j, y in b_entries[k]:
+                acc[j] = acc[j] + x * y
+        out.append(acc)
     return out
 
 
@@ -816,11 +828,10 @@ def mat_combine(coeffs: Sequence, mats: Sequence[Matrix], n: int) -> Matrix:
     """The n x n matrix sum_k coeffs[k] * mats[k], skipping zero terms."""
     out = [[ZERO] * n for _ in range(n)]
     for c, M in zip(coeffs, mats):
-        if c:
+        if c is not ZERO and c:
             for row_out, row in zip(out, M):
-                for j, x in enumerate(row):
-                    if x:
-                        row_out[j] = row_out[j] + c * x
+                for j, x in nonzero_entries(row):
+                    row_out[j] = row_out[j] + c * x
     return out
 
 
@@ -840,9 +851,10 @@ def trace_product(a: Matrix, b: Matrix) -> Scalar:
     """tr(a b) for square matrices a and b."""
     total = ZERO
     for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x and b[j][i]:
-                total = total + x * b[j][i]
+        for j, x in nonzero_entries(row):
+            y = b[j][i]
+            if y is not ZERO and y:
+                total = total + x * y
     return total
 
 
@@ -851,9 +863,16 @@ def mat_transpose(a: Matrix) -> Matrix:
 
 
 def mat_apply(a: Matrix, v: Vector) -> Vector:
-    return tuple(
-        sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in a
-    )
+    v_entries = nonzero_entries(v)
+    out = []
+    for row in a:
+        acc = ZERO
+        for j, x in v_entries:
+            y = row[j]
+            if y is not ZERO and y:
+                acc = acc + y * x
+        out.append(acc)
+    return tuple(out)
 
 
 # A matrix as sparse rows: for each row, the (column, entry) pairs of its

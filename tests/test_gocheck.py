@@ -681,7 +681,7 @@ def test_eigen_directions_are_solvable(space_id):
     # lambda is an eigenvector that both solvers find solvable.
     sp = catalog_space(space_id)
     components = isotypic_decompose(sp).components
-    batch = gocheck._per_space(gocheck._build_structured, sp)
+    batch = gocheck.per_space(gocheck._build_structured, sp)
     decided = 0
     for metric in eigen_metrics(sp):
         lams = [
@@ -1009,3 +1009,29 @@ def test_metric_build_and_search_make_no_dense_product(monkeypatch):
         verdict = find_witness(sp, metric_from_spec(sp, spec))
         assert verdict.witness is not None
     assert calls == []
+
+
+def test_scalar_metric_checks_build_no_bracket_table(monkeypatch):
+    # Validation reads ad(h_i)|_m from their one per-space source, and a
+    # scalar metric builds no direction system, so the bracket table of
+    # m x m (gocheck._build_kernel) is never built for it.  Fresh space
+    # objects miss every per-space cache.
+    built = []
+    original = gocheck._build_kernel
+
+    def recorded(space):
+        built.append(space.space_id)
+        return original(space)
+
+    monkeypatch.setattr(gocheck, "_build_kernel", recorded)
+    for space_id in ("g2.4", "c2.3"):
+        sp = catalog_space.__wrapped__(space_id)
+        verdict = go_sample_check(sp, standard_metric(sp), samples=20, seed=3)
+        assert verdict.status == gocheck.STATUS_GO_SAMPLED
+        assert verdict.samples_run > 0
+    assert built == []
+    # A metric that needs direction systems builds the table once.
+    sp = catalog_space.__wrapped__("c2.2")
+    find_witness(sp, metric_from_spec(sp, "blocks:2,1"))
+    find_witness(sp, metric_from_spec(sp, "blocks:3,1"))
+    assert built == ["c2.2"]

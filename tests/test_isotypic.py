@@ -1,5 +1,6 @@
 """Tests for the isotypic decomposition and the equivariant commutant."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -422,3 +423,45 @@ def test_summary_is_json_ready():
         assert summary["invariant_metric_dim"] == sum(
             c[7] for c in EXPECTED_COMPONENTS[space_id]
         )
+
+
+# SHA-256 of each space's decomposition, recorded before the nonzero-entry
+# loops of liealg: the summary, the symmetric commutant basis, the
+# component projections and the Gram matrix of m, every entry as exact_str.
+DECOMPOSITION_SHA256 = {
+    "a2.1": "e8ddc6dfb7ed2d3cc9830676d2b3adfa6242ee6ddd3cb89dd1df41cf706f0cfa",
+    "a2.2": "caad4eb7ae4a04ed30ee886d2dc8b48f3070a38de73981a760536c0906dd9e8a",
+    "a1a1.1": "d9854666e922bca8e00533ea6a6362c046e00da46721ebbb7aeb92b759931d65",
+    "a1a1.2": "4aed9a097c4ab292b0c0ed19125763db8396ad7c35b6d5a2ceb892209d51127f",
+    "a1a1.3": "56d3143bf6d14160d2797428cc367619ff4fbb9ad47f5626f0ecf473f45bf4ed",
+    "c2.1": "5b65f3fdda0490ad2e65adf7ffdf56b6656daf17836fa1bc99fbf35430cfd025",
+    "c2.2": "e259e59778bc70115403bad5d1412dffeb9b75733819c50a679739222f90dba3",
+    "c2.3": "e24eded349f408a6af5f1f9d062689b98513234c48ed819fb7bbd1ac735cc7ca",
+    "g2.1": "83211b4b49db41ed5ca64181e6586597d077e52fbc6348c307b1655c59732bfd",
+    "g2.2": "fe2dd1b0e63e0c2c28a08d8e27eeb444c21a3045f8eff006b8ba4675e17c968e",
+    "g2.3": "4fb15f647881d6f3c10b45210786e5c2b4ad09175fa6c5e52fbeb3bc4a3bc691",
+    "g2.4": "45d98661f49b70280275c8936569fd7dc3b7fb7e8a55f2cf15f71173d9738a95",
+    "berger": "cc65cf99ee2a675007ac19cd679519bd1574505c321e00f9dd17c82530ecfc16",
+    "cp3": "f601ad09cc8a202c1135f4296c81a3b6ae9a77f886fc81ad4e26f18962eb195e",
+}
+
+
+def test_decompositions_match_the_golden_hashes():
+    assert sorted(DECOMPOSITION_SHA256) == sorted(CATALOG_IDS)
+    for space_id in CATALOG_IDS:
+        space = catalog_space(space_id)
+
+        def exact(mats):
+            return [[[x.exact_str() for x in row] for row in M] for M in mats]
+
+        text = json.dumps(
+            {
+                "summary": decomposition_summary(space),
+                "symmetric_basis": exact(commutant_symmetric_basis(space)),
+                "projections": exact(component_projections(space)),
+                "m_gram": exact([m_gram(space)])[0],
+            },
+            sort_keys=True,
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == DECOMPOSITION_SHA256[space_id], space_id

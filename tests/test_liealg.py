@@ -23,7 +23,6 @@ from rank2go.field import (
     scalar,
 )
 from rank2go.liealg import (
-    _SparseRow,
     _eliminate,
     _scalar_rref,
     _sparse_combine,
@@ -44,7 +43,9 @@ from rank2go.liealg import (
     mat_mul,
     mat_transpose,
     matrix_kernel_of,
+    mat_apply,
     minimal_polynomial,
+    nonzero_entries,
     normalizer,
     operator_on_subspace,
     orth_complement,
@@ -60,6 +61,7 @@ from rank2go.liealg import (
     su2,
     subalgebra_closure,
     to_vector,
+    trace_product,
     unit_vector,
     vec_add,
     vec_scale,
@@ -474,16 +476,19 @@ def test_radical_labels():
 def test_eliminate_keeps_rows_primitive():
     """Every row _eliminate leaves is divided by its gcd, when the input
     rows are primitive, and it is in reduced echelon form: with dense rows
-    and _int_combine, and with sparse rows and _sparse_combine."""
+    and _int_combine, and with sparse rows as plain dicts, _sparse_combine
+    and dict.get."""
     rng = random.Random(11)
     for _ in range(40):
         rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
         dense = [[x // gcd(*r) for x in r] for r in rows if any(r)]
-        sparse = [_SparseRow((j, x) for j, x in enumerate(r) if x) for r in dense]
-        dense_pivots = _eliminate(dense, 6)
-        sparse_pivots = _eliminate(sparse, 6, _sparse_combine)
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in dense]
+        dense_pivots = _eliminate(dense, range(6))
+        sparse_pivots = _eliminate(
+            sparse, sorted(set().union(*sparse)), _sparse_combine, dict.get
+        )
         assert sparse_pivots == dense_pivots
-        for work in (dense, [[r[j] for j in range(6)] for r in sparse]):
+        for work in (dense, [[r.get(j, 0) for j in range(6)] for r in sparse]):
             for i, p in enumerate(dense_pivots):
                 assert gcd(*work[i]) == 1
                 assert [r[p] != 0 for r in work] == [k == i for k in range(len(work))]
@@ -902,3 +907,251 @@ def test_ring_row_products_match_dense_products():
         assert rows_symmetric(ra) == symmetric
         seen.add((commute, symmetric))
     assert seen == {(c, s) for c in (True, False) for s in (True, False)}
+
+
+# -- the nonzero-entry loops against their dense bodies -----------------------
+#
+# The reference bodies below are the dense loops that bracket, form_value,
+# trace_product, mat_mul, mat_apply, mat_combine and Subspace.residual and
+# combine ran before they walked nonzero entries only.  Each truth-tests
+# every entry.
+
+def reference_bracket(L, v, w):
+    acc = [ZERO] * L.dim
+    for i, a in enumerate(v):
+        if not a:
+            continue
+        row = L.table[i]
+        for j, b in enumerate(w):
+            if not b:
+                continue
+            ab = a * b
+            for k, c in row[j]:
+                acc[k] = acc[k] + ab * c
+    return tuple(acc)
+
+
+def reference_form_value(L, v, w):
+    total = ZERO
+    for i, a in enumerate(v):
+        if not a:
+            continue
+        row = L.form[i]
+        for j, b in enumerate(w):
+            if b and row[j]:
+                total = total + a * b * row[j]
+    return total
+
+
+def reference_trace_product(a, b):
+    total = ZERO
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if x and b[j][i]:
+                total = total + x * b[j][i]
+    return total
+
+
+def reference_mat_mul(a, b):
+    out = [[ZERO] * len(b[0]) for _ in range(len(a))]
+    for i in range(len(a)):
+        for k in range(len(b)):
+            if not a[i][k]:
+                continue
+            for j in range(len(b[0])):
+                if b[k][j]:
+                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
+    return out
+
+
+def reference_mat_apply(a, v):
+    return tuple(
+        sum((row[j] * v[j] for j in range(len(v)) if v[j]), ZERO) for row in a
+    )
+
+
+def reference_mat_combine(coeffs, mats, n):
+    out = [[ZERO] * n for _ in range(n)]
+    for c, M in zip(coeffs, mats):
+        if c:
+            for row_out, row in zip(out, M):
+                for j, x in enumerate(row):
+                    if x:
+                        row_out[j] = row_out[j] + c * x
+    return out
+
+
+def reference_residual(sub, v):
+    w = list(to_vector(v))
+    for row, p in zip(sub.rows, sub.pivots):
+        c = w[p]
+        if c:
+            w = [x - c * y if y else x for x, y in zip(w, row)]
+    return tuple(w)
+
+
+def reference_combine(sub, coeffs):
+    out = [ZERO] * sub.ambient_dim
+    for c, row in zip(coeffs, sub.rows):
+        if c:
+            for k, x in enumerate(row):
+                if x:
+                    out[k] = out[k] + c * x
+    return tuple(out)
+
+
+def _fresh_zero():
+    return Scalar((0,) * 8)
+
+
+# Nonzero entries of three kinds, and zeros written two ways; the third,
+# all-zero rows and columns, is planted by _loop_matrix and _loop_vector.
+LOOP_ENTRIES = {
+    "rational": [scalar(Fraction(p, q)) for p in (-3, -1, 2, 5) for q in (1, 2, 7)],
+    "monomial": [
+        Scalar.of_radical(r, Fraction(p, q))
+        for r in (2, 3, 5, 6, 30) for p, q in ((1, 1), (-2, 3), (5, 2))
+    ],
+    "mixed": [
+        1 + SQRT2, 2 - SQRT3, SQRT2 + SQRT3 / 4,
+        Scalar.of_radical(5, Fraction(1, 2)) - 1,
+        Scalar.of_radical(6) + Scalar.of_radical(30, 3),
+    ],
+}
+
+
+def _loop_entry(rng, kind, density):
+    if rng.random() < density:
+        return rng.choice(LOOP_ENTRIES[kind])
+    return ZERO if rng.random() < 0.5 else _fresh_zero()
+
+
+def _loop_vector(rng, n, kind, density=0.4):
+    if rng.random() < 0.15:
+        return tuple(rng.choice([ZERO, _fresh_zero()]) for _ in range(n))
+    return tuple(_loop_entry(rng, kind, density) for _ in range(n))
+
+
+def _loop_matrix(rng, nrows, ncols, kind, density=0.35):
+    mat = [[_loop_entry(rng, kind, density) for _ in range(ncols)]
+           for _ in range(nrows)]
+    if rng.random() < 0.4:
+        mat[rng.randrange(nrows)] = [_fresh_zero() for _ in range(ncols)]
+    if rng.random() < 0.4:
+        j = rng.randrange(ncols)
+        for row in mat:
+            row[j] = rng.choice([ZERO, _fresh_zero()])
+    return mat
+
+
+def _random_algebra(rng, n, kind):
+    """Structure constants and a symmetric form drawn at random: neither
+    loop needs the Jacobi identity, and the form has off-diagonal entries
+    and fresh zero Scalars, which from_bracket_function keeps."""
+    table = {
+        (i, j): {k: _loop_entry(rng, kind, 1.0) for k in rng.sample(range(n), 2)}
+        for i in range(n) for j in range(n) if rng.random() < 0.5
+    }
+    form = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            form[i][j] = form[j][i] = _loop_entry(rng, kind, 0.5)
+    return LieAlgebra.from_bracket_function(
+        "random", [f"e{i}" for i in range(n)],
+        lambda i, j: table.get((i, j), {}), form,
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(LOOP_ENTRIES))
+def test_algebra_loops_match_their_dense_bodies(kind):
+    rng = random.Random(kind)
+    algebras = [su2(), build_compact_form("g2").algebra]
+    algebras += [_random_algebra(rng, n, kind) for n in (3, 5, 8)]
+    for L in algebras:
+        n = L.dim
+        for _ in range(25):
+            v, w = _loop_vector(rng, n, kind), _loop_vector(rng, n, kind)
+            assert L.bracket(v, w) == reference_bracket(L, v, w)
+            assert L.form_value(v, w) == reference_form_value(L, v, w)
+
+
+@pytest.mark.parametrize("kind", sorted(LOOP_ENTRIES))
+def test_matrix_loops_match_their_dense_bodies(kind):
+    rng = random.Random(kind)
+    for _ in range(40):
+        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        a, b = _loop_matrix(rng, n, k, kind), _loop_matrix(rng, k, m, kind)
+        assert mat_mul(a, b) == reference_mat_mul(a, b)
+        v = _loop_vector(rng, k, kind)
+        assert mat_apply(a, v) == reference_mat_apply(a, v)
+        sq, sq2 = _loop_matrix(rng, n, n, kind), _loop_matrix(rng, n, n, kind)
+        assert trace_product(sq, sq2) == reference_trace_product(sq, sq2)
+        mats = [_loop_matrix(rng, n, n, kind) for _ in range(3)]
+        coeffs = _loop_vector(rng, 3, kind, density=0.7)
+        assert mat_combine(coeffs, mats, n) == reference_mat_combine(coeffs, mats, n)
+
+
+@pytest.mark.parametrize("kind", sorted(LOOP_ENTRIES))
+def test_subspace_loops_match_their_dense_bodies(kind):
+    rng = random.Random(kind)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        vectors = [_loop_vector(rng, n, kind) for _ in range(rng.randint(0, n))]
+        sub = Subspace.from_vectors(n, vectors)
+        # The same rows with fresh zero Scalars in place of the shared ZERO.
+        fresh = Subspace(
+            n,
+            tuple(tuple(_fresh_zero() if x is ZERO else x for x in r) for r in sub.rows),
+            sub.pivots,
+        )
+        assert fresh == sub
+        members = [sub.combine(_loop_vector(rng, sub.dim, kind, 0.7))]
+        for s in (sub, fresh):
+            for v in vectors + members + [_loop_vector(rng, n, kind)]:
+                assert s.residual(v) == reference_residual(s, v)
+            for coeffs in [_loop_vector(rng, s.dim, kind, 0.7) for _ in range(3)]:
+                assert s.combine(coeffs) == reference_combine(s, coeffs)
+        for v in members:
+            assert sub.contains(v)
+
+
+def test_nonzero_entries_skip_every_zero():
+    zero = _fresh_zero()
+    row = [ZERO, ONE, zero, SQRT2, 0, -ONE]
+    assert nonzero_entries(row) == [(1, ONE), (3, SQRT2), (5, -ONE)]
+    assert nonzero_entries([zero, ZERO]) == []
+
+
+def _far_apart_rows(rng, nrows, ncols, monomial):
+    """Sparse rows whose occupied columns are a few far-apart columns, with
+    every column between them zero; zeros come as the shared ZERO, fresh
+    zero Scalars and int 0."""
+    occupied = sorted(rng.sample(range(ncols), rng.randint(1, 6)))
+    rows = []
+    for _ in range(nrows):
+        row = [rng.choice([ZERO, _fresh_zero(), 0]) for _ in range(ncols)]
+        for j in rng.sample(occupied, rng.randint(0, len(occupied))):
+            row[j] = scalar(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+        rows.append(row)
+    if monomial:
+        u = [Scalar.of_radical(rng.choice(RADICANDS)) for _ in range(nrows)]
+        t = [Scalar.of_radical(rng.choice(RADICANDS)) for _ in range(ncols)]
+        rows = [
+            [ui * x * tj if x else x for x, tj in zip(row, t)]
+            for ui, row in zip(u, rows)
+        ]
+    return rows
+
+
+@pytest.mark.parametrize("nrows, ncols", [(4, 200), (12, 90), (30, 60), (1, 150)])
+@pytest.mark.parametrize("monomial", [False, True])
+def test_rref_on_far_apart_columns_matches_the_scalar_loop(nrows, ncols, monomial):
+    """rref visits only the columns some row occupies; rows whose occupied
+    columns lie far apart give the Scalar elimination's rows and pivots."""
+    rng = random.Random(1000 * nrows + ncols + monomial)
+    for _ in range(6):
+        rows = _far_apart_rows(rng, nrows, ncols, monomial)
+        assert _labels(rows) is not None
+        assert rref(rows) == _scalar_rref([to_vector(r) for r in rows])
+        null = kernel_basis(rows, ncols)
+        assert len(null) == ncols - len(rref(rows)[0])
