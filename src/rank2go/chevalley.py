@@ -15,12 +15,12 @@ root vectors for gamma and -gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .field import ONE, ZERO, Scalar, scalar
-from .liealg import LieAlgebra, Subspace, Vector, trace_product
+from .liealg import LieAlgebra, Subspace, Vector
 from .rootsys import (
     Root,
     RootSystem,
@@ -167,7 +167,9 @@ def validate_structure_constants(rs: RootSystem, table: NTable) -> None:
 # ---------------------------------------------------------------------------
 #
 # Keys: ("H", 0) and ("H", 1) for the two simple coroots, ("E", root) for the
-# root vectors.  Values are (real, imaginary) Scalar pairs.
+# root vectors.  Values are (real, imaginary) pairs of numbers: ints and
+# Fractions while the compact tables are built, Scalars once radicals enter.
+# The functions below read either kind, with zero written as 0.
 
 CKey = tuple
 CElt = dict[CKey, tuple[Scalar, Scalar]]
@@ -176,7 +178,7 @@ _SIMPLE: tuple[Root, Root] = ((1, 0), (0, 1))
 
 
 def _c_accumulate(out: CElt, key: CKey, re: Scalar, im: Scalar) -> None:
-    cur = out.get(key, (ZERO, ZERO))
+    cur = out.get(key, (0, 0))
     nre, nim = cur[0] + re, cur[1] + im
     if nre or nim:
         out[key] = (nre, nim)
@@ -251,13 +253,9 @@ def c_bracket(rs: RootSystem, table: NTable, x: CElt, y: CElt) -> CElt:
                 if s == (0, 0):
                     ca, cb = coroot_coefficients(rs, g)
                     if ca:
-                        _c_accumulate(
-                            out, ("H", 0), scalar(ca) * re, scalar(ca) * im
-                        )
+                        _c_accumulate(out, ("H", 0), ca * re, ca * im)
                     if cb:
-                        _c_accumulate(
-                            out, ("H", 1), scalar(cb) * re, scalar(cb) * im
-                        )
+                        _c_accumulate(out, ("H", 1), cb * re, cb * im)
                 elif rs.is_root(s):
                     n = table[(g, d)]
                     _c_accumulate(out, ("E", s), n * re, n * im)
@@ -281,61 +279,17 @@ class CompactForm:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def basis_expansion(self, index: int) -> CElt:
-        """Complex expansion of a compact basis element."""
-        labels = self.algebra.labels
-        lab = labels[index]
-        if lab.startswith("iH["):
-            which = 0 if lab == "iH[a]" else 1
-            return {("H", which): (ZERO, ONE)}
-        gamma = parse_root(lab[2:-1])
-        if lab.startswith("F["):
-            return {
-                ("E", gamma): (ONE, ZERO),
-                ("E", root_neg(gamma)): (-ONE, ZERO),
-            }
-        return {
-            ("E", gamma): (ZERO, ONE),
-            ("E", root_neg(gamma)): (ZERO, ONE),
-        }
-
     def collapse(self, z: CElt) -> Vector:
         """Coordinates of a complex element lying in the compact form."""
-        coords = [ZERO] * self.dim
-        seen: set[CKey] = set()
-        for key, (re, im) in z.items():
-            if key in seen:
-                continue
-            if key[0] == "H":
-                if re:
-                    raise ValueError(
-                        "element is not in the compact form: real H part"
-                    )
-                coords[key[1]] = im
-                seen.add(key)
-                continue
-            gamma = key[1]
-            pos = gamma if self.root_system.is_positive(gamma) else root_neg(gamma)
-            kplus, kminus = ("E", pos), ("E", root_neg(pos))
-            aplus, bplus = z.get(kplus, (ZERO, ZERO))
-            aminus, bminus = z.get(kminus, (ZERO, ZERO))
-            if aminus != -aplus or bminus != bplus:
-                raise ValueError(
-                    "element is not in the compact form: root pair mismatch"
-                )
-            t = self.root_system.positive_roots.index(pos)
-            coords[2 + 2 * t] = aplus
-            coords[3 + 2 * t] = bplus
-            seen.add(kplus)
-            seen.add(kminus)
-        return tuple(coords)
+        coords = _coordinates(self.root_system, z)
+        return tuple(coords.get(k, ZERO) for k in range(self.dim))
 
     def expand(self, v: Vector) -> CElt:
         """Complex expansion of a compact coordinate vector."""
         out: CElt = {}
-        for i, c in enumerate(v):
+        for c, lab in zip(v, self.algebra.labels):
             if c:
-                out = c_add(out, c_scale((c, ZERO), self.basis_expansion(i)))
+                out = c_add(out, c_scale((c, ZERO), _expansion(lab)))
         return out
 
     def ih_vector(self, vec: Root, coeff: Fraction | int = 1) -> Vector:
@@ -366,6 +320,50 @@ class CompactForm:
         )
 
 
+def _expansion(label: str) -> CElt:
+    """Complex expansion of a compact basis element, with int parts."""
+    if label.startswith("iH["):
+        return {("H", 0 if label == "iH[a]" else 1): (0, 1)}
+    gamma = parse_root(label[2:-1])
+    if label.startswith("F["):
+        return {("E", gamma): (1, 0), ("E", root_neg(gamma)): (-1, 0)}
+    return {("E", gamma): (0, 1), ("E", root_neg(gamma)): (0, 1)}
+
+
+def _coordinates(rs: RootSystem, z: CElt) -> dict:
+    """The nonzero compact coordinates of a complex element, by index;
+    raises ValueError unless the element lies in the compact form."""
+    coords = {}
+    seen: set[CKey] = set()
+    for key, (re, im) in z.items():
+        if key in seen:
+            continue
+        if key[0] == "H":
+            if re:
+                raise ValueError(
+                    "element is not in the compact form: real H part"
+                )
+            coords[key[1]] = im
+            continue
+        gamma = key[1]
+        pos = gamma if rs.is_positive(gamma) else root_neg(gamma)
+        kplus, kminus = ("E", pos), ("E", root_neg(pos))
+        aplus, bplus = z.get(kplus, (0, 0))
+        aminus, bminus = z.get(kminus, (0, 0))
+        if aminus != -aplus or bminus != bplus:
+            raise ValueError(
+                "element is not in the compact form: root pair mismatch"
+            )
+        t = 2 + 2 * rs.positive_roots.index(pos)
+        if aplus:
+            coords[t] = aplus
+        if bplus:
+            coords[t + 1] = bplus
+        seen.add(kplus)
+        seen.add(kminus)
+    return coords
+
+
 def _compact_labels(rs: RootSystem) -> list[str]:
     labels = ["iH[a]", "iH[b]"]
     for g in rs.positive_roots:
@@ -375,84 +373,102 @@ def _compact_labels(rs: RootSystem) -> list[str]:
     return labels
 
 
-def _q_form(rs: RootSystem, labels: list[str]) -> list[list[Scalar]]:
+def _q_form(rs: RootSystem, n: int) -> list[list[Fraction | int]]:
     """The normalized invariant form: block diagonal, with
     q(iH[g], iH[d]) = -4 (g,d) / ((g,g)(d,d)) on the torus part and
     q(F[g], F[g]) = q(G[g], G[g]) = -4/(g,g) on the root part."""
-    n = len(labels)
-    form = [[ZERO] * n for _ in range(n)]
+    form: list[list[Fraction | int]] = [[0] * n for _ in range(n)]
     for i in range(2):
         for j in range(2):
             gi, gj = _SIMPLE[i], _SIMPLE[j]
-            val = Fraction(-4) * inner(rs, gi, gj) / (
+            form[i][j] = Fraction(-4) * inner(rs, gi, gj) / (
                 inner(rs, gi, gi) * inner(rs, gj, gj)
             )
-            form[i][j] = scalar(val)
     for t, g in enumerate(rs.positive_roots):
-        val = scalar(Fraction(-4) / inner(rs, g, g))
+        val = Fraction(-4) / inner(rs, g, g)
         form[2 + 2 * t][2 + 2 * t] = val
         form[3 + 2 * t][3 + 2 * t] = val
     return form
+
+
+def _trace_scale(
+    rows: list[list[dict]], form: list[list[Fraction | int]], labels: list[str]
+) -> Fraction:
+    """The rational ratio of the trace form to the stored form.
+
+    rows[i][l] holds the nonzero coordinates {k: c_il^k} of [e_i, e_l], so
+    tr(ad e_i . ad e_j) = sum over l, k of c_il^k c_jk^l.  Raises
+    ArithmeticError unless the two forms agree up to one positive rational.
+    """
+    n = len(rows)
+    trace = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rj = rows[j]
+            t = 0
+            for l, cell in enumerate(rows[i]):
+                for k, c in cell.items():
+                    d = rj[k].get(l)
+                    if d:
+                        t += c * d
+            trace[i][j] = trace[j][i] = t
+    ratio = trace[0][0] / form[0][0]  # form[0][0] is never zero
+    if not isinstance(ratio, Fraction):
+        raise ArithmeticError("trace/form ratio is irrational")
+    if ratio <= 0:
+        raise ArithmeticError("trace/form ratio is not positive")
+    for i in range(n):
+        for j in range(n):
+            if trace[i][j] != ratio * form[i][j]:
+                raise ArithmeticError(
+                    f"trace form deviates from the stored form at "
+                    f"({labels[i]}, {labels[j]})"
+                )
+    return ratio
 
 
 @lru_cache(maxsize=None)
 def build_compact_form(family: str) -> CompactForm:
     """Build the compact real form of the family as an exact algebra.
 
-    The stored invariant form is checked against a freshly computed trace
-    form: they must agree up to one positive rational factor, which is kept
-    as the algebra's killing_scale.
+    The structure constants are rational, so the table is computed on ints
+    and Fractions, for i < j only, and checked there: the trace form must
+    agree with the stored invariant form up to one positive rational
+    factor, which is kept as the algebra's killing_scale.  Every spelling
+    of a family ("G2", "a1xa1") returns the one cached form.
     """
     rs = build_root_system(family)
+    if family != rs.family:
+        return build_compact_form(rs.family)
     constants = complete_structure_constants(rs)
     labels = _compact_labels(rs)
-    form = _q_form(rs, labels)
+    n = len(labels)
+    expansions = [_expansion(lab) for lab in labels]
+    rows: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            z = c_bracket(rs, constants, expansions[i], expansions[j])
+            rows[i][j] = _coordinates(rs, z)
+            rows[j][i] = {k: -c for k, c in rows[i][j].items()}
+    form = _q_form(rs, n)
+    scale = _trace_scale(rows, form, labels)
 
-    # Temporary shell so basis_expansion/collapse can run.
-    shell = CompactForm(
-        rs.family,
-        rs,
-        constants,
-        LieAlgebra.from_bracket_function(
-            f"{rs.family}-compact",
-            labels,
-            lambda i, j: {},
-            form,
-        ),
+    scalars: dict = {0: ZERO}  # one Scalar per distinct value
+
+    def lift(x) -> Scalar:
+        s = scalars.get(x)
+        if s is None:
+            s = scalars[x] = scalar(x)
+        return s
+
+    table = tuple(
+        tuple(tuple((k, lift(c)) for k, c in sorted(cell.items())) for cell in row)
+        for row in rows
     )
-    expansions = [shell.basis_expansion(i) for i in range(len(labels))]
-
-    def bracket_fn(i: int, j: int) -> dict[int, Scalar]:
-        z = c_bracket(rs, constants, expansions[i], expansions[j])
-        v = shell.collapse(z)
-        return {k: c for k, c in enumerate(v) if c}
-
-    algebra = LieAlgebra.from_bracket_function(
-        f"{rs.family}-compact", labels, bracket_fn, form
+    form_rows = tuple(tuple(map(lift, row)) for row in form)
+    algebra = LieAlgebra(
+        f"{rs.family}-compact", tuple(labels), table, form_rows, scale
     )
-
-    # Calibrate the trace form against the stored form.
-    n = algebra.dim
-    ads = [algebra.ad(algebra.basis_vector(i)) for i in range(n)]
-    entries = [
-        (i, j, trace_product(ads[i], ads[j]), algebra.form[i][j])
-        for i in range(n)
-        for j in range(n)
-    ]
-    ratio = entries[0][2] / entries[0][3]  # form[0][0] is never zero
-    if not ratio.is_rational:
-        raise ArithmeticError("trace/form ratio is irrational")
-    scale = ratio.as_fraction()
-    if scale <= 0:
-        raise ArithmeticError("trace/form ratio is not positive")
-    scale_s = scalar(scale)
-    for i, j, t, q in entries:
-        if t != q * scale_s:
-            raise ArithmeticError(
-                f"trace form deviates from the stored form at "
-                f"({labels[i]}, {labels[j]})"
-            )
-    algebra = replace(algebra, killing_scale=scale)
     return CompactForm(rs.family, rs, constants, algebra)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 Root = tuple[int, int]
 
@@ -68,6 +69,7 @@ def build_root_system(family: str) -> RootSystem:
     return RootSystem(key, _POSITIVE[key], _GRAM[key])
 
 
+@lru_cache(maxsize=None)
 def inner(rs: RootSystem, gamma: Root, delta: Root) -> Fraction:
     """Exact inner product of two lattice vectors m*alpha + n*beta."""
     aa, ab, bb = rs.gram
@@ -76,6 +78,7 @@ def inner(rs: RootSystem, gamma: Root, delta: Root) -> Fraction:
     return m * p * aa + (m * q + n * p) * ab + n * q * bb
 
 
+@lru_cache(maxsize=None)
 def cartan_int(rs: RootSystem, gamma: Root, delta: Root) -> int:
     """The Cartan integer 2*(gamma, delta) / (delta, delta).
 

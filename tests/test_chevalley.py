@@ -1,11 +1,18 @@
 """Unit tests for structure constants and the compact real forms."""
 
+import hashlib
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from rank2go.field import ZERO, scalar
+from rank2go.field import ONE, SQRT2, ZERO, scalar
 from rank2go.chevalley import (
+    _compact_labels,
+    _coordinates,
+    _q_form,
+    _trace_scale,
     build_compact_form,
     c_bracket,
     complete_structure_constants,
@@ -15,8 +22,21 @@ from rank2go.chevalley import (
     summary_dict,
     validate_structure_constants,
 )
-from rank2go.liealg import is_zero_vector, unit_vector, vec_scale, zero_vector
-from rank2go.rootsys import build_root_system, cartan_int, chain_down_length
+from rank2go.liealg import (
+    LieAlgebra,
+    is_zero_vector,
+    trace_product,
+    unit_vector,
+    vec_scale,
+    zero_vector,
+)
+from rank2go.rootsys import (
+    build_root_system,
+    cartan_int,
+    chain_down_length,
+    parse_root,
+    root_neg,
+)
 
 A, B = (1, 0), (0, 1)
 
@@ -235,3 +255,186 @@ def test_summary_dict_shape():
     assert info["structure_constants"]["N[a,b]"] == 1
     assert len(info["basis"]) == 10
     assert info["form_diagonal"]["F[b]"] == "-8"
+
+
+def test_every_spelling_of_a_family_returns_one_cached_form():
+    assert build_compact_form("G2") is build_compact_form("g2")
+    assert build_compact_form("a1xa1") is build_compact_form("a1a1")
+    assert build_compact_form("C2") is build_compact_form("c2")
+
+
+# SHA-256 per family of the labels, every table entry, the stored form,
+# killing_scale and the structure constants, each value as exact_str.
+COMPACT_FORM_SHA256 = {
+    "a2": "edbfabc38013708c5bfbdd306e6706842962193fbc1c90adcc2f41d05b98a0df",
+    "a1a1": "57ead1e246d29968a0d92390167a4be0f565e2c0483c0efa11d4cb0880178bc3",
+    "c2": "2c1ecc743f6cb20180cb43dc0a3265f8ec479c6a7e46b623748659b72c51049a",
+    "g2": "872c451fd0d9071af967fcc689e25e2e916ce799d8cd25064a91302c64ca31ce",
+}
+
+
+def test_compact_forms_match_the_golden_hashes():
+    for fam, expected in COMPACT_FORM_SHA256.items():
+        cf = build_compact_form(fam)
+        L = cf.algebra
+        text = json.dumps(
+            {
+                "labels": list(L.labels),
+                "table": [
+                    [[[k, c.exact_str()] for k, c in terms] for terms in row]
+                    for row in L.table
+                ],
+                "form": [[x.exact_str() for x in row] for row in L.form],
+                "killing_scale": scalar(L.killing_scale).exact_str(),
+                "constants": sorted(
+                    [list(g), list(d), scalar(v).exact_str()]
+                    for (g, d), v in cf.constants.items()
+                ),
+            },
+            sort_keys=True,
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, fam
+
+
+# -- the Scalar build, kept as a reference for the rational table ---------------
+
+
+def _scalar_expansion(label):
+    """Complex expansion of a compact basis element, with Scalar parts."""
+    if label.startswith("iH["):
+        return {("H", 0 if label == "iH[a]" else 1): (ZERO, ONE)}
+    gamma = parse_root(label[2:-1])
+    if label.startswith("F["):
+        return {("E", gamma): (ONE, ZERO), ("E", root_neg(gamma)): (-ONE, ZERO)}
+    return {("E", gamma): (ZERO, ONE), ("E", root_neg(gamma)): (ZERO, ONE)}
+
+
+def _dense_collapse(rs, dim, z):
+    """Dense Scalar coordinates of a complex element of the compact form."""
+    coords = [ZERO] * dim
+    seen = set()
+    for key, (re, im) in z.items():
+        if key in seen:
+            continue
+        if key[0] == "H":
+            if re:
+                raise ValueError("element is not in the compact form: real H part")
+            coords[key[1]] = im
+            seen.add(key)
+            continue
+        gamma = key[1]
+        pos = gamma if rs.is_positive(gamma) else root_neg(gamma)
+        kplus, kminus = ("E", pos), ("E", root_neg(pos))
+        aplus, bplus = z.get(kplus, (ZERO, ZERO))
+        aminus, bminus = z.get(kminus, (ZERO, ZERO))
+        if aminus != -aplus or bminus != bplus:
+            raise ValueError("element is not in the compact form: root pair mismatch")
+        t = rs.positive_roots.index(pos)
+        coords[2 + 2 * t] = aplus
+        coords[3 + 2 * t] = bplus
+        seen.add(kplus)
+        seen.add(kminus)
+    return tuple(coords)
+
+
+def reference_compact_algebra(family):
+    """Every table entry from c_bracket on Scalar expansions, both orders,
+    and the trace form from the ad matrices, as the compact forms were built
+    before the rational table."""
+    rs = build_root_system(family)
+    constants = complete_structure_constants(rs)
+    labels = _compact_labels(rs)
+    n = len(labels)
+    form = [[scalar(x) for x in row] for row in _q_form(rs, n)]
+    expansions = [_scalar_expansion(lab) for lab in labels]
+
+    def bracket_fn(i, j):
+        z = c_bracket(rs, constants, expansions[i], expansions[j])
+        return {k: c for k, c in enumerate(_dense_collapse(rs, n, z)) if c}
+
+    algebra = LieAlgebra.from_bracket_function(
+        f"{rs.family}-compact", labels, bracket_fn, form
+    )
+    ads = [algebra.ad(algebra.basis_vector(i)) for i in range(n)]
+    entries = [
+        (i, j, trace_product(ads[i], ads[j]), algebra.form[i][j])
+        for i in range(n)
+        for j in range(n)
+    ]
+    ratio = entries[0][2] / entries[0][3]
+    if not ratio.is_rational:
+        raise ArithmeticError("trace/form ratio is irrational")
+    scale = ratio.as_fraction()
+    if scale <= 0:
+        raise ArithmeticError("trace/form ratio is not positive")
+    for i, j, t, q in entries:
+        if t != q * scalar(scale):
+            raise ArithmeticError(
+                f"trace form deviates from the stored form at "
+                f"({labels[i]}, {labels[j]})"
+            )
+    return replace(algebra, killing_scale=scale)
+
+
+def test_rational_build_matches_the_scalar_reference():
+    for fam in ("a2", "a1a1", "c2", "g2"):
+        reference = reference_compact_algebra(fam)
+        L = build_compact_form(fam).algebra
+        assert L.table == reference.table, fam
+        assert L.form == reference.form, fam
+        assert L.killing_scale == reference.killing_scale, fam
+        assert L == reference, fam
+
+
+def _rational_rows(L):
+    rows = [[{k: c.as_fraction() for k, c in cell} for cell in row] for row in L.table]
+    form = [[x.as_fraction() for x in row] for row in L.form]
+    return rows, form
+
+
+def test_calibration_reads_the_rational_table():
+    for fam in ("a2", "a1a1", "c2", "g2"):
+        L = build_compact_form(fam).algebra
+        rows, form = _rational_rows(L)
+        assert _trace_scale(rows, form, list(L.labels)) == L.killing_scale
+
+
+def test_calibration_rejects_a_tampered_table():
+    for fam in ("a2", "g2"):
+        L = build_compact_form(fam).algebra
+        labels = list(L.labels)
+        rows, form = _rational_rows(L)
+        # [F[a], F[b]] = N[a,b] F[a+b] (index 6) in both families.
+        assert list(rows[2][4]) == [6]
+        rows[2][4][6] *= 2
+        with pytest.raises(ArithmeticError) as err:
+            _trace_scale(rows, form, labels)
+        assert str(err.value) == (
+            "trace form deviates from the stored form at (F[a], F[a])"
+        )
+
+        rows, form = _rational_rows(L)
+        rows[0][2][3] = rows[0][2][3] * SQRT2
+        with pytest.raises(ArithmeticError, match="^trace/form ratio is irrational$"):
+            _trace_scale(rows, form, labels)
+
+        rows, form = _rational_rows(L)
+        negated = [[-x for x in row] for row in form]
+        with pytest.raises(ArithmeticError, match="^trace/form ratio is not positive$"):
+            _trace_scale(rows, negated, labels)
+
+
+def test_int_coordinates_reject_non_compact_elements():
+    a2 = build_compact_form("a2")
+    rs = a2.root_system
+    with pytest.raises(ValueError, match="root pair mismatch"):
+        _coordinates(rs, {("E", A): (1, 0)})
+    with pytest.raises(ValueError, match="root pair mismatch"):
+        _coordinates(rs, {("E", A): (1, 0), ("E", (-1, 0)): (1, 0)})
+    with pytest.raises(ValueError, match="real H part"):
+        _coordinates(rs, {("H", 0): (1, 0)})
+    with pytest.raises(ValueError, match="real H part"):
+        a2.collapse({("H", 1): (Fraction(1, 2), 3)})
+    # F[a] and 3 i H[b], with int parts.
+    assert _coordinates(rs, {("E", A): (1, 0), ("E", (-1, 0)): (-1, 0)}) == {2: 1}
+    assert _coordinates(rs, {("H", 1): (0, 3)}) == {1: 3}
