@@ -516,13 +516,15 @@ def ring_combine(
 ) -> list[Ring]:
     """p * row - c * prow, divided by the gcd of all its integer
     coordinates: a fraction-free row update, which keeps the span of the
-    row over the field."""
-    c = ring_neg(c)
+    row over the field.  Where x is c and y is p, as at the pivot column,
+    the entry p * c - c * p is zero without a product."""
+    neg_c = ring_neg(c)
     new = []
     for x, y in zip(row, prow):
         acc = [0] * 8
-        ring_mac(acc, p, x)
-        ring_mac(acc, c, y)
+        if x is not c or y is not p:
+            ring_mac(acc, p, x)
+            ring_mac(acc, neg_c, y)
         new.append(acc)
     g = gcd(*chain.from_iterable(new))
     if g > 1:

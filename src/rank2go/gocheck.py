@@ -875,7 +875,10 @@ def verify_witness(
     space: CatalogSpace, metric: MetricEndomorphism, witness: Witness
 ) -> bool:
     """Re-run the compensator solve on a (possibly deserialized) witness and
-    confirm it still refutes with the same rank pair."""
+    confirm it still refutes with the same rank pair.  The replay shares
+    liealg._eliminate with the direction checker; it is independent of the
+    search in its ambient coordinates of h + m, and the tests compare every
+    rref path with a Scalar Gauss-Jordan loop."""
     sol, rank_map, rank_aug = solve_compensator(
         space, metric, witness.vector(space)
     )

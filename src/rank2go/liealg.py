@@ -6,8 +6,8 @@ row echelon form, which makes span equality, membership, and coordinate
 extraction exact and canonical.  rref reads its rows into sparse rows of
 their nonzero entries and eliminates on sparse integer rows when the data
 is rational or radical-monomial (every entry a rational multiple of one
-radical, the radicals factoring over rows and columns), else on dense
-Scalar rows.
+radical, the radicals factoring over rows and columns), else on ring rows
+(field.Ring); both run in the one fraction-free loop _eliminate.
 
 The Scalar loops below (bracket, the form, the matrix products, residuals)
 walk lists of nonzero entries only.  An entry is zero when it is the shared
@@ -30,10 +30,12 @@ from .field import (
     Scalar,
     radical_labels,
     ring_combine,
+    ring_lift,
     ring_mac,
     ring_mul,
     ring_neg,
     ring_pack,
+    ring_scalar,
     scalar,
 )
 
@@ -95,15 +97,29 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
     M_ij * sqrt(t_j) / sqrt(u_i) are rational; each is lifted to a sparse
     integer row by one lcm and eliminated on integers, and the row with
     pivot p maps back as x_j * sqrt(t_p) / sqrt(t_j), one Scalar per
-    nonzero entry.  Other data is eliminated on dense Scalar rows.  Both
-    give the same rows: the RREF is unique to the row space, and a column
-    scaling keeps the pivot columns.
+    nonzero entry.  Other data is lifted to ring rows, one denominator per
+    row, eliminated with field.ring_combine, and each pivot row is scaled
+    to a leading ONE by one Scalar inverse.  Both give the same rows: the
+    RREF is unique to the row space, and a column scaling keeps the pivots.
     """
     ncols = len(rows[0]) if rows else 0
     sparse = _sparse_rows(rows)
     labels = radical_labels(sparse, ncols)
     if labels is None:
-        return _scalar_rref([to_vector(r) for r in rows])
+        work = []
+        for row in sparse:
+            if row:
+                lifted = dict(zip(row, ring_lift(row.values())))
+                work.append([lifted.get(j, ()) for j in range(ncols)])
+        pivots = _eliminate(work, range(ncols), ring_combine)
+        out = []
+        for row, p in zip(work, pivots):
+            inv = ring_scalar(row[p]).inverse()
+            out.append(tuple(
+                ONE if j == p else inv * ring_scalar(x) if x else ZERO
+                for j, x in enumerate(row)
+            ))
+        return out, pivots
     u, t = labels
     work = []
     for ui, row in zip(u, sparse):
@@ -171,7 +187,8 @@ def _eliminate(
     coordinates.  get(row, col) reads an entry.  The rows are lists of ints,
     or dicts {column: nonzero int} with _sparse_combine and dict.get, which
     reads a missing column as None; with field.ring_combine they are lists
-    of ring elements (field.Ring).
+    of ring elements (field.Ring), as in rref on mixed-radical data and in
+    solve_ring_columns.
 
     Returns the pivot columns; work[:len(pivots)] are then the pivot rows.
     """
@@ -194,37 +211,6 @@ def _eliminate(
         pivots.append(col)
         rank += 1
     return pivots
-
-
-def _scalar_rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
-    """rref on Scalars, inverting each pivot: the path for data whose
-    entries mix radicals."""
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [inv * x for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return [tuple(row) for row in work[:rank]], pivots
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list[Vector]:

@@ -103,10 +103,14 @@ def test_row_accessor_matches_catalog():
 
 @pytest.mark.parametrize("row", range(1, 13))
 def test_compactified_triple_spans_the_catalogued_subalgebra(row):
+    # The catalogue builds h from this same triple, so compare with the
+    # span written out by hand in catalog_spans instead.
     cf, e, f, h = sl2_triple_for_row(row)
     u, v, w = compactify_sl2_triple(cf, e, f, h)
+    L, h_vecs, _ = declared_spans(ROW_IDS[row - 1])
+    assert cf.algebra == L
     span = Subspace.from_vectors(cf.dim, [u, v, w])
-    assert span == su2_embedding_space(row).h
+    assert span == Subspace.from_vectors(L.dim, h_vecs)
 
 
 def test_principal_a2_triple_needs_rescaling():

@@ -3,11 +3,15 @@
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
 import pytest
 
+from rank2go import liealg
 from rank2go.chevalley import build_compact_form
+from rank2go.cli import metric_from_spec
 from rank2go.embed import CATALOG_IDS, catalog_space
+from rank2go.gocheck import find_witness, verify_witness
 from rank2go.isotypic import isotypic_decompose
 
 from rank2go.field import (
@@ -18,17 +22,18 @@ from rank2go.field import (
     ZERO,
     Scalar,
     radical_labels,
+    ring_combine,
     ring_lift,
     ring_scalar,
     scalar,
 )
 from rank2go.liealg import (
     _eliminate,
-    _scalar_rref,
     _sparse_combine,
     _sparse_rows,
     LieAlgebra,
     Subspace,
+    Vector,
     abelian,
     ad_on,
     centralizer_in,
@@ -287,6 +292,41 @@ def _monomial_rows(rng, nrows, ncols):
     ]
 
 
+# The Scalar Gauss-Jordan loop that rref ran on mixed-radical data before it
+# eliminated ring rows, kept word for word: every rref differential test
+# compares against it.
+
+def _scalar_rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
+    """rref on Scalars, inverting each pivot: the path for data whose
+    entries mix radicals."""
+    work = [list(r) for r in rows]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(rank, len(work)):
+            if work[r][col]:
+                sel = r
+                break
+        if sel is None:
+            continue
+        work[rank], work[sel] = work[sel], work[rank]
+        inv = work[rank][col].inverse()
+        work[rank] = [inv * x for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                c = work[r][col]
+                work[r] = [x - c * y for x, y in zip(work[r], work[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == len(work):
+            break
+    return [tuple(row) for row in work[:rank]], pivots
+
+
 def _mix(rng, rows):
     """rows with sqrt2 + sqrt3 + sqrt5 added to one entry, which then mixes
     radicals whatever the entry was."""
@@ -338,6 +378,72 @@ def test_rref_matches_the_scalar_loop_hypothesis():
         assert rref(rows) == _scalar_rref(rows)
 
     check()
+
+
+def test_mixed_radical_rref_runs_in_eliminate(monkeypatch):
+    """rref on mixed-radical data hands _eliminate one ring row per nonzero
+    input row, zero rows of every spelling dropped, and its rows equal the
+    Scalar loop's."""
+    calls = []
+
+    def spy(work, columns, *args):
+        calls.append([list(row) for row in work])
+        return _eliminate(work, columns, *args)
+
+    monkeypatch.setattr(liealg, "_eliminate", spy)
+    rng = random.Random(15)
+    for nrows, ncols in [(1, 1), (4, 3), (6, 6), (10, 4), (14, 4)]:
+        rows = _mix(rng, _monomial_rows(rng, nrows, ncols))
+        rows.insert(rng.randrange(nrows + 1), [ZERO] * ncols)
+        rows.insert(rng.randrange(nrows + 2), [_fresh_zero()] * ncols)
+        assert _labels(rows) is None
+        calls.clear()
+        assert rref(rows) == _scalar_rref(rows)
+        assert len(calls) == 1
+        assert len(calls[0]) == sum(1 for row in rows if any(row))
+        assert all(any(row) for row in calls[0])
+
+
+def test_ring_combine_skips_only_the_pivot_entry():
+    """ring_combine gives p * row - c * prow up to a positive rational
+    factor.  Where x is c and y is p it writes zero without a product; an
+    entry holding the object c against another pivot row entry is still
+    computed."""
+    p, c, q = ring_lift([1 + SQRT2, SQRT3 - 2, Scalar.of_radical(5, 3)])
+    row, prow = [c, c, (), p, q], [p, q, p, p, ()]
+    got = [ring_scalar(x) for x in ring_combine(p, row, c, prow)]
+    P, C = ring_scalar(p), ring_scalar(c)
+    want = [P * ring_scalar(x) - C * ring_scalar(y) for x, y in zip(row, prow)]
+    assert got[0] == ZERO and all(got[1:]) and all(want[1:])
+    ratio = want[1] / got[1]
+    assert ratio.is_rational and ratio > 0
+    assert want == [ratio * x for x in got]
+
+
+# Every refutation that verify_witness replays on these metrics solves the
+# compensator system through rref; the blocks with a radical mix radicals.
+REPLAYED_RANKS = {"c2.2": (2, 3), "g2.1": (3, 4), "g2.3": (2, 3)}
+REPLAYED_METRICS = ["blocks:2,1", "blocks:r2,1", "blocks:1+r2,3", "blocks:2-r3,1"]
+
+
+@pytest.mark.parametrize("space_id", sorted(REPLAYED_RANKS))
+def test_rref_on_replayed_compensator_systems(space_id, monkeypatch):
+    """Capture every rref input that verify_witness builds: the mixed ones
+    take the ring path, and each gives the Scalar loop's rows."""
+    sp = catalog_space(space_id)
+    for spec in REPLAYED_METRICS:
+        metric = metric_from_spec(sp, spec)
+        witness = find_witness(sp, metric, budget=50, seed=1).witness
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(liealg, "rref", lambda rows: (seen.append(rows), rref(rows))[1])
+            assert verify_witness(sp, metric, witness)
+        ranks = (witness.rank_map, witness.rank_augmented)
+        assert ranks == REPLAYED_RANKS[space_id]
+        assert seen
+        for rows in seen:
+            assert (_labels(rows) is None) == (spec != "blocks:2,1")
+            assert rref(rows) == _scalar_rref([to_vector(r) for r in rows])
 
 
 def _sparse_case(rng, nrows, ncols, density, monomial):
