@@ -10,11 +10,11 @@ samples it over structured and random directions, and applies two
 necessary-condition filters that rule metrics out without sampling.
 
 The search runs in m-coordinates, on data built once per space: the
-isotropy action ad(h_i)|_m (isotypic.isotropy_action, which casimir and
-validation read too), a kernel that holds the bracket m x m -> h + m and
-that only the direction checker reads, the fixed part of m with its
-fixed-vector actions and simple ideals for the filters, and the structured
-batch of directions.  Each direction needs only the rank pair of
+isotropy action ad(h_i)|_m as ring rows (isotypic.isotropy_action, which
+casimir and validation read too), a kernel that holds the bracket m x m ->
+h + m and that only the direction checker reads, the fixed part of m with
+its fixed-vector actions and simple ideals for the filters, and the
+structured batch of directions.  Each direction needs only the rank pair of
 a small system, eliminated fraction-free on integers when the space, the
 metric and the direction are rational, and otherwise on ring rows: integer
 coordinates over the radical basis 1, sqrt2, ..., sqrt30 (field.Ring).  No
@@ -29,15 +29,18 @@ one lambda; a scalar metric M = cI decides every direction this way.
 least-norm compensator, and `verify_witness` replays every witness through
 it, independently of the search.
 
-Each metric is lifted once, when it is validated: its nonzero entries are
-cleared of one common denominator d > 0, as ring rows (and as int rows
-when it is rational).  Validation, both filters, the eigen labels and the
-checker all run on that lift, against ring rows of the space's data (the
-Gram matrix of m, ad(h_i)|_m and the fixed-vector actions) lifted once per
-space.  No Scalar matrix is multiplied per metric.  A positive factor is
-harmless to every test made there: d d' (S M) is symmetric exactly when
-S M is, (d M)(d' A) = (d' A)(d M) exactly when MA = AM, and membership in
-a span and being a scalar on it do not change under a positive factor.
+Every matrix is lifted by the one function liealg.lift_rows: its nonzero
+entries are cleared of one common denominator d > 0, as ring rows.  Where
+int rows are needed, liealg.int_rows reads them off those ring rows when
+every entry is rational.  Each metric is lifted once, when it is validated.
+Validation, both filters, the eigen labels and the checker all run on that
+lift, against ring rows of the space's data (the Gram matrix of m and
+ad(h_i)|_m from isotypic.isotropy_action, the fixed-vector actions and the
+bracket kernel) lifted once per space.  No Scalar matrix is multiplied per
+metric.  A positive factor is harmless to every test made there: d d' (S M)
+is symmetric exactly when S M is, (d M)(d' A) = (d' A)(d M) exactly when
+MA = AM, and membership in a span and being a scalar on it do not change
+under a positive factor.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .isotypic import (
     component_projections,
     isotropy_action,
     isotypic_decompose,
-    m_gram,
     per_space,
 )
 from .liealg import (
@@ -81,6 +83,7 @@ from .liealg import (
     ideal_decomposition,
     identity_matrix,
     is_positive_definite,
+    int_rows,
     kernel_basis,
     lift_rows,
     mat_apply,
@@ -140,17 +143,6 @@ class MetricEndomorphism:
         )
 
 
-def _invariance_rows(
-    space: CatalogSpace,
-) -> tuple[SparseRows, tuple[SparseRows, ...]]:
-    """The Gram matrix S of the invariant form on m and each ad(h_i)|_m, as
-    ring rows, each cleared of its own denominator."""
-    return (
-        lift_rows(m_gram(space), ring_lift),
-        tuple(lift_rows(A, ring_lift) for A in isotropy_action(space)),
-    )
-
-
 def _validated(
     space: CatalogSpace,
     matrix: Matrix,
@@ -160,9 +152,10 @@ def _validated(
     """The metric of an operator on m, after three checks in this order: S M
     is symmetric, for S the Gram matrix of the invariant form on m; M
     commutes with each ad(h_i)|_m; S M is positive definite.  They run on
-    the metric's lift and on ring rows of S and of the ad(h_i)|_m, each
-    cleared of its own denominator d > 0: d d' (S M) is symmetric and
-    (d M)(d' A) = (d' A)(d M) exactly when S M is symmetric and MA = AM.
+    the metric's lift and on the per-space ring rows of S and of the
+    ad(h_i)|_m (isotypic.isotropy_action), each cleared of a denominator
+    d > 0: d d' (S M) is symmetric and (d M)(d' A) = (d' A)(d M) exactly
+    when S M is symmetric and MA = AM.
     The Sylvester test runs on the Scalars of the lifted d d' (S M), which
     is positive definite exactly when S M is."""
     n = space.dim_m
@@ -171,11 +164,11 @@ def _validated(
     mat = [[scalar(x) for x in row] for row in matrix]
     rows = _MetricRows.lift(mat)
     M = rows.ring
-    S, ads = per_space(_invariance_rows, space)
-    SM = ring_rows_mul(S, M)
+    action = isotropy_action(space)
+    SM = ring_rows_mul(action.gram_rows, M)
     if not rows_symmetric(SM):
         raise ValueError("metric operator is not symmetric for the invariant form")
-    for A in ads:
+    for A in action.ad:
         if not ring_rows_commute(M, A):
             raise ValueError("metric operator does not commute with the isotropy action")
     dense = [[ZERO] * n for _ in range(n)]
@@ -316,7 +309,7 @@ class _Span:
         return cls(
             rows=tuple(values[i * n:(i + 1) * n] for i in range(sub.dim)),
             pivots=sub.pivots,
-            annihilator=lift_rows(kernel_basis(sub.rows, n), ring_lift),
+            annihilator=lift_rows(kernel_basis(sub.rows, n)),
         )
 
     def contains(self, v: Sequence[Ring]) -> bool:
@@ -348,7 +341,7 @@ def _build_fixed_part(space: CatalogSpace) -> _FixedPart:
         ideals = tuple(m_span(ideal) for ideal in ideal_decomposition(L, p)[1])
     return _FixedPart(
         actions=tuple(
-            lift_rows(ad_on(L, w, space.m), ring_lift) for w in p.rows
+            lift_rows(ad_on(L, w, space.m)) for w in p.rows
         ),
         span=m_span(p),
         ideals=ideals,
@@ -535,10 +528,6 @@ def _random_direction(rng: random.Random, n: int) -> tuple[Scalar, ...]:
 
 # -- the m-coordinate direction kernel ----------------------------------------
 
-def _sparse(rows) -> SparseRows:
-    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
-
-
 def _apply(rows: SparseRows, v) -> list:
     out = []
     for row in rows:
@@ -567,15 +556,15 @@ _TRANSVERSE_ERROR = (
 
 def _build_kernel(
     space: CatalogSpace,
-) -> tuple[tuple[int, int, tuple[tuple[int, Scalar], ...]], ...]:
-    """The bracket m x m -> h + m of one space, on Scalars, as (i, j, terms)
-    for i < j, terms being the nonzero coordinates of [m_i, m_j] in the
-    basis h.rows + m.rows."""
+) -> tuple[tuple[int, int, tuple[tuple[int, Ring], ...]], ...]:
+    """The bracket m x m -> h + m of one space as (i, j, terms) for i < j,
+    terms being the nonzero coordinates of [m_i, m_j] in the basis h.rows
+    + m.rows, all cleared of one common denominator d > 0 as ring rows."""
     L = space.algebra
     rows = space.m.rows
     to_basis = mat_inverse(mat_transpose(list(space.h.rows + rows)))
     pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))]
-    coords = _sparse(
+    coords = lift_rows(
         mat_apply(to_basis, L.bracket(rows[i], rows[j])) for i, j in pairs
     )
     return tuple((i, j, terms) for (i, j), terms in zip(pairs, coords) if terms)
@@ -583,33 +572,14 @@ def _build_kernel(
 
 @dataclass(frozen=True)
 class _Tensors:
-    """ad(h_i)|_m and the kernel cleared of one common denominator: as ints,
-    or as ring rows.  A positive rescaling leaves every rank pair
+    """ad(h_i)|_m and the bracket kernel, each cleared of its own
+    denominator: as ring rows, or as ints.  A positive rescaling of a column
+    of the system, or of its right-hand side, leaves every rank pair
     unchanged."""
 
     ad: tuple[SparseRows, ...]
     brackets: tuple[tuple[int, int, tuple[tuple[int, object], ...]], ...]
     dim_h: int
-
-    @classmethod
-    def lift(cls, space: CatalogSpace, lift: Callable) -> "_Tensors | None":
-        ad_h = isotropy_action(space)
-        brackets = per_space(_build_kernel, space)
-        values = lift(
-            [c for A in ad_h for row in A for c in row]
-            + [c for _, _, terms in brackets for _, c in terms]
-        )
-        if values is None:
-            return None
-        it = iter(values)
-        return cls(
-            ad=tuple(_sparse([next(it) for _ in row] for row in A) for A in ad_h),
-            brackets=tuple(
-                (i, j, tuple((k, next(it)) for k, _ in terms))
-                for i, j, terms in brackets
-            ),
-            dim_h=space.dim_h,
-        )
 
     def system(self, metric: SparseRows, x: Sequence[int]) -> tuple[list, list]:
         """The columns C_i = ad(h_i)|_m (MX) and r = [MX, X], in
@@ -648,30 +618,42 @@ class _Tensors:
         )
 
 
-def _int_tensors(space: CatalogSpace) -> _Tensors | None:
-    return _Tensors.lift(space, clear_denominators)
-
-
 def _ring_tensors(space: CatalogSpace) -> _Tensors:
-    return _Tensors.lift(space, ring_lift)
+    return _Tensors(
+        isotropy_action(space).ad, per_space(_build_kernel, space), space.dim_h
+    )
+
+
+def _int_tensors(space: CatalogSpace) -> _Tensors | None:
+    """The ring tensors as ints (liealg.int_rows), or None when one entry
+    is irrational."""
+    ring = per_space(_ring_tensors, space)
+    ad = tuple(int_rows(A) for A in ring.ad)
+    terms = int_rows([t for _, _, t in ring.brackets])
+    if None in ad or terms is None:
+        return None
+    return _Tensors(
+        ad,
+        tuple((i, j, t) for (i, j, _), t in zip(ring.brackets, terms)),
+        ring.dim_h,
+    )
 
 
 @dataclass(frozen=True)
 class _MetricRows:
     """One metric's matrix lifted once, at validation: its nonzero entries
-    cleared of one common denominator d > 0, as ring rows, and as int rows
-    when the metric is rational (else ints is None).  Validation, both
-    filters, the eigen labels and the checker all read this lift."""
+    cleared of one common denominator d > 0, as ring rows, and the int rows
+    that liealg.int_rows reads off them when the metric is rational (else
+    ints is None).  Validation, both filters, the eigen labels and the
+    checker all read this lift."""
 
     ring: SparseRows
     ints: SparseRows | None
 
     @classmethod
     def lift(cls, matrix: Matrix) -> "_MetricRows":
-        return cls(
-            ring=lift_rows(matrix, ring_lift),
-            ints=lift_rows(matrix, clear_denominators),
-        )
+        ring = lift_rows(matrix)
+        return cls(ring=ring, ints=int_rows(ring))
 
     def image(self, x: Sequence[int]) -> list[Sequence[int]]:
         """(d M) x for an integer vector x, each entry as its coordinates

@@ -17,9 +17,10 @@ from math import isqrt, lcm
 from typing import Callable
 
 from .embed import CatalogSpace
-from .field import ZERO, ring_lift, ring_scalar
+from .field import ZERO, ring_scalar
 from .liealg import (
     Matrix,
+    SparseRows,
     Subspace,
     Vector,
     ad_on,
@@ -30,17 +31,14 @@ from .liealg import (
     identity_matrix,
     is_positive_definite,
     lift_rows,
-    mat_apply,
     mat_inverse,
     mat_mul,
     mat_transpose,
     matrix_kernel_of,
     normalizer,
-    operator_on_subspace,
     ring_rows_commute,
     ring_rows_mul,
     rows_symmetric,
-    scalar_of,
 )
 
 
@@ -114,13 +112,38 @@ def per_space(build: Callable[[CatalogSpace], object], space: CatalogSpace):
     return result
 
 
-def _build_isotropy_action(space: CatalogSpace) -> tuple[Matrix, ...]:
-    return tuple(ad_on(space.algebra, a, space.m) for a in space.h.rows)
+@dataclass(frozen=True)
+class IsotropyRows:
+    """The per-space lift of the invariance data on m: ad(h_i)|_m for each
+    row h_i of h, as ring rows of d ad(h_i)|_m for one common d > 0, and
+    the Gram matrix of -form on the basis of m, as Scalars and as ring rows
+    cleared of their own denominator (liealg.lift_rows)."""
+
+    ad: tuple[SparseRows, ...]
+    d: int
+    gram: Matrix
+    gram_rows: SparseRows
 
 
-def isotropy_action(space: CatalogSpace) -> tuple[Matrix, ...]:
-    """ad(h_i)|_m in the basis of m, for each row h_i of h: built once per
-    space for casimir, metric validation and the direction search."""
+def _build_isotropy_action(space: CatalogSpace) -> IsotropyRows:
+    L = space.algebra
+    ads = [ad_on(L, a, space.m) for a in space.h.rows]
+    n = space.m.dim
+    stacked = lift_rows(row for A in ads for row in A)
+    gram = gram_matrix(L, space.m.rows)
+    return IsotropyRows(
+        ad=tuple(stacked[k * n:(k + 1) * n] for k in range(len(ads))),
+        d=lcm(*(c.den for A in ads for row in A for c in row)),
+        gram=gram,
+        gram_rows=lift_rows(gram),
+    )
+
+
+def isotropy_action(space: CatalogSpace) -> IsotropyRows:
+    """ad(h_i)|_m and the Gram matrix of m, lifted once per space by
+    liealg.lift_rows: casimir, metric validation and the direction search
+    all read these ring rows, and the search takes its int rows from them
+    by liealg.int_rows."""
     return per_space(_build_isotropy_action, space)
 
 
@@ -135,7 +158,8 @@ def casimir(space: CatalogSpace) -> Matrix:
     G_ij = -form(e_i, e_j).  Exactly symmetric for the invariant form and
     commuting with the action; both are verified before returning, on ring
     rows of the matrices, each cleared of one denominator d > 0, which
-    scales both sides of each test.
+    scales both sides of each test.  The products run on the per-space
+    ring rows of the d ad(e_i)|_m, and each is divided by d^2.
     """
     L = space.algebra
     G = gram_matrix(L, space.h.rows)
@@ -144,23 +168,19 @@ def casimir(space: CatalogSpace) -> Matrix:
             "invariant form is degenerate or not negative definite on h"
         )
     Ginv = mat_inverse(G)
-    ads = isotropy_action(space)
+    action = isotropy_action(space)
+    ads, dd = action.ad, action.d * action.d
     n = space.m.dim
-    # The products run on ring rows of the d A_i, for one common d > 0.
-    d = lcm(*(c.den for A in ads for row in A for c in row))
-    stacked = lift_rows([row for A in ads for row in A], ring_lift)
-    lifted = [stacked[k * n:(k + 1) * n] for k in range(len(ads))]
     C = [[ZERO] * n for _ in range(n)]
     for i, j in product(range(len(ads)), repeat=2):
         if Ginv[i][j]:
-            for out, row in zip(C, ring_rows_mul(lifted[i], lifted[j])):
+            for out, row in zip(C, ring_rows_mul(ads[i], ads[j])):
                 for k, v in row:
-                    out[k] = out[k] + Ginv[i][j] * ring_scalar(v, d * d)
-    S = lift_rows(gram_matrix(L, space.m.rows), ring_lift)
-    C_rows = lift_rows(C, ring_lift)
-    if not rows_symmetric(ring_rows_mul(S, C_rows)):
+                    out[k] = out[k] + Ginv[i][j] * ring_scalar(v, dd)
+    C_rows = lift_rows(C)
+    if not rows_symmetric(ring_rows_mul(action.gram_rows, C_rows)):
         raise ArithmeticError("casimir is not symmetric for the form")
-    if not all(ring_rows_commute(C_rows, A) for A in lifted):
+    if not all(ring_rows_commute(C_rows, A) for A in ads):
         raise ArithmeticError("casimir does not commute with the action")
     return C
 
@@ -237,25 +257,23 @@ class _Analysis:
     decomposition: IsotypicDecomposition
     projections: tuple[Matrix, ...]
     symmetric_basis: tuple[Matrix, ...]
-    m_gram: Matrix
 
 
 def _refine_by_center(
-    space: CatalogSpace, pieces: list[Subspace]
-) -> list[tuple[Subspace, tuple[Fraction, ...]]]:
-    """Split casimir eigenspaces by the squared action of central elements."""
+    space: CatalogSpace, pieces: list[tuple[Fraction, Subspace]]
+) -> list[tuple[Subspace, Fraction, tuple[Fraction, ...]]]:
+    """Split casimir eigenspaces, given with their eigenvalues, by the
+    squared action of central elements."""
     L = space.algebra
     center = centralizer_in(L, space.h, space.h)
-    tagged: list[tuple[Subspace, tuple[Fraction, ...]]] = [
-        (p, ()) for p in pieces
-    ]
+    tagged = [(p, lam, ()) for lam, p in pieces]
     for z in center.rows:
         refined = []
-        for piece, tags in tagged:
+        for piece, lam, tags in tagged:
             # Exact: z is central in h, so ad(z) preserves every piece.
             A = ad_on(L, z, piece)
             refined.extend(
-                (part, tags + (mu,))
+                (part, lam, tags + (mu,))
                 for mu, part in eigenspaces(piece, mat_mul(A, A))
             )
         tagged = refined
@@ -264,19 +282,10 @@ def _refine_by_center(
 
 def _analyze(space: CatalogSpace) -> _Analysis:
     L = space.algebra
-    C = casimir(space)
-
-    # eigenvalue of C on each piece, recovered from matrix action
-    pieces = _refine_by_center(
-        space, [piece for _, piece in eigenspaces(space.m, C)]
-    )
+    pieces = _refine_by_center(space, eigenspaces(space.m, casimir(space)))
 
     records = []
-    for piece, tags in pieces:
-        Cp = operator_on_subspace(
-            lambda v: space.m.combine(mat_apply(C, space.m.coords(v))), piece
-        )
-        lam = _scalar_eigenvalue(Cp)
+    for piece, lam, tags in pieces:
         ads = [ad_on(L, a, piece) for a in space.h.rows]
         commuting = commuting_operators(ads, piece.dim)
         S = gram_matrix(L, piece.rows)
@@ -364,18 +373,7 @@ def _analyze(space: CatalogSpace) -> _Analysis:
         decomposition=decomposition,
         projections=tuple(projections),
         symmetric_basis=tuple(symmetric_basis),
-        m_gram=gram_matrix(L, space.m.rows),
     )
-
-
-def _scalar_eigenvalue(op: Matrix) -> Fraction:
-    """The single rational eigenvalue of a scalar operator."""
-    lam = scalar_of(op)
-    if lam is None:
-        raise ArithmeticError("operator is not scalar on the component")
-    if not lam.is_rational:
-        raise ArithmeticError("eigenvalue is irrational")
-    return lam.as_fraction()
 
 
 def _analysis(space: CatalogSpace) -> _Analysis:
@@ -401,7 +399,7 @@ def component_projections(space: CatalogSpace) -> list[Matrix]:
 
 def m_gram(space: CatalogSpace) -> Matrix:
     """Positive definite Gram matrix of -form on the basis of m."""
-    return [list(row) for row in _analysis(space).m_gram]
+    return [list(row) for row in isotropy_action(space).gram]
 
 
 def decomposition_summary(space: CatalogSpace) -> dict:

@@ -128,7 +128,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
                     for j, x in row.items()]
             d = lcm(*(v.den for _, v in vals))
             work.append({j: v.nums[0] * (d // v.den) for j, v in vals})
-    pivots = _eliminate(work, sorted(set().union(*work)), _sparse_combine, dict.get)
+    pivots = _eliminate(work, sorted(set().union(*work)), _sparse_combine)
     out = []
     for row, p in zip(work, pivots):
         lead, tp = row[p], t[p]
@@ -175,23 +175,21 @@ def _sparse_combine(p: int, row: dict, c: int, prow: dict) -> dict:
 
 
 def _eliminate(
-    work: list,
-    columns: Iterable[int],
-    combine: Callable = _int_combine,
-    get: Callable = list.__getitem__,
+    work: list, columns: Iterable[int], combine: Callable = _int_combine
 ) -> list[int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place,
     with first-nonzero pivoting over the given increasing columns, which
     must hold every nonzero entry: a row r is replaced by combine(p, r, c,
     pivot row) = p * r - c * (pivot row), divided by the gcd of its integer
-    coordinates.  get(row, col) reads an entry.  The rows are lists of ints,
-    or dicts {column: nonzero int} with _sparse_combine and dict.get, which
-    reads a missing column as None; with field.ring_combine they are lists
-    of ring elements (field.Ring), as in rref on mixed-radical data and in
+    coordinates.  The rows are lists of ints, or dicts {column: nonzero
+    int} with _sparse_combine, read by dict.get, which gives None for a
+    missing column; with field.ring_combine they are lists of ring elements
+    (field.Ring), as in rref on mixed-radical data and in
     solve_ring_columns.
 
     Returns the pivot columns; work[:len(pivots)] are then the pivot rows.
     """
+    get = dict.get if work and type(work[0]) is dict else list.__getitem__
     pivots: list[int] = []
     rank = 0
     for col in columns:
@@ -866,20 +864,22 @@ def mat_apply(a: Matrix, v: Vector) -> Vector:
 SparseRows = tuple[tuple[tuple[int, object], ...], ...]
 
 
-def lift_rows(
-    mat: Matrix, lift: Callable[[list[Scalar]], list | None]
-) -> SparseRows | None:
+def lift_rows(mat: Iterable[Iterable[Scalar]]) -> SparseRows:
     """The nonzero entries of mat cleared of one common denominator d > 0
-    by lift (field.clear_denominators or field.ring_lift), as sparse rows,
-    or None where lift gives None.  Zero entries are skipped: they do not
-    change d."""
-    values = lift([c for row in mat for c in row if c])
-    if values is None:
+    by field.ring_lift, as sparse ring rows.  Zero entries are skipped:
+    they do not change d."""
+    entries = [nonzero_entries(row) for row in mat]
+    it = iter(ring_lift([c for row in entries for _, c in row]))
+    return tuple(tuple((j, next(it)) for j, _ in row) for row in entries)
+
+
+def int_rows(rows: SparseRows) -> SparseRows | None:
+    """Sparse ring rows as sparse int rows when every entry is rational,
+    else None.  On the lift of rational data these are the ints that
+    field.clear_denominators gives, over the same d."""
+    if any(len(c) > 1 or c[0][0] for row in rows for _, c in row):
         return None
-    it = iter(values)
-    return tuple(
-        tuple((j, next(it)) for j, c in enumerate(row) if c) for row in mat
-    )
+    return tuple(tuple((j, c[0][1]) for j, c in row) for row in rows)
 
 
 def _ring_row_mac(acc: dict[int, list[int]], row, b: SparseRows) -> dict:

@@ -37,6 +37,7 @@ from rank2go.gocheck import (
     verify_witness,
 )
 from rank2go.isotypic import (
+    casimir,
     commutant_symmetric_basis,
     component_projections,
     isotypic_decompose,
@@ -48,6 +49,7 @@ from rank2go.liealg import (
     gram_matrix,
     ideal_decomposition,
     identity_matrix,
+    int_rows,
     is_positive_definite,
     kernel_basis,
     lift_rows,
@@ -937,10 +939,8 @@ def test_each_metric_keeps_its_own_lift(space_id):
         for metric in (base, base.scaled(3)):
             M = metric.matrix
             rational = all(c.is_rational for row in M for c in row)
-            assert metric.rows.ring == lift_rows(M, ring_lift) == dense_lift(
-                M, ring_lift
-            )
-            assert metric.rows.ints == lift_rows(M, clear_denominators)
+            assert metric.rows.ring == lift_rows(M) == dense_lift(M, ring_lift)
+            assert metric.rows.ints == int_rows(lift_rows(M))
             assert metric.rows.ints == dense_lift(M, clear_denominators)
             assert (metric.rows.ints is not None) == rational
 
@@ -976,6 +976,44 @@ def test_the_search_lifts_no_metric_again(monkeypatch):
         go_sample_check(sp, metric, samples=5)
         assert lifted, "the directions are lifted through the patched names"
         assert sum(v in (entries, nonzero) for v in lifted) == 0, metric.params
+
+
+def test_the_invariance_data_is_lifted_once_per_space(monkeypatch):
+    # ad(h_i)|_m and the Gram matrix S of m have one lift per space, which
+    # casimir, validation and the direction search all read.  Fresh space
+    # objects miss every per-space cache.
+    from rank2go import liealg
+
+    lifted = []
+    original = liealg.lift_rows
+
+    def recorded(mat, *args):
+        mat = [list(row) for row in mat]
+        lifted.append(mat)
+        return original(mat, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rank2go") and getattr(module, "lift_rows", None) is original:
+            monkeypatch.setattr(module, "lift_rows", recorded)
+
+    def holds(mat, block):
+        return any(
+            mat[k:k + len(block)] == block for k in range(len(mat) - len(block) + 1)
+        )
+
+    for space_id in ("c2.2", "g2.3"):
+        sp = catalog_space.__wrapped__(space_id)
+        lifted.clear()
+        casimir(sp)
+        metrics = [standard_metric(sp), metric_from_spec(sp, "blocks:2,1")]
+        assert find_witness(sp, metrics[1]).witness is not None
+        L = sp.algebra
+        S = gram_matrix(L, sp.m.rows)
+        assert all(S != metric.matrix for metric in metrics)
+        assert sum(mat == S for mat in lifted) == 1, space_id
+        for a in sp.h.rows:
+            A = ad_on(L, a, sp.m)
+            assert sum(holds(mat, A) for mat in lifted) == 1, space_id
 
 
 def test_metric_build_and_search_make_no_dense_product(monkeypatch):

@@ -2,11 +2,19 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from rank2go.embed import CATALOG_IDS, catalog_space
+from rank2go.embed import (
+    CATALOG_IDS,
+    ROW_IDS,
+    catalog_space,
+    compactify_sl2_triple,
+    sl2_triple_for_row,
+)
 from rank2go.field import ZERO
 from rank2go.isotypic import (
     casimir,
@@ -20,8 +28,10 @@ from rank2go.isotypic import (
 from rank2go.liealg import (
     Subspace,
     abelian,
+    ad_on,
     centralizer_in,
     eigenspace_in,
+    eigenspaces,
     kernel_basis,
     mat_mul,
     mat_transpose,
@@ -423,6 +433,50 @@ def test_summary_is_json_ready():
         assert summary["invariant_metric_dim"] == sum(
             c[7] for c in EXPECTED_COMPONENTS[space_id]
         )
+
+
+# -- the sl2 weight oracle ----------------------------------------------------
+#
+# On the twelve rows h = su(2) is the compact image (u, v, w) of an sl2
+# triple, with w = i h for the standard h of weights d, d - 2, ..., -d on the
+# complex irreducible V_d of highest weight d.  So (ad w|_m)^2 has the
+# eigenvalue -k^2 on the weight-(+-k) vectors of the complexified m: with
+# n_k of them for weight k, its multiplicity is 2 n_k for k > 0 and n_0 for
+# k = 0, and V_k occurs n_k - n_{k+2} times.  This reads the irreducibles off
+# the weights alone, apart from the Casimir and the commutant.
+
+def weight_oracle(row: int) -> Counter:
+    """{highest weight k: copies of V_k in the complexified m} of a row."""
+    sp = catalog_space(ROW_IDS[row - 1])
+    _, _, w = compactify_sl2_triple(*sl2_triple_for_row(row))
+    A = ad_on(sp.algebra, w, sp.m)
+    n = {}
+    for lam, piece in eigenspaces(sp.m, mat_mul(A, A)):
+        k = isqrt(int(-lam))
+        assert lam == -k * k
+        n[k] = piece.dim if k == 0 else piece.dim // 2
+    return Counter({k: n[k] - n.get(k + 2, 0) for k in n if n[k] > n.get(k + 2, 0)})
+
+
+def summary_weights(summary: dict) -> Counter:
+    """The same count from the annotations: l real irreducibles of dim d
+    complexify to l copies of V_{d-1}; l quaternionic ones to 2l copies of
+    V_{d/2-1}.  su(2) has no irreducible of complex type."""
+    out = Counter()
+    for c in summary["components"]:
+        l, d = c["multiplicity"], c["irreducible_dim"]
+        assert c["division_type"] in ("R", "H")
+        if c["division_type"] == "R":
+            out[d - 1] += l
+        else:
+            out[d // 2 - 1] += 2 * l
+    return out
+
+
+@pytest.mark.parametrize("row", range(1, len(ROW_IDS) + 1))
+def test_weights_predict_the_decomposition(row):
+    summary = decomposition_summary(catalog_space(ROW_IDS[row - 1]))
+    assert weight_oracle(row) == summary_weights(summary)
 
 
 # SHA-256 of each space's decomposition, recorded before the nonzero-entry

@@ -215,14 +215,29 @@ def mixed_radical_system(rng, nrows, ncols):
     return columns, rhs
 
 
+def _scalar_solve(columns, rhs):
+    """solve_columns on the test-kept Scalar loop _scalar_rref: the rank
+    pair of [columns | rhs] and the solution with free variables zero."""
+    n = len(columns)
+    aug = [[col[i] for col in columns] + [b] for i, b in enumerate(rhs)]
+    rr, pivots = _scalar_rref(aug)
+    if n in pivots:
+        return None, len(rr) - 1, len(rr)
+    x = [ZERO] * n
+    for row, p in zip(rr, pivots):
+        x[p] = row[n]
+    return x, len(rr), len(rr)
+
+
 def assert_ring_solve_matches(columns, rhs):
     """solve_ring_columns on the system cleared of one denominator gives
-    the rank pair and the solution of solve_columns."""
+    the rank pair and the solution of the Scalar loop _scalar_rref, which
+    shares no row update with it."""
     nrows = len(rhs)
     ring = ring_lift([x for col in columns for x in col] + list(rhs))
     ring_columns = [ring[j * nrows:(j + 1) * nrows] for j in range(len(columns))]
     sol, rank_map, rank_aug = solve_ring_columns(ring_columns, ring[-nrows:])
-    exact, exact_map, exact_aug = solve_columns(columns, rhs)
+    exact, exact_map, exact_aug = _scalar_solve(columns, rhs)
     assert (sol is None, rank_map, rank_aug) == (exact is None, exact_map, exact_aug)
     if sol is None:
         assert rank_aug == rank_map + 1
@@ -582,8 +597,8 @@ def test_radical_labels():
 def test_eliminate_keeps_rows_primitive():
     """Every row _eliminate leaves is divided by its gcd, when the input
     rows are primitive, and it is in reduced echelon form: with dense rows
-    and _int_combine, and with sparse rows as plain dicts, _sparse_combine
-    and dict.get."""
+    and _int_combine, and with sparse rows as plain dicts and
+    _sparse_combine, which _eliminate reads by dict.get."""
     rng = random.Random(11)
     for _ in range(40):
         rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
@@ -591,7 +606,7 @@ def test_eliminate_keeps_rows_primitive():
         sparse = [{j: x for j, x in enumerate(r) if x} for r in dense]
         dense_pivots = _eliminate(dense, range(6))
         sparse_pivots = _eliminate(
-            sparse, sorted(set().union(*sparse)), _sparse_combine, dict.get
+            sparse, sorted(set().union(*sparse)), _sparse_combine
         )
         assert sparse_pivots == dense_pivots
         for work in (dense, [[r.get(j, 0) for j in range(6)] for r in sparse]):
@@ -997,7 +1012,7 @@ def test_ring_row_products_match_dense_products():
             b = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
         if rng.random() < 0.3:
             a = mat_combine((1, 1), (a, mat_transpose(a)), n)
-        ra, rb = lift_rows(a, ring_lift), lift_rows(b, ring_lift)
+        ra, rb = lift_rows(a), lift_rows(b)
         scale = (
             lcm(*(c.den for row in a for c in row))
             * lcm(*(c.den for row in b for c in row))
