@@ -15,32 +15,37 @@ casimir and validation read too), a kernel that holds the bracket m x m ->
 h + m and that only the direction checker reads, the fixed part of m with
 its fixed-vector actions and simple ideals for the filters, and the
 structured batch of directions.  Each direction needs only the rank pair of
-a small system, eliminated fraction-free on integers when the space, the
-metric and the direction are rational, and otherwise on ring rows: integer
-coordinates over the radical basis 1, sqrt2, ..., sqrt30 (field.Ring).  No
-Scalar is eliminated in the search.  A direction X with MX = lambda X
-builds no system at all: [MX, X] = lambda [X, X] = 0, so a = 0 compensates
-it (the geodesic lemma: X is geodesic exactly when [MX, X] lies in
-[h, MX]; Alekseevsky-Nikonorov, SIGMA 5 (2009) 093).  The search finds the
-scalar lambda_k of M on each isotypic component V_k, where there is one,
-and decides every structured direction built from components that share
-one lambda; a scalar metric M = cI decides every direction this way.
+a small system, built on integers whenever the space and the direction are
+rational, one system per radical of the metric (d M = sum_b sqrt(b) M_b for
+integer M_b, and the system is linear in M).  One such system is eliminated
+fraction-free on its ints; two or more are packed entry by entry into ring
+rows, integer coordinates over the radical basis 1, sqrt2, ..., sqrt30
+(field.Ring), where an irrational space or direction builds its whole
+system.  No Scalar is eliminated in the search.  A
+direction X with MX = lambda X builds no system at all: [MX, X] =
+lambda [X, X] = 0, so a = 0 compensates it (the geodesic lemma: X is
+geodesic exactly when [MX, X] lies in [h, MX]; Alekseevsky-Nikonorov,
+SIGMA 5 (2009) 093).  The search finds the scalar lambda_k of M on each
+isotypic component V_k, where there is one, and decides every structured
+direction built from components that share one lambda; a scalar metric
+M = cI decides every direction this way.
 `solve_compensator` keeps the ambient-coordinate solve with its canonical
 least-norm compensator, and `verify_witness` replays every witness through
 it, independently of the search.
 
 Every matrix is lifted by the one function liealg.lift_rows: its nonzero
 entries are cleared of one common denominator d > 0, as ring rows.  Where
-int rows are needed, liealg.int_rows reads them off those ring rows when
-every entry is rational.  Each metric is lifted once, when it is validated.
-Validation, both filters, the eigen labels and the checker all run on that
-lift, against ring rows of the space's data (the Gram matrix of m and
-ad(h_i)|_m from isotypic.isotropy_action, the fixed-vector actions and the
-bracket kernel) lifted once per space.  No Scalar matrix is multiplied per
-metric.  A positive factor is harmless to every test made there: d d' (S M)
-is symmetric exactly when S M is, (d M)(d' A) = (d' A)(d M) exactly when
-MA = AM, and membership in a span and being a scalar on it do not change
-under a positive factor.
+int rows of the space's data are needed, liealg.int_rows reads them off
+those ring rows when every entry is rational.  Each metric is lifted once,
+when it is validated, and its ring rows are split there into the int rows
+of its parts M_b.  Validation, both filters, the eigen labels and the
+checker all run on that lift, against ring rows of the space's data (the
+Gram matrix of m and ad(h_i)|_m from isotypic.isotropy_action, the
+fixed-vector actions and the bracket kernel) lifted once per space.  No
+Scalar matrix is multiplied per metric.  A positive factor is harmless to
+every test made there: d d' (S M) is symmetric exactly when S M is,
+(d M)(d' A) = (d' A)(d M) exactly when MA = AM, and membership in a span
+and being a scalar on it do not change under a positive factor.
 """
 
 from __future__ import annotations
@@ -595,6 +600,26 @@ class _Tensors:
             raise ArithmeticError(_TRANSVERSE_ERROR)
         return [_apply(A, y) for A in self.ad], full[self.dim_h:]
 
+    def packed_system(
+        self, parts: Sequence[tuple[int, SparseRows]], x: Sequence[int]
+    ) -> tuple[list, list]:
+        """The system of d M = sum_b sqrt(b) M_b on ring rows, from the int
+        system of each part (b, M_b): the system is linear in the metric, so
+        each entry is sum_b sqrt(b) times the entry for M_b."""
+        radicals = [b for b, _ in parts]
+        systems = [self.system(M, x) for _, M in parts]
+
+        def pack(entries) -> Ring:
+            return tuple((b, v) for b, v in zip(radicals, entries) if v)
+
+        return (
+            [
+                [pack(e) for e in zip(*cols)]
+                for cols in zip(*(columns for columns, _ in systems))
+            ],
+            [pack(e) for e in zip(*(r for _, r in systems))],
+        )
+
     def ring_system(
         self, metric: SparseRows, x: Sequence[Ring]
     ) -> tuple[list, list]:
@@ -642,33 +667,34 @@ def _int_tensors(space: CatalogSpace) -> _Tensors | None:
 @dataclass(frozen=True)
 class _MetricRows:
     """One metric's matrix lifted once, at validation: its nonzero entries
-    cleared of one common denominator d > 0, as ring rows, and the int rows
-    that liealg.int_rows reads off them when the metric is rational (else
-    ints is None).  Validation, both filters, the eigen labels and the
-    checker all read this lift."""
+    cleared of one common denominator d > 0, as ring rows, and those rows
+    split by radical into parts, the pairs (b, int rows of M_b) with d M =
+    sum_b sqrt(b) M_b, for b the indices into field.RADICANDS that occur, in
+    increasing order.  A rational metric is the one part (0, its int rows).
+    Validation, both filters, the eigen labels and the checker all read
+    this lift."""
 
     ring: SparseRows
-    ints: SparseRows | None
+    parts: tuple[tuple[int, SparseRows], ...]
 
     @classmethod
     def lift(cls, matrix: Matrix) -> "_MetricRows":
         ring = lift_rows(matrix)
-        return cls(ring=ring, ints=int_rows(ring))
+        parts: dict[int, list[list]] = {}
+        for i, row in enumerate(ring):
+            for j, c in row:
+                for b, v in c:
+                    if b not in parts:
+                        parts[b] = [[] for _ in ring]
+                    parts[b][i].append((j, v))
+        return cls(ring=ring, parts=tuple(
+            (b, tuple(map(tuple, parts[b]))) for b in sorted(parts)
+        ))
 
     def image(self, x: Sequence[int]) -> list[Sequence[int]]:
         """(d M) x for an integer vector x, each entry as its coordinates
-        over the radical basis: one int on int rows, eight on ring rows."""
-        if self.ints is not None:
-            return [(v,) for v in _apply(self.ints, x)]
-        out = []
-        for row in self.ring:
-            acc = [0] * 8
-            for j, c in row:
-                if x[j]:
-                    for i, v in c:
-                        acc[i] += v * x[j]
-            out.append(acc)
-        return out
+        on the radicals of the parts."""
+        return list(zip(*(_apply(M, x) for _, M in self.parts)))
 
     def eigen_labels(self, batch: _Batch) -> list[int | None]:
         """For each isotypic component V_k, a label when M|V_k = lambda_k I,
@@ -707,36 +733,24 @@ def _direction_checker(
 
     For m-coordinates x it returns (solvable, rank_map, rank_augmented)
     from the rank pair of [C | r].  The space, the metric and the direction
-    are each cleared of one common denominator; the system is built and
-    eliminated fraction-free on ints when all three are rational, and on
-    ring rows otherwise, on the space's data lifted once per space and on
-    the metric's lift.  No Scalar is eliminated and no pivot inverted.  A
+    are each cleared of one common denominator, on the space's data lifted
+    once per space and on the metric's lift.  When the space and the
+    direction are rational, the system is built on ints, once per part
+    (b, M_b) of the metric: a single part is eliminated fraction-free on
+    those ints, since a positive factor sqrt(b) on every C_i and on r
+    changes no rank pair, and two or more are packed into ring rows
+    (_Tensors.packed_system).  An irrational space or direction builds its
+    system on ring rows.  No Scalar is eliminated and no pivot inverted.  A
     consistent system is checked exactly: sum_i (P x_i) C_i = P r, for P
     the denominator of the solution.  The decision and the rank pair are
     those of solve_compensator."""
     rows = metric.rows
     ints = per_space(_int_tensors, space)
-    int_metric = None if ints is None else rows.ints
 
     def check(coords: tuple[Scalar, ...]) -> tuple[bool, int, int]:
-        x = None if int_metric is None else clear_denominators(coords)
-        if x is None:
-            columns, r = per_space(_ring_tensors, space).ring_system(
-                rows.ring, ring_lift(coords)
-            )
-            sol, rank_map, rank_aug = solve_ring_columns(columns, r)
-            if sol is not None:
-                nums, den = sol
-                neg_den = ring_neg(den)
-                for p, rp in enumerate(r):
-                    acc = [0] * 8
-                    for a, col in zip(nums, columns):
-                        ring_mac(acc, a, col[p])
-                    ring_mac(acc, neg_den, rp)
-                    if any(acc):
-                        raise ArithmeticError("compensator verification failed")
-        else:
-            columns, r = ints.system(int_metric, x)
+        x = None if ints is None else clear_denominators(coords)
+        if x is not None and len(rows.parts) == 1:
+            columns, r = ints.system(rows.parts[0][1], x)
             sol, rank_map, rank_aug = solve_int_columns(columns, r)
             if sol is not None:
                 nums, den = sol
@@ -744,6 +758,24 @@ def _direction_checker(
                     lhs = sum(a * col[p] for a, col in zip(nums, columns) if a)
                     if lhs != den * rp:
                         raise ArithmeticError("compensator verification failed")
+            return sol is not None, rank_map, rank_aug
+        if x is None:
+            columns, r = per_space(_ring_tensors, space).ring_system(
+                rows.ring, ring_lift(coords)
+            )
+        else:
+            columns, r = ints.packed_system(rows.parts, x)
+        sol, rank_map, rank_aug = solve_ring_columns(columns, r)
+        if sol is not None:
+            nums, den = sol
+            neg_den = ring_neg(den)
+            for p, rp in enumerate(r):
+                acc = [0] * 8
+                for a, col in zip(nums, columns):
+                    ring_mac(acc, a, col[p])
+                ring_mac(acc, neg_den, rp)
+                if any(acc):
+                    raise ArithmeticError("compensator verification failed")
         return sol is not None, rank_map, rank_aug
 
     return check

@@ -1,5 +1,7 @@
 """Tests for invariant metrics and the geodesic-orbit checker."""
 
+import hashlib
+import json
 import random
 import sys
 from fractions import Fraction
@@ -437,9 +439,11 @@ def test_find_witness_is_the_unfiltered_sample_check(space_id, coeffs):
 @pytest.mark.parametrize("space_id", CATALOG_IDS)
 def test_direction_kernel_matches_the_ambient_solve(space_id):
     # The m-coordinate checker of the search loop agrees with the ambient
-    # solve_compensator on the decision and on the rank pair, on the
-    # integer path, and on ring rows for the irrational spaces and for
-    # irrational (monomial and mixed-radical) metrics on rational spaces.
+    # solve_compensator on the decision and on the rank pair: on one int
+    # system for rational metrics and for metrics with one radical, on the
+    # int systems of each radical packed into ring rows for mixed-radical
+    # metrics on rational spaces, and on ring rows for the irrational
+    # spaces.
     import random as _random
 
     sp = catalog_space(space_id)
@@ -449,7 +453,7 @@ def test_direction_kernel_matches_the_ambient_solve(space_id):
             metric_from_blocks(sp, coeffs)
             for coeffs in (
                 (2, 1), (Fraction(1, 3), 1), (SQRT2, 1), (1 + SQRT2, 3),
-                (2 - SQRT3, SQRT2),
+                (2 - SQRT3, SQRT2), (SQRT2, 2 * SQRT2), (1 + SQRT2, SQRT3),
             )
         ]
     rng = _random.Random(space_id)
@@ -939,10 +943,28 @@ def test_each_metric_keeps_its_own_lift(space_id):
         for metric in (base, base.scaled(3)):
             M = metric.matrix
             rational = all(c.is_rational for row in M for c in row)
+            parts = metric.rows.parts
             assert metric.rows.ring == lift_rows(M) == dense_lift(M, ring_lift)
-            assert metric.rows.ints == int_rows(lift_rows(M))
-            assert metric.rows.ints == dense_lift(M, clear_denominators)
-            assert (metric.rows.ints is not None) == rational
+            assert (parts[0][0] == 0 and len(parts) == 1) == rational
+            if rational:
+                assert parts == ((0, int_rows(lift_rows(M))),)
+                assert parts[0][1] == dense_lift(M, clear_denominators)
+            assert [b for b, _ in parts] == sorted({b for b, _ in parts})
+            assert all(v for _, rows in parts for row in rows for _, v in row)
+            assert join_parts(parts, len(M)) == metric.rows.ring
+
+
+def join_parts(parts, n):
+    """Ring rows from the parts (b, M_b) of a metric: the entry at (i, j)
+    has coordinate v at radical b for each part with (j, v) in row i."""
+    rows = []
+    for i in range(n):
+        entries = {}
+        for b, part in parts:
+            for j, v in part[i]:
+                entries.setdefault(j, []).append((b, v))
+        rows.append(tuple((j, tuple(entries[j])) for j in sorted(entries)))
+    return tuple(rows)
 
 
 def test_the_search_lifts_no_metric_again(monkeypatch):
@@ -1073,3 +1095,93 @@ def test_scalar_metric_checks_build_no_bracket_table(monkeypatch):
     find_witness(sp, metric_from_spec(sp, "blocks:2,1"))
     find_witness(sp, metric_from_spec(sp, "blocks:3,1"))
     assert built == ["c2.2"]
+
+
+# -- irrational metrics on rational spaces: one int system per radical ---------
+
+GO_FAMILY_SPACES = ("a2.1", "c2.1", "berger", "cp3")
+IRRATIONAL_BLOCK_SPACES = ("c2.2", "g2.1", "g2.2", "g2.3") + GO_FAMILY_SPACES
+IRRATIONAL_BLOCKS = (
+    ("1", "r2"), ("1+r2", "r3"), ("r2", "2*r2"), ("2-r3", "3/2*r6"),
+)
+
+
+def irrational_block_metrics(sp):
+    for coeffs in IRRATIONAL_BLOCKS:
+        cs = [parse_scalar(c) for c in coeffs]
+        yield coeffs, cs, metric_from_blocks(sp, cs)
+
+
+@pytest.mark.parametrize("space_id", IRRATIONAL_BLOCK_SPACES)
+def test_packed_system_equals_the_ring_system(space_id):
+    # The int systems of the parts M_b, packed entry by entry, are the
+    # system that ring rows build from the whole lift, so the ring solve
+    # reads the same input on both paths.
+    sp = catalog_space(space_id)
+    ints = gocheck.per_space(gocheck._int_tensors, sp)
+    ring = gocheck.per_space(gocheck._ring_tensors, sp)
+    rng = random.Random(space_id)
+    directions = structured_directions(sp) + [
+        _random_direction(rng, sp.dim_m) for _ in range(20)
+    ]
+    for coeffs, cs, metric in irrational_block_metrics(sp):
+        rows = metric.rows
+        radicals = sorted({b for c in ring_lift(cs) for b, _ in c})
+        assert [b for b, _ in rows.parts] == radicals, coeffs
+        for coords in directions:
+            packed = ints.packed_system(rows.parts, clear_denominators(coords))
+            assert packed == ring.ring_system(rows.ring, ring_lift(coords)), (
+                coeffs, coords,
+            )
+
+
+def test_rational_spaces_never_reach_the_ring_system(monkeypatch):
+    calls = {"ring_system": 0, "packed_system": 0}
+    for name in calls:
+        original = getattr(gocheck._Tensors, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(gocheck._Tensors, name, counted)
+    for space_id in IRRATIONAL_BLOCK_SPACES:
+        sp = catalog_space(space_id)
+        for _, _, metric in irrational_block_metrics(sp):
+            find_witness(sp, metric, budget=10, seed=3)
+            go_sample_check(sp, metric, samples=10, seed=3)
+    assert calls["ring_system"] == 0
+    assert calls["packed_system"] > 0
+    # The irrational spaces still build their systems on ring rows.
+    for space_id in ("c2.3", "g2.4"):
+        sp = catalog_space(space_id)
+        check = _direction_checker(sp, standard_metric(sp))
+        assert check(structured_directions(sp)[0])[0]
+    assert calls["ring_system"] == 2
+
+
+def test_irrational_block_verdicts_match_the_golden_hash():
+    # The classify golden hashes cover rational metrics only.  These
+    # verdicts, refutations on c2.2 and g2.1-g2.3 and sampled GO verdicts on
+    # the four spaces with a non-normal GO family, were recorded when every
+    # irrational metric built its systems on ring rows.
+    verdicts = []
+    for space_id in IRRATIONAL_BLOCK_SPACES:
+        sp = catalog_space(space_id)
+        expected = "go_sampled" if space_id in GO_FAMILY_SPACES else (
+            "not_go_certified"
+        )
+        for coeffs, _, metric in irrational_block_metrics(sp):
+            found = find_witness(sp, metric, budget=20, seed=5)
+            sampled = go_sample_check(sp, metric, samples=20, seed=5)
+            assert found.status == sampled.status == expected, (space_id, coeffs)
+            verdicts.append([
+                space_id,
+                list(coeffs),
+                found.to_dict(include_time=False),
+                sampled.to_dict(include_time=False),
+            ])
+    text = json.dumps(verdicts, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "bb219988777a00fece161fefa4c02b8084b516e95c5e4edc0692dd7e5e2963a2"
+    )
