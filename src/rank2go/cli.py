@@ -11,7 +11,8 @@ certify exits 0 when a witness is found and re-verifies, and 2 when the
 budget runs out without one.  check-go, certify and classify exit 1 on bad
 input: an unknown space, a malformed metric or scalar literal (a zero
 denominator included), or a negative --samples or --budget; both counts
-must be >= 0.  A subcommand's usage error (a malformed option value such
+must be >= 0.  classify also exits 1 when its --out file cannot be
+written, as in a missing directory.  A subcommand's usage error (a malformed option value such
 as --samples abc, an unknown option, a missing argument) and an unknown
 subcommand exit 1 too.  Options given before the subcommand are click's
 own: an unknown one, as in `rank2go --bogus`, exits 2, and so does a bare
@@ -512,8 +513,13 @@ def classify(
     click.echo("* admits a nonnormal geodesic-orbit family")
     text = _dump(report)
     if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise click.ClickException(
+                f"cannot write the report to {out_path}: {exc.strerror or exc}"
+            ) from exc
         click.echo(f"report written to {out_path}")
     else:
         click.echo(text)

@@ -14,14 +14,17 @@ isotropy action ad(h_i)|_m as ring rows (isotypic.isotropy_action, which
 casimir and validation read too), a kernel that holds the bracket m x m ->
 h + m and that only the direction checker reads, the fixed part of m with
 its fixed-vector actions and simple ideals for the filters, and the
-structured batch of directions.  Each direction needs only the rank pair of
-a small system, built on integers whenever the space and the direction are
-rational, one system per radical of the metric (d M = sum_b sqrt(b) M_b for
-integer M_b, and the system is linear in M).  One such system is eliminated
+structured batch of directions, each cleared to ints once.  The search hands
+the checker int vectors only: the batch's ints and random draws of ints.
+Each direction needs only the rank pair of a small system, built on ints
+once per radical of the metric (d M = sum_b sqrt(b) M_b for integer M_b,
+and the system is linear in M).  One such system is eliminated
 fraction-free on its ints; two or more are packed entry by entry into ring
 rows, integer coordinates over the radical basis 1, sqrt2, ..., sqrt30
-(field.Ring), where an irrational space or direction builds its whole
-system.  No Scalar is eliminated in the search.  A
+(field.Ring).  No Scalar is eliminated in the search, and a Scalar
+direction is built only for a witness.  The spaces c2.3 and g2.4, whose h
+is irrational, fall back to the ambient solve_compensator; no search
+reaches it, since every metric on them is scalar.  A
 direction X with MX = lambda X builds no system at all: [MX, X] =
 lambda [X, X] = 0, so a = 0 compensates it (the geodesic lemma: X is
 geodesic exactly when [MX, X] lies in [h, MX]; Alekseevsky-Nikonorov,
@@ -258,6 +261,11 @@ def explicit_metric(space: CatalogSpace, matrix: Matrix) -> MetricEndomorphism:
 
 # -- the compensator equation -------------------------------------------------
 
+_TRANSVERSE_ERROR = (
+    "[MX, X] left the transverse part; the metric operator is not equivariant"
+)
+
+
 def solve_compensator(
     space: CatalogSpace, metric: MetricEndomorphism, x: Vector
 ) -> tuple[Vector | None, int, int]:
@@ -273,9 +281,7 @@ def solve_compensator(
     y = metric.apply(x)
     rhs = L.bracket(y, x)
     if not space.m.contains(rhs):
-        raise ArithmeticError(
-            "[MX, X] left the transverse part; the metric operator is not equivariant"
-        )
+        raise ArithmeticError(_TRANSVERSE_ERROR)
     columns = [L.bracket(a, y) for a in space.h.rows]
     sol, rank_map, rank_aug = solve_columns(columns, rhs)
     if sol is None:
@@ -476,14 +482,15 @@ class GoVerdict:
 
 @dataclass(frozen=True)
 class _Batch:
-    """The structured batch of one space: its directions, and for each the
-    indices of the isotypic components it was built from.  singles holds
-    (component, basis vector cleared to ints) for the basis vectors, which
-    lead the batch, or None when one of them is irrational."""
+    """The structured batch of one space: its directions, each cleared to
+    ints, and for each the indices of the isotypic components it was built
+    from.  The first singles directions are the basis vectors, one
+    component each."""
 
     directions: tuple[tuple[Scalar, ...], ...]
+    ints: tuple[list[int], ...]
     parts: tuple[frozenset[int], ...]
-    singles: tuple[tuple[int, list[int]], ...] | None
+    singles: int
     components: int
 
 
@@ -500,7 +507,13 @@ def _build_structured(space: CatalogSpace) -> _Batch:
             batch.append(
                 (tuple(a + b for a, b in zip(x, y)), parts_x | parts_y)
             )
-    lifted = [clear_denominators(x) for x, _ in singles]
+    # Each direction is cleared on its own: a sum of two cleared basis
+    # vectors need not be a positive multiple of the sum.
+    ints = tuple(clear_denominators(d) for d, _ in batch)
+    if None in ints:
+        raise ArithmeticError(
+            f"a structured direction of {space.space_id} is irrational"
+        )
     # The batch is kept as long as the space: hold each distinct
     # coordinate once.
     shared: dict[Scalar, Scalar] = {}
@@ -508,10 +521,9 @@ def _build_structured(space: CatalogSpace) -> _Batch:
         directions=tuple(
             tuple(shared.setdefault(x, x) for x in d) for d, _ in batch
         ),
+        ints=ints,
         parts=tuple(parts for _, parts in batch),
-        singles=None if None in lifted else tuple(
-            (k, x) for (_, (k,)), x in zip(singles, lifted)
-        ),
+        singles=len(singles),
         components=len(dec.components),
     )
 
@@ -524,10 +536,10 @@ def structured_directions(space: CatalogSpace) -> list[tuple[Scalar, ...]]:
     return list(per_space(_build_structured, space).directions)
 
 
-_DIGITS = tuple(Scalar.from_int(k) for k in range(-9, 10) if k != 0)
+_DIGITS = tuple(k for k in range(-9, 10) if k != 0)
 
 
-def _random_direction(rng: random.Random, n: int) -> tuple[Scalar, ...]:
+def _random_direction(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple(rng.choice(_DIGITS) for _ in range(n))
 
 
@@ -554,11 +566,6 @@ def _ring_apply(rows: SparseRows, v: Sequence[Ring]) -> list[Ring]:
     return out
 
 
-_TRANSVERSE_ERROR = (
-    "[MX, X] left the transverse part; the metric operator is not equivariant"
-)
-
-
 def _build_kernel(
     space: CatalogSpace,
 ) -> tuple[tuple[int, int, tuple[tuple[int, Ring], ...]], ...]:
@@ -578,12 +585,11 @@ def _build_kernel(
 @dataclass(frozen=True)
 class _Tensors:
     """ad(h_i)|_m and the bracket kernel, each cleared of its own
-    denominator: as ring rows, or as ints.  A positive rescaling of a column
-    of the system, or of its right-hand side, leaves every rank pair
-    unchanged."""
+    denominator, as ints.  A positive rescaling of a column of the system,
+    or of its right-hand side, leaves every rank pair unchanged."""
 
     ad: tuple[SparseRows, ...]
-    brackets: tuple[tuple[int, int, tuple[tuple[int, object], ...]], ...]
+    brackets: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
     dim_h: int
 
     def system(self, metric: SparseRows, x: Sequence[int]) -> tuple[list, list]:
@@ -620,47 +626,20 @@ class _Tensors:
             [pack(e) for e in zip(*(r for _, r in systems))],
         )
 
-    def ring_system(
-        self, metric: SparseRows, x: Sequence[Ring]
-    ) -> tuple[list, list]:
-        """The same system on ring rows."""
-        y = _ring_apply(metric, x)
-        neg_x = [ring_neg(v) for v in x]
-        full = [[0] * 8 for _ in range(self.dim_h + len(x))]
-        for i, j, terms in self.brackets:
-            acc = [0] * 8
-            ring_mac(acc, y[i], x[j])
-            ring_mac(acc, y[j], neg_x[i])
-            w = ring_pack(acc)
-            if w:
-                for k, c in terms:
-                    ring_mac(full[k], w, c)
-        if any(map(any, full[: self.dim_h])):
-            raise ArithmeticError(_TRANSVERSE_ERROR)
-        return (
-            [_ring_apply(A, y) for A in self.ad],
-            [ring_pack(v) for v in full[self.dim_h:]],
-        )
-
-
-def _ring_tensors(space: CatalogSpace) -> _Tensors:
-    return _Tensors(
-        isotropy_action(space).ad, per_space(_build_kernel, space), space.dim_h
-    )
-
 
 def _int_tensors(space: CatalogSpace) -> _Tensors | None:
-    """The ring tensors as ints (liealg.int_rows), or None when one entry
-    is irrational."""
-    ring = per_space(_ring_tensors, space)
-    ad = tuple(int_rows(A) for A in ring.ad)
-    terms = int_rows([t for _, _, t in ring.brackets])
+    """The int tensors of one space, read (liealg.int_rows) off the ring
+    rows of ad(h_i)|_m (isotypic.isotropy_action) and of the bracket
+    kernel, or None when one entry is irrational."""
+    kernel = _build_kernel(space)
+    ad = tuple(int_rows(A) for A in isotropy_action(space).ad)
+    terms = int_rows([t for _, _, t in kernel])
     if None in ad or terms is None:
         return None
     return _Tensors(
         ad,
-        tuple((i, j, t) for (i, j, _), t in zip(ring.brackets, terms)),
-        ring.dim_h,
+        tuple((i, j, t) for (i, j, _), t in zip(kernel, terms)),
+        space.dim_h,
     )
 
 
@@ -699,13 +678,12 @@ class _MetricRows:
     def eigen_labels(self, batch: _Batch) -> list[int | None]:
         """For each isotypic component V_k, a label when M|V_k = lambda_k I,
         shared by two components exactly when their lambdas are equal, and
-        None otherwise.  For each rational basis vector x of V_k, (d M) x
-        must equal (a / b) x, where b = x_p and a = ((d M) x)_p at the first
-        nonzero coordinate p of the first one; a / b and a' / b' are equal
-        when a b' = a' b.  Components with an irrational basis vector get
-        None."""
+        None otherwise.  For each basis vector x of V_k, cleared to ints,
+        (d M) x must equal (a / b) x, where b = x_p and a = ((d M) x)_p at
+        the first nonzero coordinate p of the first one; a / b and a' / b'
+        are equal when a b' = a' b."""
         ratios: dict[int, tuple | None] = {}
-        for k, x in batch.singles or ():
+        for (k,), x in zip(batch.parts, batch.ints[:batch.singles]):
             if ratios.get(k, ()) is None:
                 continue
             y = self.image(x)
@@ -728,28 +706,35 @@ class _MetricRows:
 
 def _direction_checker(
     space: CatalogSpace, metric: MetricEndomorphism
-) -> Callable[[tuple[Scalar, ...]], tuple[bool, int, int]]:
+) -> Callable[[Sequence[int]], tuple[bool, int, int]]:
     """The compensator test of one metric, direction by direction.
 
-    For m-coordinates x it returns (solvable, rank_map, rank_augmented)
-    from the rank pair of [C | r].  The space, the metric and the direction
-    are each cleared of one common denominator, on the space's data lifted
-    once per space and on the metric's lift.  When the space and the
-    direction are rational, the system is built on ints, once per part
-    (b, M_b) of the metric: a single part is eliminated fraction-free on
-    those ints, since a positive factor sqrt(b) on every C_i and on r
-    changes no rank pair, and two or more are packed into ring rows
-    (_Tensors.packed_system).  An irrational space or direction builds its
-    system on ring rows.  No Scalar is eliminated and no pivot inverted.  A
-    consistent system is checked exactly: sum_i (P x_i) C_i = P r, for P
-    the denominator of the solution.  The decision and the rank pair are
-    those of solve_compensator."""
+    For int m-coordinates x it returns (solvable, rank_map,
+    rank_augmented) from the rank pair of [C | r].  The space and the
+    metric are each cleared of one common denominator, on the space's data
+    lifted once per space and on the metric's lift.  The system is built on
+    ints, once per part (b, M_b) of the metric: a single part is eliminated
+    fraction-free on those ints, since a positive factor sqrt(b) on every
+    C_i and on r changes no rank pair, and two or more are packed into ring
+    rows (_Tensors.packed_system).  No Scalar is eliminated and no pivot
+    inverted.  A consistent system is checked exactly: sum_i (P x_i) C_i =
+    P r, for P the denominator of the solution.  The decision and the rank
+    pair are those of solve_compensator, which c2.3 and g2.4 call instead:
+    their h is irrational, and no search reaches their checker, since every
+    metric on them is scalar."""
     rows = metric.rows
     ints = per_space(_int_tensors, space)
+    if ints is None:
+        def ambient(x: Sequence[int]) -> tuple[bool, int, int]:
+            sol, rank_map, rank_aug = solve_compensator(
+                space, metric, space.m.combine(x)
+            )
+            return sol is not None, rank_map, rank_aug
 
-    def check(coords: tuple[Scalar, ...]) -> tuple[bool, int, int]:
-        x = None if ints is None else clear_denominators(coords)
-        if x is not None and len(rows.parts) == 1:
+        return ambient
+
+    def check(x: Sequence[int]) -> tuple[bool, int, int]:
+        if len(rows.parts) == 1:
             columns, r = ints.system(rows.parts[0][1], x)
             sol, rank_map, rank_aug = solve_int_columns(columns, r)
             if sol is not None:
@@ -759,12 +744,7 @@ def _direction_checker(
                     if lhs != den * rp:
                         raise ArithmeticError("compensator verification failed")
             return sol is not None, rank_map, rank_aug
-        if x is None:
-            columns, r = per_space(_ring_tensors, space).ring_system(
-                rows.ring, ring_lift(coords)
-            )
-        else:
-            columns, r = ints.packed_system(rows.parts, x)
+        columns, r = ints.packed_system(rows.parts, x)
         sol, rank_map, rank_aug = solve_ring_columns(columns, r)
         if sol is not None:
             nums, den = sol
@@ -820,18 +800,20 @@ def _search(
             rng = random.Random(seed)
             n = space.dim_m
             candidates = chain(
-                zip(directions, batch.parts),
-                ((_random_direction(rng, n), ()) for _ in range(draws)),
+                zip(directions, batch.ints, batch.parts),
+                ((None, _random_direction(rng, n), ()) for _ in range(draws)),
             )
             check = _direction_checker(space, metric)
-            for coords, parts in candidates:
+            for coords, x, parts in candidates:
                 run += 1
                 eigen = {labels[k] for k in parts}
                 if len(eigen) == 1 and None not in eigen:
                     continue
-                solvable, rank_map, rank_aug = check(coords)
+                solvable, rank_map, rank_aug = check(x)
                 if not solvable:
                     status = STATUS_NOT_GO
+                    if coords is None:
+                        coords = tuple(map(Scalar.from_int, x))
                     witness = Witness(
                         coords=coords, rank_map=rank_map, rank_augmented=rank_aug
                     )

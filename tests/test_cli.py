@@ -192,6 +192,18 @@ def test_classify_usage_errors(runner):
     assert runner.invoke(main, ["classify", "so5.9"]).exit_code == 1
 
 
+def test_classify_out_into_a_missing_directory_is_a_clean_error(runner, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    result = runner.invoke(
+        main, ["classify", "berger", "--samples", "5", "--out", str(target)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"cannot write the report to {target}" in result.output
+    assert "Traceback" not in result.output
+    assert not target.parent.exists()
+
+
 def test_expected_verdict_table_covers_catalog():
     assert set(EXPECTED_VERDICTS) == set(CATALOG_IDS)
     assert sorted(
@@ -201,7 +213,7 @@ def test_expected_verdict_table_covers_catalog():
 
 def test_classify_report_matches_the_golden_hash(runner, tmp_path):
     # The first case covers rational spaces only; c2.3 and g2.4 have
-    # irrational structure constants, so the second covers the ring-row path.
+    # irrational structure constants, and the second covers them.
     cases = [
         (
             ["berger", "cp3", "c2.2", "g2.1", "--samples", "25"],

@@ -1,8 +1,12 @@
-"""Static check: every private top-level function and class of rank2go is
-read somewhere in the package beyond its own definition.
+"""Static checks: every private top-level function and class of rank2go is
+read somewhere in the package beyond its own definition, and every name a
+module imports is read in that module.
 
-A name counts as read where it appears as a name or an attribute outside
-the body of the definition that binds it, in any module of the package.
+A private name counts as read where it appears as a name or an attribute
+outside the body of the definition that binds it, in any module of the
+package.  An imported name counts as read where it is loaded as a name in
+its module.  __init__.py is exempt from the import check, since its imports
+are the package's re-exports, and so are __future__ imports.
 """
 
 import ast
@@ -61,3 +65,42 @@ def test_checker_finds_unread_helpers():
 def test_every_private_helper_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert unread_private_names(sources) == []
+
+
+def unread_imports(source: str) -> list[str]:
+    """The names bound by the imports of source that it never loads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(set(imported) - loaded)
+
+
+def test_checker_finds_unread_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as _json\n"
+        "from math import gcd, lcm as least\n"
+        "from .field import Ring\n"
+        "from . import liealg\n"
+        "def f(v: Ring) -> str:\n"
+        "    return os.path.join(_json.dumps(v), liealg.x, str(least(2, 3)))\n"
+    )
+    assert unread_imports(source) == ["gcd"]
+
+
+def test_every_import_is_read():
+    unread = {
+        p.name: unread_imports(p.read_text(encoding="utf-8"))
+        for p in MODULES
+        if p.name != "__init__.py"
+    }
+    assert {name: names for name, names in unread.items() if names} == {}

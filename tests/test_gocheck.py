@@ -16,6 +16,7 @@ from rank2go.field import (
     SQRT2,
     SQRT3,
     ZERO,
+    Scalar,
     clear_denominators,
     parse_scalar,
     ring_lift,
@@ -440,10 +441,10 @@ def test_find_witness_is_the_unfiltered_sample_check(space_id, coeffs):
 def test_direction_kernel_matches_the_ambient_solve(space_id):
     # The m-coordinate checker of the search loop agrees with the ambient
     # solve_compensator on the decision and on the rank pair: on one int
-    # system for rational metrics and for metrics with one radical, on the
-    # int systems of each radical packed into ring rows for mixed-radical
-    # metrics on rational spaces, and on ring rows for the irrational
-    # spaces.
+    # system for rational metrics and for metrics with one radical, and on
+    # the int systems of each radical packed into ring rows for
+    # mixed-radical metrics.  The irrational spaces c2.3 and g2.4 call
+    # solve_compensator itself.
     import random as _random
 
     sp = catalog_space(space_id)
@@ -468,7 +469,9 @@ def test_direction_kernel_matches_the_ambient_solve(space_id):
             sol, rank_map, rank_aug = solve_compensator(
                 sp, metric, sp.m.combine(coords)
             )
-            assert check(coords) == (sol is not None, rank_map, rank_aug)
+            assert check(clear_denominators(coords)) == (
+                sol is not None, rank_map, rank_aug
+            )
             refuted += sol is None
     if space_id in dict(REFUTATION_CASES):
         assert refuted > 0
@@ -591,13 +594,13 @@ def scalar_metrics(sp):
 @pytest.mark.parametrize("space_id", CATALOG_IDS)
 def test_the_checker_solves_every_direction_of_a_scalar_metric(space_id):
     # The identity the search's shortcut rests on: for M = cI the real
-    # checker finds every direction solvable, on the int path and on ring
-    # rows (c * sqrt2 is irrational, and c2.3 and g2.4 are irrational).
+    # checker finds every direction solvable, on one int system (c * sqrt2
+    # has one radical), and through the ambient solve on c2.3 and g2.4.
     import random as _random
 
     sp = catalog_space(space_id)
     rng = _random.Random(space_id)
-    directions = structured_directions(sp) + [
+    directions = [clear_denominators(d) for d in structured_directions(sp)] + [
         _random_direction(rng, sp.dim_m) for _ in range(20)
     ]
     for metric in scalar_metrics(sp):
@@ -706,7 +709,7 @@ def test_eigen_directions_are_solvable(space_id):
                 continue
             decided += 1
             assert mat_apply(metric.matrix, coords) == tuple(lam * c for c in coords)
-            assert check(coords)[0], (metric.params, coords)
+            assert check(clear_denominators(coords))[0], (metric.params, coords)
             sol, _, _ = solve_compensator(sp, metric, sp.m.combine(coords))
             assert sol is not None, (metric.params, coords)
     assert decided >= 3 * len(batch.parts)
@@ -733,10 +736,13 @@ def reference_verdict(sp, metric, draws, seed, apply_filters):
     check = _direction_checker(sp, metric)
     for coords in chain(
         structured_directions(sp),
-        (_random_direction(rng, sp.dim_m) for _ in range(draws)),
+        (
+            tuple(map(Scalar.from_int, _random_direction(rng, sp.dim_m)))
+            for _ in range(draws)
+        ),
     ):
         out["samples_run"] += 1
-        solvable, rank_map, rank_aug = check(coords)
+        solvable, rank_map, rank_aug = check(clear_denominators(coords))
         if not solvable:
             out["status"] = "not_go_certified"
             out["witness"] = Witness(coords, rank_map, rank_aug).to_dict()
@@ -815,7 +821,8 @@ def test_eigen_directions_are_counted_but_not_checked(monkeypatch):
     verdict = find_witness(sp, metric_from_blocks(sp, (SQRT2, 1)), budget=50)
     assert len(calls) == 3
     assert verdict.samples_run == 18
-    assert verdict.witness is not None and calls[-1] == verdict.witness.coords
+    assert verdict.witness is not None
+    assert list(calls[-1]) == clear_denominators(verdict.witness.coords)
 
 
 # -- validation and the filters on the metric's lift ----------------------------
@@ -968,6 +975,9 @@ def join_parts(parts, n):
 
 
 def test_the_search_lifts_no_metric_again(monkeypatch):
+    # Once a space's data is built, a search lifts nothing: each metric was
+    # lifted at validation, the structured batch was cleared to ints with
+    # the space's data, and the random draws are ints.
     cases = [
         ("g2.1", "blocks:r2,1"),
         ("c2.2", "blocks:2,1"),
@@ -981,23 +991,58 @@ def test_the_search_lifts_no_metric_again(monkeypatch):
         find_witness(sp, metric)  # builds the per-space data
         metrics.append((sp, metric))
     lifted = []
-    for name in ("ring_lift", "clear_denominators"):
+    for name in ("lift_rows", "ring_lift", "clear_denominators"):
         original = getattr(gocheck, name)
 
-        def recorded(values, _original=original):
-            values = list(values)
-            lifted.append(values)
-            return _original(values)
+        def recorded(values, *args, _name=name, _original=original):
+            lifted.append(_name)
+            return _original(values, *args)
 
         monkeypatch.setattr(gocheck, name, recorded)
+    checked = []
+    original_checker = gocheck._direction_checker
+
+    def counting_checker(*args):
+        check = original_checker(*args)
+
+        def counted(x):
+            checked.append(x)
+            return check(x)
+
+        return counted
+
+    monkeypatch.setattr(gocheck, "_direction_checker", counting_checker)
     for sp, metric in metrics:
-        entries = [c for row in metric.matrix for c in row]
-        nonzero = [c for c in entries if c]
-        lifted.clear()
         find_witness(sp, metric)
         go_sample_check(sp, metric, samples=5)
-        assert lifted, "the directions are lifted through the patched names"
-        assert sum(v in (entries, nonzero) for v in lifted) == 0, metric.params
+    assert len(checked) > 10
+    assert lifted == []
+
+
+def test_only_a_refuting_draw_builds_scalars(monkeypatch):
+    # After the per-space data is built, a search that refutes nothing
+    # builds no Scalar however many directions it checks, and a witness
+    # found by a random draw builds one Scalar per coordinate.
+    go_space, refuted_space = catalog_space("c2.1"), catalog_space("c2.2")
+    go_metric = metric_from_spec(go_space, "blocks:1/3,1")
+    refuted_metric = metric_from_spec(refuted_space, "blocks:2,1")
+    assert go_sample_check(go_space, go_metric, samples=5).status == "go_sampled"
+    assert find_witness(refuted_space, refuted_metric).witness is not None
+    built = []
+    original = Scalar.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    verdict = go_sample_check(go_space, go_metric, samples=50, seed=7)
+    assert verdict.status == "go_sampled" and verdict.samples_run > 50
+    assert built == []
+    monkeypatch.setattr(gocheck, "structured_directions", lambda space: [])
+    verdict = find_witness(refuted_space, refuted_metric, budget=50, seed=1)
+    assert verdict.samples_run == 1
+    assert len(built) == refuted_space.dim_m
 
 
 def test_the_invariance_data_is_lifted_once_per_space(monkeypatch):
@@ -1114,50 +1159,140 @@ def irrational_block_metrics(sp):
 
 @pytest.mark.parametrize("space_id", IRRATIONAL_BLOCK_SPACES)
 def test_packed_system_equals_the_ring_system(space_id):
-    # The int systems of the parts M_b, packed entry by entry, are the
-    # system that ring rows build from the whole lift, so the ring solve
-    # reads the same input on both paths.
+    # The packed system is checked against the ambient solve: on the
+    # structured batch and 20 seeded draws, the checker of each irrational
+    # block metric, which packs the int systems of its parts M_b, gives the
+    # decision and the rank pair of solve_compensator.
     sp = catalog_space(space_id)
-    ints = gocheck.per_space(gocheck._int_tensors, sp)
-    ring = gocheck.per_space(gocheck._ring_tensors, sp)
     rng = random.Random(space_id)
     directions = structured_directions(sp) + [
-        _random_direction(rng, sp.dim_m) for _ in range(20)
+        tuple(map(Scalar.from_int, _random_direction(rng, sp.dim_m)))
+        for _ in range(20)
     ]
     for coeffs, cs, metric in irrational_block_metrics(sp):
-        rows = metric.rows
         radicals = sorted({b for c in ring_lift(cs) for b, _ in c})
-        assert [b for b, _ in rows.parts] == radicals, coeffs
+        assert [b for b, _ in metric.rows.parts] == radicals, coeffs
+        check = _direction_checker(sp, metric)
         for coords in directions:
-            packed = ints.packed_system(rows.parts, clear_denominators(coords))
-            assert packed == ring.ring_system(rows.ring, ring_lift(coords)), (
-                coeffs, coords,
+            sol, rank_map, rank_aug = solve_compensator(
+                sp, metric, sp.m.combine(coords)
             )
+            assert check(clear_denominators(coords)) == (
+                sol is not None, rank_map, rank_aug
+            ), (coeffs, coords)
 
 
 def test_rational_spaces_never_reach_the_ring_system(monkeypatch):
-    calls = {"ring_system": 0, "packed_system": 0}
-    for name in calls:
-        original = getattr(gocheck._Tensors, name)
+    # The searches of irrational block metrics on the eight rational
+    # spaces pack int systems and never call the ambient solve; only the
+    # checkers of c2.3 and g2.4, whose h is irrational, fall back to it.
+    calls = {"solve_compensator": 0, "packed_system": 0}
+    original_solve = gocheck.solve_compensator
+    original_packed = gocheck._Tensors.packed_system
 
-        def counted(self, *args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self, *args)
+    def counted_solve(*args):
+        calls["solve_compensator"] += 1
+        return original_solve(*args)
 
-        monkeypatch.setattr(gocheck._Tensors, name, counted)
+    def counted_packed(self, *args):
+        calls["packed_system"] += 1
+        return original_packed(self, *args)
+
+    monkeypatch.setattr(gocheck, "solve_compensator", counted_solve)
+    monkeypatch.setattr(gocheck._Tensors, "packed_system", counted_packed)
     for space_id in IRRATIONAL_BLOCK_SPACES:
         sp = catalog_space(space_id)
         for _, _, metric in irrational_block_metrics(sp):
             find_witness(sp, metric, budget=10, seed=3)
             go_sample_check(sp, metric, samples=10, seed=3)
-    assert calls["ring_system"] == 0
+    assert calls["solve_compensator"] == 0
     assert calls["packed_system"] > 0
-    # The irrational spaces still build their systems on ring rows.
     for space_id in ("c2.3", "g2.4"):
         sp = catalog_space(space_id)
         check = _direction_checker(sp, standard_metric(sp))
-        assert check(structured_directions(sp)[0])[0]
-    assert calls["ring_system"] == 2
+        assert check(clear_denominators(structured_directions(sp)[0]))[0]
+    assert calls["solve_compensator"] == 2
+
+
+def assert_cleared_on_its_own(batch):
+    assert len(batch.ints) == len(batch.directions) == len(batch.parts)
+    assert len(batch.ints) == batch.singles * (batch.singles + 1) // 2
+    assert all(len(parts) == 1 for parts in batch.parts[:batch.singles])
+    for coords, x in zip(batch.directions, batch.ints):
+        assert all(type(v) is int for v in x)
+        p = next(j for j, c in enumerate(coords) if c)
+        ratio = scalar(x[p]) / coords[p]
+        assert ratio.is_rational and ratio.sign() > 0, coords
+        assert [scalar(v) for v in x] == [ratio * c for c in coords], coords
+
+
+def rescaled_decomposition(sp, factors):
+    """The isotypic components of sp, as _build_structured reads them, with
+    the i-th basis vector of m multiplied by factors[i]."""
+    from types import SimpleNamespace
+
+    factors = iter(factors)
+    return SimpleNamespace(components=[
+        SimpleNamespace(subspace=SimpleNamespace(rows=[
+            tuple(c * f for c in row)
+            for row, f in zip(comp.subspace.rows, factors)
+        ]))
+        for comp in isotypic_decompose(sp).components
+    ])
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_each_batch_direction_is_cleared_on_its_own(space_id, monkeypatch):
+    # The ints the search checks are a positive multiple of each structured
+    # direction itself, the pairwise sums included; the basis vectors lead,
+    # one component each.  The catalogue's basis vectors share their
+    # denominators, so the batch is built again with the i-th basis vector
+    # scaled by 1 / (i + 2): a sum of two cleared basis vectors is then no
+    # multiple of their sum.  An irrational direction is refused.
+    sp = catalog_space(space_id)
+    assert_cleared_on_its_own(gocheck.per_space(gocheck._build_structured, sp))
+    scaled = rescaled_decomposition(
+        sp, [Fraction(1, i + 2) for i in range(sp.dim_m)]
+    )
+    irrational = rescaled_decomposition(sp, [SQRT2] * sp.dim_m)
+    monkeypatch.setattr(gocheck, "isotypic_decompose", lambda space: scaled)
+    assert_cleared_on_its_own(gocheck._build_structured(sp))
+    monkeypatch.setattr(gocheck, "isotypic_decompose", lambda space: irrational)
+    with pytest.raises(ArithmeticError, match="irrational"):
+        gocheck._build_structured(sp)
+
+
+RANDOM_DRAW_WITNESSES = {
+    1: (-5, -7, -1, -6, 7, 6, 7),
+    2: (-8, -7, -7, 3, -4, 1, -1),
+    42: (-6, -9, -1, -2, -2, -5, -6),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_DRAW_WITNESSES))
+def test_a_random_draw_witness(seed, monkeypatch):
+    # With no structured batch, blocks (2, 1) on c2.2 is refuted by its
+    # first random draw.  The witnesses were recorded when the draws were
+    # Scalars; they pin the seeded stream of digits and the witness built
+    # from a draw.
+    monkeypatch.setattr(gocheck, "structured_directions", lambda space: [])
+    sp = catalog_space("c2.2")
+    metric = metric_from_spec(sp, "blocks:2,1")
+    verdict = find_witness(sp, metric, budget=50, seed=seed)
+    suffix = " + 0*r2 + 0*r3 + 0*r5 + 0*r6 + 0*r10 + 0*r15 + 0*r30"
+    assert verdict.to_dict(include_time=False) == {
+        "status": "not_go_certified",
+        "seed": seed,
+        "samples_run": 1,
+        "witness": {
+            "coords": [f"{k}{suffix}" for k in RANDOM_DRAW_WITNESSES[seed]],
+            "rank_map": 3,
+            "rank_augmented": 4,
+        },
+        "filter_name": None,
+        "filters": {"normalizer": True, "biinvariance": True},
+    }
+    assert verify_witness(sp, metric, verdict.witness)
 
 
 def test_irrational_block_verdicts_match_the_golden_hash():
