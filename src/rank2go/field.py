@@ -380,7 +380,7 @@ class Scalar:
         den = self.den
         parts = []
         for n, suffix in zip(self.nums, _EXACT_SUFFIXES):
-            g = gcd(n, den)
+            g = gcd(n, den) if n else den
             parts.append(
                 f"{n // g}{suffix}" if g == den else f"{n // g}/{den // g}{suffix}"
             )
@@ -600,16 +600,20 @@ def scalar_approx(a: Scalar, bits: int) -> tuple[Fraction, Fraction]:
 
 # -- parsing -----------------------------------------------------------------
 
+# One term: sign, numerator, denominator, radical (longest names first),
+# then the rest up to the next sign, which must be empty or one newline.
 _TERM_RE = re.compile(
-    r"^(?P<coef>-?\d+(?:/\d+)?)?(?:\*?(?P<rad>r(?:2|3|5|6|10|15|30)))?$"
+    r"([+-])(?:(\d+)(?:/(\d+))?)?(?:\*?r(10|15|30|2|3|5|6))?([^+-]*)"
 )
+_BARE_SIGN_RE = re.compile(r"[+-](?![^+-])")
 
 
 def parse_scalar(text: str) -> Scalar:
     """Parse the exact string grammar: rationals as num/den, radicals as rN.
 
     Accepts both the full eight-term form emitted by exact_str() and compact
-    forms like "2", "1/3", "r2", "-3/2*r6", "1 - r2 + 1/2*r30".
+    forms like "2", "1/3", "r2", "-3/2*r6", "1 - r2 + 1/2*r30".  One pass
+    reads the terms, skipping each zero term such as exact_str()'s "0*r2".
     """
     s = text.strip().replace(" ", "")
     if not s:
@@ -617,25 +621,24 @@ def parse_scalar(text: str) -> Scalar:
     s = s.replace("+-", "-")
     if s[0] not in "+-":
         s = "+" + s
-    tokens = re.findall(r"[+-][^+-]+", s)
-    if "".join(tokens) != s:
+    if _BARE_SIGN_RE.search(s):
         raise ValueError(f"cannot parse scalar literal {text!r}")
     # Each radical coordinate accumulates as an integer pair nums[i]/dens[i].
     nums, dens = [0] * 8, [1] * 8
-    for tok in tokens:
-        m = _TERM_RE.match(tok[1:])
-        if not m or (m.group("coef") is None and m.group("rad") is None):
+    for m in _TERM_RE.finditer(s):
+        sign, p, q, rad, rest = m.groups()
+        if rest and rest != "\n" or not (p or rad):
             # The term as written: without the "+" that leads s.
-            term = tok[1:] if tok[0] == "+" else tok
+            term = m.group()[1:] if sign == "+" else m.group()
             raise ValueError(f"bad term {term!r} in scalar literal {text!r}")
-        p, _, q = (m.group("coef") or "1").partition("/")
-        p, q = int(p), int(q or 1)
+        if p == "0" and q is None:
+            continue
+        p, q = int(p or 1), int(q or 1)
         if not q:
             raise ValueError(f"zero denominator in scalar literal {text!r}")
-        if tok[0] == "-":
+        if sign == "-":
             p = -p
-        rad = m.group("rad")
-        idx = _INDEX[int(rad[1:])] if rad else 0
+        idx = _INDEX[int(rad)] if rad else 0
         nums[idx], dens[idx] = nums[idx] * q + p * dens[idx], dens[idx] * q
     den = lcm(*dens)
     return Scalar([n * (den // d) for n, d in zip(nums, dens)], den)

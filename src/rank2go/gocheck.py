@@ -36,19 +36,12 @@ M = cI decides every direction this way.
 least-norm compensator, and `verify_witness` replays every witness through
 it, independently of the search.
 
-Every matrix is lifted by the one function liealg.lift_rows: its nonzero
-entries are cleared of one common denominator d > 0, as ring rows.  Where
-int rows of the space's data are needed, liealg.int_rows reads them off
-those ring rows when every entry is rational.  Each metric is lifted once,
-when it is validated, and its ring rows are split there into the int rows
-of its parts M_b.  Validation, both filters, the eigen labels and the
-checker all run on that lift, against ring rows of the space's data (the
-Gram matrix of m and ad(h_i)|_m from isotypic.isotropy_action, the
-fixed-vector actions and the bracket kernel) lifted once per space.  No
-Scalar matrix is multiplied per metric.  A positive factor is harmless to
-every test made there: d d' (S M) is symmetric exactly when S M is,
-(d M)(d' A) = (d' A)(d M) exactly when MA = AM, and membership in a span
-and being a scalar on it do not change under a positive factor.
+Every matrix is lifted by the one function liealg.lift_rows (its nonzero
+entries cleared of one common denominator d > 0, as ring rows; int rows are
+read off them by liealg.int_rows).  Each metric is lifted once, at
+validation (_MetricRows), and every per-metric test runs on that lift
+against the space's data lifted once per space; no Scalar matrix is
+multiplied per metric, and no test changes under the positive factors.
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, Sequence
 
 from .embed import CatalogSpace, fibration_split, named_subalgebra
@@ -613,18 +606,12 @@ class _Tensors:
         system of each part (b, M_b): the system is linear in the metric, so
         each entry is sum_b sqrt(b) times the entry for M_b."""
         radicals = [b for b, _ in parts]
-        systems = [self.system(M, x) for _, M in parts]
+        columns, rhs = zip(*(self.system(M, x) for _, M in parts))
 
-        def pack(entries) -> Ring:
-            return tuple((b, v) for b, v in zip(radicals, entries) if v)
+        def pack(vectors) -> list[Ring]:
+            return [tuple(compress(zip(radicals, e), e)) for e in zip(*vectors)]
 
-        return (
-            [
-                [pack(e) for e in zip(*cols)]
-                for cols in zip(*(columns for columns, _ in systems))
-            ],
-            [pack(e) for e in zip(*(r for _, r in systems))],
-        )
+        return list(map(pack, zip(*columns))), pack(rhs)
 
 
 def _int_tensors(space: CatalogSpace) -> _Tensors | None:
@@ -871,10 +858,11 @@ def verify_witness(
     space: CatalogSpace, metric: MetricEndomorphism, witness: Witness
 ) -> bool:
     """Re-run the compensator solve on a (possibly deserialized) witness and
-    confirm it still refutes with the same rank pair.  The replay shares
-    liealg._eliminate with the direction checker; it is independent of the
-    search in its ambient coordinates of h + m, and the tests compare every
-    rref path with a Scalar Gauss-Jordan loop."""
+    confirm it still refutes with the same rank pair.  The replay solves
+    through liealg.solve_columns, which shares liealg._eliminate with the
+    direction checker; it is independent of the search in its ambient
+    coordinates of h + m, and the tests compare every solve_columns path
+    with a Scalar Gauss-Jordan loop."""
     sol, rank_map, rank_aug = solve_compensator(
         space, metric, witness.vector(space)
     )

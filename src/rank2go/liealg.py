@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, compress
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -90,36 +91,58 @@ def nonzero_entries(row: Iterable) -> list[tuple[int, Scalar]]:
 def rref(rows: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form with deterministic first-nonzero pivoting.
 
-    Returns the nonzero rows and their pivot columns.  Each dense row is
-    read once into a sparse row {column: nonzero Scalar}; the work below
-    touches nonzero entries only.  When radical_labels finds radicands u_i
-    and t_j for the data (u = t = 1 when it is rational), the rows
-    M_ij * sqrt(t_j) / sqrt(u_i) are rational; each is lifted to a sparse
-    integer row by one lcm and eliminated on integers, and the row with
-    pivot p maps back as x_j * sqrt(t_p) / sqrt(t_j), one Scalar per
-    nonzero entry.  Other data is lifted to ring rows, one denominator per
-    row, eliminated with field.ring_combine, and each pivot row is scaled
-    to a leading ONE by one Scalar inverse.  Both give the same rows: the
-    RREF is unique to the row space, and a column scaling keeps the pivots.
+    Returns the nonzero rows and their pivot columns: the pivot rows of
+    _reduce, with each nonzero entry read normalized.
     """
     ncols = len(rows[0]) if rows else 0
+    work, pivots, entry = _reduce(rows, ncols)
+    out = []
+    for i, row in enumerate(work[:len(pivots)]):
+        vec = [ZERO] * ncols
+        for j in row if type(row) is dict else compress(range(ncols), row):
+            vec[j] = entry(i, j)
+        out.append(tuple(vec))
+    return out, pivots
+
+
+def _reduce(
+    rows: Sequence[Sequence], ncols: int
+) -> tuple[list, list[int], Callable[[int, int], Scalar]]:
+    """The elimination behind rref and solve_columns: the eliminated rows,
+    the pivot columns, and entry(i, j), entry j of the i-th pivot row scaled
+    to a leading ONE, computed only when read.
+
+    Each dense row is read once into a sparse row {column: nonzero Scalar}.
+    When radical_labels finds radicands u_i and t_j for the data (u = t = 1
+    when it is rational), the rows M_ij * sqrt(t_j) / sqrt(u_i) are
+    rational; each is lifted to a sparse integer row {column: nonzero int}
+    by one lcm and eliminated on integers, and entry j of the row with pivot
+    p reads x_j * sqrt(t_p) / sqrt(t_j) / x_p.  Other data is lifted to
+    lists of ring elements, one denominator per row, eliminated with
+    field.ring_combine, and a row is scaled by one Scalar inverse of its
+    pivot.  Both give the same rows: the RREF is unique to the row space,
+    and a column scaling keeps the pivots.
+    """
     sparse = _sparse_rows(rows)
     labels = radical_labels(sparse, ncols)
     if labels is None:
-        work = []
+        ring = []
         for row in sparse:
             if row:
                 lifted = dict(zip(row, ring_lift(row.values())))
-                work.append([lifted.get(j, ()) for j in range(ncols)])
-        pivots = _eliminate(work, range(ncols), ring_combine)
-        out = []
-        for row, p in zip(work, pivots):
-            inv = ring_scalar(row[p]).inverse()
-            out.append(tuple(
-                ONE if j == p else inv * ring_scalar(x) if x else ZERO
-                for j, x in enumerate(row)
-            ))
-        return out, pivots
+                ring.append([lifted.get(j, ()) for j in range(ncols)])
+        pivots = _eliminate(ring, range(ncols), ring_combine)
+        inverses = [None] * len(pivots)
+
+        def ring_entry(i: int, j: int) -> Scalar:
+            x = ring[i][j]
+            if not x or j == pivots[i]:
+                return ONE if x else ZERO
+            if inverses[i] is None:
+                inverses[i] = ring_scalar(ring[i][pivots[i]]).inverse()
+            return inverses[i] * ring_scalar(x)
+
+        return ring, pivots, ring_entry
     u, t = labels
     work = []
     for ui, row in zip(u, sparse):
@@ -129,18 +152,20 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[Vector], list[int]]:
             d = lcm(*(v.den for _, v in vals))
             work.append({j: v.nums[0] * (d // v.den) for j, v in vals})
     pivots = _eliminate(work, sorted(set().union(*work)), _sparse_combine)
-    out = []
-    for row, p in zip(work, pivots):
+
+    def int_entry(i: int, j: int) -> Scalar:
+        row = work[i]
+        x = row.get(j)
+        if x is None:
+            return ZERO
+        p = pivots[i]
         lead, tp = row[p], t[p]
-        vec = [ZERO] * ncols
-        for j, x in row.items():
-            if t[j] == tp:
-                vec[j] = Scalar((x,) + _ZERO7, lead)
-            else:
-                ratio = _root_ratio(tp, t[j])
-                vec[j] = Scalar(tuple(x * n for n in ratio.nums), lead * ratio.den)
-        out.append(tuple(vec))
-    return out, pivots
+        if t[j] == tp:
+            return Scalar((x,) + _ZERO7, lead)
+        ratio = _root_ratio(tp, t[j])
+        return Scalar(tuple(x * n for n in ratio.nums), lead * ratio.den)
+
+    return work, pivots, int_entry
 
 
 def _sparse_rows(rows: Iterable[Iterable]) -> list[dict[int, Scalar]]:
@@ -236,18 +261,19 @@ def solve_columns(
 
     Returns (solution with free variables set to zero, rank of the column
     matrix, rank of the augmented matrix).  The solution is None when the
-    system is inconsistent.
+    system is inconsistent.  [columns | rhs] is eliminated once (_reduce):
+    an inconsistent system returns before any entry is normalized, and a
+    consistent one normalizes the last column of each pivot row only.
     """
-    m = len(rhs)
     n = len(columns)
-    aug = [[columns[j][i] for j in range(n)] + [rhs[i]] for i in range(m)]
-    rr, pivots = rref(aug)
-    rank_aug = len(rr)
+    aug = [[col[i] for col in columns] + [b] for i, b in enumerate(rhs)]
+    _, pivots, entry = _reduce(aug, n + 1)
+    rank_aug = len(pivots)
     if n in pivots:
         return None, rank_aug - 1, rank_aug
     x = [ZERO] * n
     for i, p in enumerate(pivots):
-        x[p] = rr[i][n]
+        x[p] = entry(i, n)
     return x, rank_aug, rank_aug
 
 
@@ -561,27 +587,13 @@ def su2(prefix: str = "") -> LieAlgebra:
     relations [iH, F] = 2G, [iH, G] = -2F, [F, G] = 2iH."""
     labels = (f"{prefix}iH", f"{prefix}F", f"{prefix}G")
     two = scalar(2)
-
-    def br(i: int, j: int) -> dict[int, Scalar]:
-        if i == j:
-            return {}
-        if (i, j) == (0, 1):
-            return {2: two}
-        if (i, j) == (1, 0):
-            return {2: -two}
-        if (i, j) == (0, 2):
-            return {1: -two}
-        if (i, j) == (2, 0):
-            return {1: two}
-        if (i, j) == (1, 2):
-            return {0: two}
-        return {0: -two}
-
+    table = {(0, 1): {2: two}, (0, 2): {1: -two}, (1, 2): {0: two}}
+    table.update({(j, i): {k: -c for k, c in b.items()} for (i, j), b in table.items()})
     m4 = scalar(-4)
-    form = [
-        [m4 if i == j else ZERO for j in range(3)] for i in range(3)
-    ]
-    return LieAlgebra.from_bracket_function("su2", labels, br, form, Fraction(2))
+    form = [[m4 if i == j else ZERO for j in range(3)] for i in range(3)]
+    return LieAlgebra.from_bracket_function(
+        "su2", labels, lambda i, j: table.get((i, j), {}), form, Fraction(2)
+    )
 
 
 def abelian(labels: Sequence[str], form_diagonal: Sequence) -> LieAlgebra:
@@ -600,11 +612,7 @@ def direct_sum(name: str, *parts: LieAlgebra) -> LieAlgebra:
     if len(set(labels)) != len(labels):
         raise ValueError("direct sum needs distinct basis labels")
     n = len(labels)
-    offsets = []
-    off = 0
-    for part in parts:
-        offsets.append(off)
-        off += part.dim
+    offsets = list(accumulate((part.dim for part in parts[:-1]), initial=0))
 
     def br(i: int, j: int) -> dict[int, Scalar]:
         for part, o in zip(parts, offsets):

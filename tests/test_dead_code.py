@@ -67,8 +67,86 @@ def test_every_private_helper_is_read():
     assert unread_private_names(sources) == []
 
 
+SCOPES = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)
+
+
+def own_nodes(nodes):
+    """The nodes under nodes that belong to their scope: a nested scope or
+    class is listed, and what it holds is not."""
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def split_scope(node):
+    """(the parts of a scope evaluated inside it, the parts evaluated in
+    the enclosing scope): a function's decorators, defaults and annotations
+    and a comprehension's first iterable are read outside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        inside = node.body if isinstance(node.body, list) else [node.body]
+        return inside, [c for c in ast.iter_child_nodes(node) if c not in inside]
+    first = node.generators[0]
+    inside = [c for c in ast.iter_child_nodes(node) if c is not first]
+    return inside + [first.target] + first.ifs, [first.iter]
+
+
+def local_names(node) -> set[str]:
+    """The names a scope binds for itself: its parameters, and the names
+    stored, defined or imported among its own nodes, less those declared
+    global or nonlocal."""
+    names, declared = set(), set()
+    if not isinstance(node, SCOPES[3:]):
+        a = node.args
+        names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+        names |= {p.arg for p in (a.vararg, a.kwarg) if p}
+    for sub in own_nodes(split_scope(node)[0]):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(sub.name)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in sub.names}
+        elif isinstance(sub, ast.ExceptHandler) and sub.name:
+            names.add(sub.name)
+        elif isinstance(sub, (ast.Global, ast.Nonlocal)):
+            declared |= set(sub.names)
+    return names - declared
+
+
+def module_loads(tree: ast.Module) -> set[str]:
+    """The names loaded where they resolve to a module-level binding: a
+    load inside a function, lambda or comprehension that binds the name
+    itself is the local's, not the module's."""
+    loaded = set()
+
+    def visit(node, hidden):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in hidden:
+                loaded.add(node.id)
+        if isinstance(node, SCOPES):
+            inside, outside = split_scope(node)
+            for child in outside:
+                visit(child, hidden)
+            inner = hidden | local_names(node)
+            for child in inside:
+                visit(child, inner)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, hidden)
+
+    visit(tree, frozenset())
+    return loaded
+
+
 def unread_imports(source: str) -> list[str]:
-    """The names bound by the imports of source that it never loads."""
+    """The names bound by the module-level imports of source that it never
+    loads as module names."""
     tree = ast.parse(source)
     imported = []
     for node in ast.walk(tree):
@@ -76,11 +154,7 @@ def unread_imports(source: str) -> list[str]:
             imported += [a.asname or a.name.split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
-    loaded = {
-        node.id for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-    }
-    return sorted(set(imported) - loaded)
+    return sorted(set(imported) - module_loads(tree))
 
 
 def test_checker_finds_unread_imports():
@@ -95,6 +169,30 @@ def test_checker_finds_unread_imports():
         "    return os.path.join(_json.dumps(v), liealg.x, str(least(2, 3)))\n"
     )
     assert unread_imports(source) == ["gcd"]
+
+
+def test_checker_ignores_loads_of_a_shadowing_local():
+    """A parameter or local binding that shares an import's name is read in
+    its own scope, not the import; defaults, decorators, annotations and a
+    comprehension's first iterable are read in the enclosing scope, and a
+    global declaration reads the module's name."""
+    assert unread_imports("from math import gcd\ndef f(gcd):\n    return gcd\n") == ["gcd"]
+    shadowed = (
+        "from math import gcd, lcm, isqrt, floor, ceil\n"
+        "def f(*gcd):\n    lcm = 2\n    return gcd, lcm, lambda isqrt: isqrt\n"
+        "def g():\n    def floor():\n        pass\n    return floor\n"
+        "h = [ceil for ceil in range(3)]\n"
+    )
+    assert unread_imports(shadowed) == ["ceil", "floor", "gcd", "isqrt", "lcm"]
+    enclosing = (
+        "from math import gcd, lcm, isqrt, floor, ceil, comb\n"
+        "@gcd\n"
+        "def f(lcm=lcm, *, x: isqrt = 0) -> floor:\n    lcm = 1\n    return lcm\n"
+        "h = [ceil for ceil in ceil]\n"
+        "def g():\n    global comb\n    comb = 1\n    return comb\n"
+        "def k(gcd):\n    return lambda: gcd\n"
+    )
+    assert unread_imports(enclosing) == []
 
 
 def test_every_import_is_read():

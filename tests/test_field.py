@@ -11,6 +11,7 @@ from math import gcd, lcm
 import pytest
 
 from rank2go.field import (
+    _INDEX,
     ONE,
     RADICANDS,
     SQRT2,
@@ -311,6 +312,141 @@ def test_parse_scalar_matches_the_fraction_parser():
     for text in texts:
         new, old = parse_scalar(text), fraction_parse_scalar(text)
         assert (new.nums, new.den) == (old.nums, old.den), text
+
+
+# parse_scalar as it stood before it read the terms in one pass, kept word
+# for word with its term pattern: the reference for the grammar, the error
+# messages and their order.
+
+_TERM_RE = re.compile(
+    r"^(?P<coef>-?\d+(?:/\d+)?)?(?:\*?(?P<rad>r(?:2|3|5|6|10|15|30)))?$"
+)
+
+
+def reference_parse_scalar(text: str) -> Scalar:
+    """Parse the exact string grammar: rationals as num/den, radicals as rN.
+
+    Accepts both the full eight-term form emitted by exact_str() and compact
+    forms like "2", "1/3", "r2", "-3/2*r6", "1 - r2 + 1/2*r30".
+    """
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ValueError("empty scalar literal")
+    s = s.replace("+-", "-")
+    if s[0] not in "+-":
+        s = "+" + s
+    tokens = re.findall(r"[+-][^+-]+", s)
+    if "".join(tokens) != s:
+        raise ValueError(f"cannot parse scalar literal {text!r}")
+    # Each radical coordinate accumulates as an integer pair nums[i]/dens[i].
+    nums, dens = [0] * 8, [1] * 8
+    for tok in tokens:
+        m = _TERM_RE.match(tok[1:])
+        if not m or (m.group("coef") is None and m.group("rad") is None):
+            # The term as written: without the "+" that leads s.
+            term = tok[1:] if tok[0] == "+" else tok
+            raise ValueError(f"bad term {term!r} in scalar literal {text!r}")
+        p, _, q = (m.group("coef") or "1").partition("/")
+        p, q = int(p), int(q or 1)
+        if not q:
+            raise ValueError(f"zero denominator in scalar literal {text!r}")
+        if tok[0] == "-":
+            p = -p
+        rad = m.group("rad")
+        idx = _INDEX[int(rad[1:])] if rad else 0
+        nums[idx], dens[idx] = nums[idx] * q + p * dens[idx], dens[idx] * q
+    den = lcm(*dens)
+    return Scalar([n * (den // d) for n, d in zip(nums, dens)], den)
+
+
+def parse_outcome(parse, text):
+    """The value a parser returns, or the type and message of what it
+    raises."""
+    try:
+        x = parse(text)
+    except Exception as exc:  # every outcome is compared, not only ValueError
+        return type(exc).__name__, str(exc)
+    return x.nums, x.den
+
+
+WELL_FORMED = (
+    "2", "1/3", "r2", "-r2", "2*r3", "-3/2*r6", "1 - r2 + 1/2*r30", "r2+r2",
+    "1+-1/2*r6", "1 +- r2", "+1", "-0", "0", "0/5", "00", "007/010*r10",
+    "*r2", "3r15", "r30", " 1 / 2 * r 3 0 ", "1\n+r2", "٣/2",
+)
+MALFORMED = (
+    "", " ", "+", "-", "1+", "1-", "1/0+", "1/0", "-3/0*r2", "1 + 2/0", "1//2",
+    "r7", "3r", "**r2", "2-x", "--1", "++2", "1+-+2", "r7+", "1/0 + r7",
+    "r7 + 1/0", "1/", "/2", "r", "r2r2", "2*", "1.5", "1e3", "1**r2", "2r",
+    "xyz", "1/2*r7", "\n", "1\n\n+r2", "1+\n+r2", "r3 0 0", "0/0*r2",
+)
+# Pieces that the seeded literals are glued from: digits, the grammar's
+# punctuation and radicals, a radicand outside the field, space, newline.
+PIECES = (
+    "0", "1", "2", "7", "10", "/", "/0", "*", "**", "r", "r2", "r3", "r30",
+    "r7", "+", "-", "+-", " ", "\n", "x",
+)
+
+
+def assert_parse_matches_the_reference(text):
+    assert parse_outcome(parse_scalar, text) == parse_outcome(
+        reference_parse_scalar, text
+    ), repr(text)
+
+
+def test_parse_scalar_matches_the_reference_parser():
+    """Values and ValueError messages, on well-formed and malformed
+    literals, on exact_str and str forms, and on seeded literals glued from
+    the grammar's pieces; a literal that breaks the term structure reports
+    that before any bad term or zero denominator."""
+    rng = random.Random(20)
+    texts = list(WELL_FORMED + MALFORMED)
+    for _ in range(200):
+        x = _random_scalar(rng, den_span=24, sparse=rng.random() < 0.5)
+        texts += [x.exact_str(), str(x), str(-x)]
+    for _ in range(3000):
+        texts.append("".join(rng.choice(PIECES) for _ in range(rng.randint(1, 8))))
+    outcomes = set()
+    for text in texts:
+        assert_parse_matches_the_reference(text)
+        outcome = parse_outcome(reference_parse_scalar, text)
+        outcomes.add(outcome[0] if isinstance(outcome[0], str) else "value")
+        if outcome[0] == "ValueError":
+            outcomes.add(outcome[1].split(" ")[0])
+    assert outcomes == {"value", "ValueError", "empty", "cannot", "bad", "zero"}
+    for text in WELL_FORMED:
+        assert not isinstance(parse_outcome(parse_scalar, text)[0], str), text
+    for text in MALFORMED:
+        assert parse_outcome(parse_scalar, text)[0] == "ValueError", text
+
+
+def test_parse_errors_keep_their_order():
+    for text, message in [
+        ("1/0+", "cannot parse scalar literal '1/0+'"),
+        ("r7+", "cannot parse scalar literal 'r7+'"),
+        ("1/0 + r7", "zero denominator in scalar literal '1/0 + r7'"),
+        ("r7 + 1/0", "bad term 'r7' in scalar literal 'r7 + 1/0'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_scalar(text)
+        assert str(err.value) == message
+
+
+def test_parse_scalar_matches_the_reference_parser_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        st.one_of(
+            st.lists(st.sampled_from(PIECES), max_size=10).map("".join),
+            st.text(alphabet="0123456789/*r+- \nx", max_size=16),
+        )
+    )
+    def check(text):
+        assert_parse_matches_the_reference(text)
+
+    check()
 
 
 def test_scalars_pickle_and_copy():

@@ -1158,7 +1158,7 @@ def irrational_block_metrics(sp):
 
 
 @pytest.mark.parametrize("space_id", IRRATIONAL_BLOCK_SPACES)
-def test_packed_system_equals_the_ring_system(space_id):
+def test_packed_system_matches_solve_compensator(space_id):
     # The packed system is checked against the ambient solve: on the
     # structured batch and 20 seeded draws, the checker of each irrational
     # block metric, which packs the int systems of its parts M_b, gives the
@@ -1182,7 +1182,7 @@ def test_packed_system_equals_the_ring_system(space_id):
             ), (coeffs, coords)
 
 
-def test_rational_spaces_never_reach_the_ring_system(monkeypatch):
+def test_rational_spaces_never_call_solve_compensator(monkeypatch):
     # The searches of irrational block metrics on the eight rational
     # spaces pack int systems and never call the ambient solve; only the
     # checkers of c2.3 and g2.4, whose h is irrational, fall back to it.

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import pytest
 
-from rank2go import liealg
+from rank2go import gocheck, liealg
 from rank2go.chevalley import build_compact_form
 from rank2go.cli import metric_from_spec
 from rank2go.embed import CATALOG_IDS, catalog_space
@@ -436,29 +436,109 @@ def test_ring_combine_skips_only_the_pivot_entry():
 
 
 # Every refutation that verify_witness replays on these metrics solves the
-# compensator system through rref; the blocks with a radical mix radicals.
+# compensator system through solve_columns; the blocks with a radical mix
+# radicals.
 REPLAYED_RANKS = {"c2.2": (2, 3), "g2.1": (3, 4), "g2.3": (2, 3)}
 REPLAYED_METRICS = ["blocks:2,1", "blocks:r2,1", "blocks:1+r2,3", "blocks:2-r3,1"]
 
 
 @pytest.mark.parametrize("space_id", sorted(REPLAYED_RANKS))
 def test_rref_on_replayed_compensator_systems(space_id, monkeypatch):
-    """Capture every rref input that verify_witness builds: the mixed ones
-    take the ring path, and each gives the Scalar loop's rows."""
+    """Capture every solve_columns input that verify_witness builds: the
+    mixed ones take the ring path, each solve gives the rank pair and the
+    solution of the Scalar loop, and rref of its augmented matrix gives the
+    Scalar loop's rows."""
     sp = catalog_space(space_id)
     for spec in REPLAYED_METRICS:
         metric = metric_from_spec(sp, spec)
         witness = find_witness(sp, metric, budget=50, seed=1).witness
         seen = []
+
+        def spy(columns, rhs):
+            seen.append((columns, rhs))
+            return solve_columns(columns, rhs)
+
         with monkeypatch.context() as m:
-            m.setattr(liealg, "rref", lambda rows: (seen.append(rows), rref(rows))[1])
+            m.setattr(gocheck, "solve_columns", spy)
             assert verify_witness(sp, metric, witness)
         ranks = (witness.rank_map, witness.rank_augmented)
         assert ranks == REPLAYED_RANKS[space_id]
         assert seen
-        for rows in seen:
-            assert (_labels(rows) is None) == (spec != "blocks:2,1")
-            assert rref(rows) == _scalar_rref([to_vector(r) for r in rows])
+        for columns, rhs in seen:
+            aug = [[col[i] for col in columns] + [b] for i, b in enumerate(rhs)]
+            assert (_labels(aug) is None) == (spec != "blocks:2,1")
+            assert solve_columns(columns, rhs) == _scalar_solve(columns, rhs)
+            assert rref(aug) == _scalar_rref(aug)
+
+
+def _column_system(rng, rows, nrows, ncols, consistent):
+    """The columns of rows (nrows x ncols) and a right-hand side that is a
+    combination of them when consistent and a random rational otherwise."""
+    columns = [[row[j] for row in rows] for j in range(ncols)]
+    if consistent:
+        coeffs = [scalar(rng.randint(-3, 3)) for _ in columns]
+        rhs = [sum((c * col[i] for c, col in zip(coeffs, columns)), ZERO)
+               for i in range(nrows)]
+    else:
+        rhs = [scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+               for _ in range(nrows)]
+    return columns, rhs
+
+
+@pytest.mark.parametrize("nrows, ncols", [(1, 1), (4, 2), (7, 4), (11, 5), (3, 5)])
+def test_solve_columns_matches_the_scalar_loop(nrows, ncols):
+    """solve_columns gives _scalar_solve's rank pair and solution on
+    rational, radical-monomial and mixed-radical systems, consistent and
+    inconsistent."""
+    rng = random.Random(1000 * nrows + ncols)
+    outcomes = set()
+    for trial in range(24):
+        consistent = trial % 2 == 0
+        for kind, rows in (
+            ("rational", _rational_rows(rng, nrows, ncols)),
+            ("monomial", _monomial_rows(rng, nrows, ncols)),
+        ):
+            columns, rhs = _column_system(rng, rows, nrows, ncols, consistent)
+            got = solve_columns(columns, rhs)
+            assert got == _scalar_solve(columns, rhs)
+            outcomes.add((kind, got[0] is None))
+        columns, rhs = mixed_radical_system(rng, nrows, ncols)
+        got = solve_columns(columns, rhs)
+        assert got == _scalar_solve(columns, rhs)
+        outcomes.add(("mixed", got[0] is None))
+    if nrows > ncols:
+        assert outcomes == {
+            (kind, inconsistent)
+            for kind in ("rational", "monomial", "mixed")
+            for inconsistent in (False, True)
+        }
+
+
+def test_an_inconsistent_mixed_system_inverts_nothing(monkeypatch):
+    """solve_columns reads consistency off the elimination: an inconsistent
+    mixed-radical system returns before any pivot is inverted, while a
+    consistent one inverts pivots to normalize its solution."""
+    calls = []
+    inverse = Scalar.inverse
+
+    def spy(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Scalar, "inverse", spy)
+    rng = random.Random(21)
+    counts = {True: [], False: []}
+    while min(map(len, counts.values())) < 5:
+        columns, rhs = mixed_radical_system(rng, 6, 3)
+        aug = [[col[i] for col in columns] + [b] for i, b in enumerate(rhs)]
+        if _labels(aug) is not None:
+            continue
+        calls.clear()
+        sol, rank_map, rank_aug = solve_columns(columns, rhs)
+        if sol is None or any(sol):
+            counts[sol is None].append(len(calls))
+    assert counts[True] == [0] * len(counts[True])
+    assert all(counts[False])
 
 
 def _sparse_case(rng, nrows, ncols, density, monomial):
