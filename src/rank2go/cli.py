@@ -413,6 +413,9 @@ def _classify_space(space, dec, samples: int, seed: int) -> dict:
     for label, metric in _candidate_metrics(space, dec):
         verdict = go_sample_check(space, metric, samples=samples, seed=seed)
         runs.append({"metric": label, **verdict.to_dict(include_time=False)})
+        # "Non-scalar" equals "non-normal" only for simple G: on berger (G =
+        # U(2)) blocks (1, 2) and (1, 5) are induced from bi-invariant metrics.
+        # The label stays as it is, so that the report keeps its hash.
         if (
             verdict.status == STATUS_GO_SAMPLED
             and scalar_of(metric.matrix) is None

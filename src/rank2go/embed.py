@@ -1,13 +1,13 @@
 """The catalogue of homogeneous spaces built from subalgebra embeddings.
 
 Each catalogued space is a pair (g, h): a compact rank-two algebra g and a
-subalgebra h, together with the reductive complement m of h under the
-invariant form.  Twelve spaces come from the classified su(2) embeddings in
-the four rank-two families: each h is the compact image of the row's sl2
-triple.  Two more are the squashed three-sphere over u(2) and the
-six-dimensional complement realizing the twistor space of the four-sphere,
-whose subalgebras are written down directly.  The complement m is always
-computed as the orthogonal complement of h; the test suite cross-checks
+subalgebra h, with the reductive complement m of h under the invariant form.
+One table, `_CATALOG`, holds each space's id (in report order), description,
+family of g, a spec for h and the name "hopf" resolves to on the four
+Hopf-fibred spaces.  The twelve su(2)-embedding rows give h as the compact
+image of an sl2 span; cp3, the twistor space of the four-sphere, as a torus
+plus root spaces; berger, the squashed three-sphere, as one element of u(2).
+m is always the orthogonal complement of h; the test suite cross-checks
 every h and m against independently written spans.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chevalley import (
     CElt,
@@ -23,7 +24,6 @@ from .chevalley import (
     c_add,
     c_bracket,
     c_scale,
-    complex_E,
 )
 from .field import ONE, SQRT2, SQRT6, SQRT10, ZERO, Scalar, scalar
 from .liealg import (
@@ -40,16 +40,68 @@ from .liealg import (
 )
 from .rootsys import Root, root_neg
 
-#: Catalogue identifiers for the twelve su(2)-embedding rows, in table order.
-ROW_IDS: tuple[str, ...] = (
-    "a2.1", "a2.2",
-    "a1a1.1", "a1a1.2", "a1a1.3",
-    "c2.1", "c2.2", "c2.3",
-    "g2.1", "g2.2", "g2.3", "g2.4",
-)
 
-#: All catalogue identifiers.
-CATALOG_IDS: tuple[str, ...] = ROW_IDS + ("berger", "cp3")
+class _Sl2(NamedTuple):
+    e: tuple[tuple[Scalar | int, Root], ...]  # (coefficient, root) parts
+    f: tuple[tuple[Scalar | int, Root], ...]
+    h: tuple[int, int]  # coefficients of H[a] and H[b]
+
+
+class _Torus(NamedTuple):
+    coroots: tuple[tuple[int, int], ...]  # iH[a], iH[b] coefficients
+    roots: tuple[Root, ...]  # each adds its root space F[g], G[g]
+
+
+class _Row(NamedTuple):
+    description: str
+    family: str  # of the compact form, or "u2" for berger_algebra()
+    h: _Sl2 | _Torus | dict  # a dict is one element of u(2), by label
+    hopf: str | None = None  # the subalgebra name that "hopf" resolves to
+
+
+_A, _B, _NA, _NB = (1, 0), (0, 1), (-1, 0), (0, -1)
+
+#: One row per catalogued space, in report order.
+_CATALOG: dict[str, _Row] = {
+    "a2.1": _Row("5-sphere as SU(3)/SU(2)", "a2",
+                 _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (1, 1)), "ngh"),
+    "a2.2": _Row("SU(3)/SO(3), isotropy irreducible", "a2",
+                 _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1))),
+    "a1a1.1": _Row("3-sphere as (SU(2)xSU(2))/(SU(2)x{1}), group case", "a1a1",
+                   _Sl2(((1, _A),), ((1, _NA),), (1, 0))),
+    "a1a1.2": _Row("3-sphere as (SU(2)xSU(2))/({1}xSU(2)), group case", "a1a1",
+                   _Sl2(((1, _B),), ((1, _NB),), (0, 1))),
+    "a1a1.3": _Row("3-sphere as (SU(2)xSU(2))/diagonal, symmetric", "a1a1",
+                   _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1))),
+    "c2.1": _Row("7-sphere as Sp(2)/Sp(1)", "c2",
+                 _Sl2(((1, (1, 2)),), ((1, (-1, -2)),), (1, 1)), "ngh"),
+    "c2.2": _Row("Sp(2)/Sp(1) with the short-root Sp(1)", "c2",
+                 _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (2, 1))),
+    "c2.3": _Row("Sp(2)/Sp(1), isotropy irreducible", "c2",
+                 _Sl2(((1, _A), (1, _B)), ((4, _NA), (3, _NB)), (4, 3))),
+    "g2.1": _Row("G2/SU(2) on the short simple root", "g2",
+                 _Sl2(((1, _A),), ((1, _NA),), (1, 0))),
+    "g2.2": _Row("G2/SU(2) on the long simple root", "g2",
+                 _Sl2(((1, _B),), ((1, _NB),), (0, 1))),
+    "g2.3": _Row("G2/SU(2) with index-4 embedding", "g2",  # h = 2 H[3a+b]
+                 _Sl2(((SQRT2, (3, 2)), (SQRT2, _NB)),
+                      ((SQRT2, _B), (SQRT2, (-3, -2))), (2, 2))),
+    "g2.4": _Row("G2/SU(2), isotropy irreducible", "g2",  # h = 14 H[9a+5b]
+                 _Sl2(((SQRT6, _A), (SQRT10, _B)),
+                      ((SQRT6, _NA), (SQRT10, _NB)), (6, 10))),
+    "berger": _Row("3-sphere as U(2)/U(1), squashed metrics", "u2",
+                   {"iH": 1, "Z": 1}, "ngh"),
+    # iH[a], iH[a+2b] and the root space of a+2b
+    "cp3": _Row("CP^3 as Sp(2)/(U(1)xSp(1)), twistor space of S^4", "c2",
+                _Torus(((1, 0), (1, 1)), ((1, 2),)), "sp1sp1"),
+}
+
+#: All catalogue identifiers, in table order.
+CATALOG_IDS: tuple[str, ...] = tuple(_CATALOG)
+
+#: The twelve su(2)-embedding rows, in table order; row n is ROW_IDS[n - 1].
+ROW_IDS: tuple[str, ...] = tuple(i for i, row in _CATALOG.items()
+                                 if isinstance(row.h, _Sl2))
 
 
 @dataclass(frozen=True)
@@ -76,62 +128,32 @@ class CatalogSpace:
 # catalogued spaces
 # ---------------------------------------------------------------------------
 
-def _fg(cf: CompactForm, *roots: Root) -> list[Vector]:
-    out = []
-    for g in roots:
-        out.append(cf.f_vector(g))
-        out.append(cf.g_vector(g))
-    return out
-
-
-def _ih(cf: CompactForm, ca, cb) -> Vector:
-    return cf.algebra.element({"iH[a]": scalar(ca), "iH[b]": scalar(cb)})
-
-
-_DESCRIPTIONS = {
-    "a2.1": "5-sphere as SU(3)/SU(2)",
-    "a2.2": "SU(3)/SO(3), isotropy irreducible",
-    "a1a1.1": "3-sphere as (SU(2)xSU(2))/(SU(2)x{1}), group case",
-    "a1a1.2": "3-sphere as (SU(2)xSU(2))/({1}xSU(2)), group case",
-    "a1a1.3": "3-sphere as (SU(2)xSU(2))/diagonal, symmetric",
-    "c2.1": "7-sphere as Sp(2)/Sp(1)",
-    "c2.2": "Sp(2)/Sp(1) with the short-root Sp(1)",
-    "c2.3": "Sp(2)/Sp(1), isotropy irreducible",
-    "g2.1": "G2/SU(2) on the short simple root",
-    "g2.2": "G2/SU(2) on the long simple root",
-    "g2.3": "G2/SU(2) with index-4 embedding",
-    "g2.4": "G2/SU(2), isotropy irreducible",
-    "berger": "3-sphere as U(2)/U(1), squashed metrics",
-    "cp3": "CP^3 as Sp(2)/(U(1)xSp(1)), twistor space of S^4",
-}
-
-
 def berger_algebra() -> LieAlgebra:
     """u(2) = su(2) + center, with the center normalized like a root space."""
     return direct_sum("u2", su2(), abelian(("Z",), (-4,)))
 
 
+def _torus_span(cf: CompactForm, spec: _Torus) -> list[Vector]:
+    vecs = [cf.algebra.element({"iH[a]": ca, "iH[b]": cb}) for ca, cb in spec.coroots]
+    for g in spec.roots:
+        vecs += [cf.f_vector(g), cf.g_vector(g)]
+    return vecs
+
+
 def _build_space(space_id: str) -> CatalogSpace:
-    if space_id in ROW_IDS:
-        triple = sl2_triple_for_row(ROW_IDS.index(space_id) + 1)
-        compact = triple[0]
-        L = compact.algebra
-        h_vecs = compactify_sl2_triple(*triple)
-    elif space_id == "berger":
-        L = berger_algebra()
-        h_vecs = [L.element({"iH": 1, "Z": 1})]
-        compact = None
-    elif space_id == "cp3":
-        compact = build_compact_form("c2")
-        L = compact.algebra
-        h_vecs = [
-            L.basis_vector("iH[a]"),
-            _ih(compact, 1, 1),  # iH[a+2b]
-        ] + _fg(compact, (1, 2))
-    else:
+    row = _CATALOG.get(space_id)
+    if row is None:
         raise ValueError(
             f"unknown space id {space_id!r}; expected one of {', '.join(CATALOG_IDS)}"
         )
+    compact = None if row.family == "u2" else build_compact_form(row.family)
+    L = berger_algebra() if compact is None else compact.algebra
+    if isinstance(row.h, _Sl2):
+        h_vecs = compactify_sl2_triple(compact, *_sl2_span(row.h))
+    elif isinstance(row.h, _Torus):
+        h_vecs = _torus_span(compact, row.h)
+    else:
+        h_vecs = [L.element(row.h)]
 
     h = Subspace.from_vectors(L.dim, h_vecs)
     if subalgebra_closure(L, h.rows) != h:
@@ -139,18 +161,9 @@ def _build_space(space_id: str) -> CatalogSpace:
     m = orth_complement(L, h)
     if h.dim + m.dim != L.dim or not h.intersection(m).is_zero():
         raise ArithmeticError(f"{space_id}: h and m do not decompose the algebra")
-    for a in h.rows:
-        for x in m.rows:
-            if not m.contains(L.bracket(a, x)):
-                raise ArithmeticError(f"{space_id}: [h, m] leaves m")
-    return CatalogSpace(
-        space_id=space_id,
-        description=_DESCRIPTIONS[space_id],
-        algebra=L,
-        h=h,
-        m=m,
-        compact=compact,
-    )
+    if any(not m.contains(L.bracket(a, x)) for a in h.rows for x in m.rows):
+        raise ArithmeticError(f"{space_id}: [h, m] leaves m")
+    return CatalogSpace(space_id, row.description, L, h, m, compact)
 
 
 @lru_cache(maxsize=None)
@@ -170,95 +183,18 @@ def su2_embedding_space(row: int) -> CatalogSpace:
 # sl2 triples and their compact images
 # ---------------------------------------------------------------------------
 
-def _c_H(ca, cb) -> CElt:
-    out: CElt = {}
-    if scalar(ca):
-        out[("H", 0)] = (scalar(ca), ZERO)
-    if scalar(cb):
-        out[("H", 1)] = (scalar(cb), ZERO)
-    return out
-
-
-def _c_E_sum(parts: list[tuple[Scalar, Root]]) -> CElt:
-    out: CElt = {}
-    for c, g in parts:
-        out = c_add(out, c_scale((c, ZERO), complex_E(g)))
-    return out
+def _sl2_span(spec: _Sl2) -> tuple[CElt, CElt, CElt]:
+    e, f = ({("E", g): (scalar(c), ZERO) for c, g in ps} for ps in (spec.e, spec.f))
+    h = {("H", i): (scalar(c), ZERO) for i, c in enumerate(spec.h) if c}
+    return e, f, h
 
 
 def sl2_triple_for_row(row: int) -> tuple[CompactForm, CElt, CElt, CElt]:
     """The classified sl2 spans (e, f, h) over the root-vector basis."""
-    A, B = (1, 0), (0, 1)
-    if row == 1:
-        cf = build_compact_form("a2")
-        return (
-            cf,
-            _c_E_sum([(ONE, (1, 1))]),
-            _c_E_sum([(ONE, (-1, -1))]),
-            _c_H(1, 1),
-        )
-    if row == 2:
-        cf = build_compact_form("a2")
-        return (
-            cf,
-            _c_E_sum([(ONE, A), (ONE, B)]),
-            _c_E_sum([(ONE, (-1, 0)), (ONE, (0, -1))]),
-            _c_H(1, 1),
-        )
-    if row in (3, 4, 5):
-        cf = build_compact_form("a1a1")
-        if row == 3:
-            return cf, _c_E_sum([(ONE, A)]), _c_E_sum([(ONE, (-1, 0))]), _c_H(1, 0)
-        if row == 4:
-            return cf, _c_E_sum([(ONE, B)]), _c_E_sum([(ONE, (0, -1))]), _c_H(0, 1)
-        return (
-            cf,
-            _c_E_sum([(ONE, A), (ONE, B)]),
-            _c_E_sum([(ONE, (-1, 0)), (ONE, (0, -1))]),
-            _c_H(1, 1),
-        )
-    if row in (6, 7, 8):
-        cf = build_compact_form("c2")
-        if row == 6:
-            return (
-                cf,
-                _c_E_sum([(ONE, (1, 2))]),
-                _c_E_sum([(ONE, (-1, -2))]),
-                _c_H(1, 1),
-            )
-        if row == 7:
-            return (
-                cf,
-                _c_E_sum([(ONE, (1, 1))]),
-                _c_E_sum([(ONE, (-1, -1))]),
-                _c_H(2, 1),
-            )
-        return (
-            cf,
-            _c_E_sum([(ONE, A), (ONE, B)]),
-            _c_E_sum([(scalar(4), (-1, 0)), (scalar(3), (0, -1))]),
-            _c_H(4, 3),
-        )
-    cf = build_compact_form("g2")
-    if row == 9:
-        return cf, _c_E_sum([(ONE, A)]), _c_E_sum([(ONE, (-1, 0))]), _c_H(1, 0)
-    if row == 10:
-        return cf, _c_E_sum([(ONE, B)]), _c_E_sum([(ONE, (0, -1))]), _c_H(0, 1)
-    if row == 11:
-        return (
-            cf,
-            _c_E_sum([(SQRT2, (3, 2)), (SQRT2, (0, -1))]),
-            _c_E_sum([(SQRT2, (0, 1)), (SQRT2, (-3, -2))]),
-            _c_H(2, 2),  # 2 H[3a+b]
-        )
-    if row == 12:
-        return (
-            cf,
-            _c_E_sum([(SQRT6, A), (SQRT10, B)]),
-            _c_E_sum([(SQRT6, (-1, 0)), (SQRT10, (0, -1))]),
-            _c_H(6, 10),  # 14 H[9a+5b]
-        )
-    raise ValueError(f"row must be 1..12, got {row}")
+    if not 1 <= row <= len(ROW_IDS):
+        raise ValueError(f"row must be 1..{len(ROW_IDS)}, got {row}")
+    entry = _CATALOG[ROW_IDS[row - 1]]
+    return (build_compact_form(entry.family), *_sl2_span(entry.h))
 
 
 def _c_proportionality(y: CElt, x: CElt) -> tuple[Scalar, Scalar]:
@@ -351,15 +287,8 @@ def compactify_sl2_triple(
 # named intermediate subalgebras and fibrations
 # ---------------------------------------------------------------------------
 
-def _sp1sp1(cf: CompactForm) -> Subspace:
-    """The rank-two regular subalgebra on the two long roots of c2."""
-    L = cf.algebra
-    vecs = [_ih(cf, 1, 0)] + _fg(cf, (1, 0)) + [_ih(cf, 1, 1)] + _fg(cf, (1, 2))
-    return Subspace.from_vectors(L.dim, vecs)
-
-
-#: space id -> which named subalgebras make sense there.
-_HOPF_ALIAS = {"a2.1": "ngh", "c2.1": "ngh", "berger": "ngh", "cp3": "sp1sp1"}
+#: The rank-two regular subalgebra on the two long roots of c2.
+_SP1SP1 = _Torus(((1, 0), (1, 1)), ((1, 0), (1, 2)))
 
 
 def named_subalgebra(space: CatalogSpace, name: str) -> Subspace:
@@ -370,7 +299,8 @@ def named_subalgebra(space: CatalogSpace, name: str) -> Subspace:
     "hopf" (the canonical fibration subalgebra of the four fibered spaces).
     """
     if name == "hopf":
-        alias = _HOPF_ALIAS.get(space.space_id)
+        row = _CATALOG.get(space.space_id)
+        alias = row.hopf if row else None
         if alias is None:
             raise ValueError(
                 f"space {space.space_id} has no canonical fibration subalgebra"
@@ -387,7 +317,9 @@ def named_subalgebra(space: CatalogSpace, name: str) -> Subspace:
     if name == "sp1sp1":
         if space.compact is None or space.compact.family != "c2":
             raise ValueError("sp1sp1 lives in the c2 family only")
-        K = _sp1sp1(space.compact)
+        K = Subspace.from_vectors(
+            space.algebra.dim, _torus_span(space.compact, _SP1SP1)
+        )
         if not K.contains_subspace(space.h):
             raise ValueError(
                 f"sp1sp1 does not contain h for space {space.space_id}"

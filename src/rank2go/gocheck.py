@@ -206,6 +206,8 @@ def metric_from_blocks(space: CatalogSpace, coeffs: Sequence) -> MetricEndomorph
         mats = component_projections(space)
     elif len(cs) == len(basis):
         mats = basis
+    elif n_components == len(basis):
+        raise ValueError(f"expected {n_components} coefficients, got {len(cs)}")
     else:
         raise ValueError(
             f"expected {n_components} per-component coefficients or "

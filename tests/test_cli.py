@@ -256,6 +256,18 @@ def test_zero_denominator_metric_is_a_clean_error(runner):
     assert not isinstance(result.exception, ZeroDivisionError)
 
 
+def test_wrong_block_count_names_one_count_when_both_agree(runner):
+    # a2.1 has two components and a two-dimensional commutant.
+    result = runner.invoke(
+        main,
+        ["check-go", "a2.1", "--metric", "blocks:1,2,3,4,5,6,7,8,9"],
+    )
+    assert result.exit_code == 1
+    assert "expected 2 coefficients, got 9" in result.output
+    assert "per-component" not in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize(
     "args, option",
     [

@@ -3,6 +3,7 @@
 import pytest
 
 from catalog_spans import declared_spans
+from rank2go.cli import EXPECTED_VERDICTS
 from rank2go.chevalley import build_compact_form, c_bracket, c_scale, complex_E
 from rank2go.embed import (
     CATALOG_IDS,
@@ -23,6 +24,20 @@ from rank2go.liealg import (
     subalgebra_closure,
     vec_add,
     vec_scale,
+)
+
+# The report order: perfbench's references and the classify report rely on it.
+EXPECTED_ORDER = (
+    "a2.1", "a2.2",
+    "a1a1.1", "a1a1.2", "a1a1.3",
+    "c2.1", "c2.2", "c2.3",
+    "g2.1", "g2.2", "g2.3", "g2.4",
+    "berger", "cp3",
+)
+
+# The paper's Hopf-fibred spaces: the only ones where "hopf" resolves.
+HOPF_SPACES = tuple(
+    i for i in CATALOG_IDS if EXPECTED_VERDICTS[i] == "nonnormal_go_family"
 )
 
 # Derived by hand from the root data: (dim h, dim m) per catalogued space.
@@ -91,12 +106,18 @@ def test_catalog_matches_independently_written_spans(space_id):
 
 
 def test_row_accessor_matches_catalog():
+    assert CATALOG_IDS == EXPECTED_ORDER
+    assert ROW_IDS == CATALOG_IDS[:12]
     for row, space_id in enumerate(ROW_IDS, start=1):
         assert su2_embedding_space(row) is catalog_space(space_id)
     with pytest.raises(ValueError):
         su2_embedding_space(0)
     with pytest.raises(ValueError):
         su2_embedding_space(13)
+    with pytest.raises(ValueError):
+        sl2_triple_for_row(0)
+    with pytest.raises(ValueError):
+        sl2_triple_for_row(13)
     with pytest.raises(ValueError):
         catalog_space("so5.1")
 
@@ -222,6 +243,14 @@ def test_centralizer_is_normalizer_intersected_with_m(space_id):
 
 
 def test_named_subalgebras():
+    assert HOPF_SPACES == ("a2.1", "c2.1", "berger", "cp3")
+    for space_id in HOPF_SPACES:
+        sp = catalog_space(space_id)
+        K = named_subalgebra(sp, "hopf")
+        assert K.contains_subspace(sp.h)
+        assert sp.h.dim < K.dim < sp.algebra.dim
+        assert subalgebra_closure(sp.algebra, K.rows) == K
+
     a21 = catalog_space("a2.1")
     K = named_subalgebra(a21, "hopf")
     assert K == named_subalgebra(a21, "ngh")
@@ -249,8 +278,10 @@ def test_named_subalgebras():
 
 
 def test_named_subalgebra_errors():
-    with pytest.raises(ValueError):
-        named_subalgebra(catalog_space("g2.1"), "hopf")
+    for space_id in CATALOG_IDS:
+        if space_id not in HOPF_SPACES:
+            with pytest.raises(ValueError, match="no canonical fibration subalgebra"):
+                named_subalgebra(catalog_space(space_id), "hopf")
     with pytest.raises(ValueError):
         named_subalgebra(catalog_space("a2.2"), "ngh")
     with pytest.raises(ValueError):
