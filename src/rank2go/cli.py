@@ -4,21 +4,21 @@ Subcommands: build a compact algebra, inspect a catalogued space, decompose
 its transverse part, check or certify the geodesic-orbit property for one
 metric, and classify spaces over a candidate-metric lattice.
 
-classify exits 0 when every computed verdict matches the built-in expected
-classification, 2 on a mismatch, and 1 when any space errored.  check-go
-exits 0 when sampling is consistent and 2 when refuted or filtered out.
-certify exits 0 when a witness is found and re-verifies, and 2 when the
-budget runs out without one.  check-go, certify and classify exit 1 on bad
-input: an unknown space, a malformed metric or scalar literal (a zero
-denominator included), or a negative --samples or --budget; both counts
-must be >= 0.  classify also exits 1 when its --out file cannot be
-written, as in a missing directory.  A subcommand's usage error (a malformed option value such
-as --samples abc, an unknown option, a missing argument) and an unknown
-subcommand exit 1 too.  Options given before the subcommand are click's
-own: an unknown one, as in `rank2go --bogus`, exits 2, and so does a bare
-`rank2go`, which prints the help.  The sampling seed defaults to 42 and
-can be overridden either with --seed or with the RANK2GO_SEED environment
-variable.
+classify exits 0 when every computed verdict matches the paper's verdict,
+which each space's catalogue row in `embed` records, 2 on a mismatch, and 1
+when any space errored.  check-go exits 0 when sampling is consistent and 2
+when refuted or filtered out.  certify exits 0 when a witness is found and
+re-verifies, and 2 when the budget runs out without one.  check-go, certify
+and classify exit 1 on bad input: an unknown space, a malformed metric or
+scalar literal (a zero denominator included), or a negative --samples or
+--budget; both counts must be >= 0.  classify also exits 1 when its --out
+file cannot be written, as in a missing directory.  A subcommand's usage
+error (a malformed option value such as --samples abc, an unknown option, a
+missing argument) and an unknown subcommand exit 1 too.  Options given
+before the subcommand are click's own: an unknown one, as in
+`rank2go --bogus`, exits 2, and so does a bare `rank2go`, which prints the
+help.  The sampling seed defaults to 42 and can be overridden either with
+--seed or with the RANK2GO_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import product
 import click
 
 from .chevalley import build_compact_form, summary_dict
-from .embed import CATALOG_IDS, catalog_space
+from .embed import CATALOG_IDS, EXPECTED_VERDICTS, catalog_space
 from .field import parse_scalar
 from .gocheck import (
     DEFAULT_SEED,
@@ -51,30 +51,12 @@ from .isotypic import (
     isotypic_decompose,
 )
 from .liealg import ideal_decomposition, identity_matrix, mat_combine, scalar_of
-
-FAMILIES = ("a2", "a1a1", "c2", "g2")
+from .rootsys import FAMILIES
 
 LATTICE = ("1/3", "1/2", "1", "2", "5")
 
 COMMUTANT_PROBE_STEPS = ("1/2", "1/4", "1/8", "1/16")
 COMMUTANT_PROBE_LIMIT = 4
-
-EXPECTED_VERDICTS = {
-    "a2.1": "nonnormal_go_family",
-    "a2.2": "isotropy_irreducible",
-    "a1a1.1": "lie_group_case",
-    "a1a1.2": "lie_group_case",
-    "a1a1.3": "isotropy_irreducible",
-    "c2.1": "nonnormal_go_family",
-    "c2.2": "all_metrics_normal",
-    "c2.3": "isotropy_irreducible",
-    "g2.1": "all_metrics_normal",
-    "g2.2": "all_metrics_normal",
-    "g2.3": "all_metrics_normal",
-    "g2.4": "isotropy_irreducible",
-    "berger": "nonnormal_go_family",
-    "cp3": "nonnormal_go_family",
-}
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -447,11 +429,11 @@ def classify(
 
     Reports, per space, the verdict lie_group_case, isotropy_irreducible,
     all_metrics_normal, or nonnormal_go_family with the passing candidates.
-    Exits 0 when all verdicts match the built-in expected classification,
-    2 on any mismatch, 1 when a space errored; the report then names the
-    space and the stage that failed (catalog, isotypic or search).  The
-    report is byte-identical across runs with the same seed and
-    configuration.
+    Exits 0 when all verdicts match the paper's, as the catalogue rows
+    record them, 2 on any mismatch, 1 when a space errored; the report
+    then names the space and the stage that failed (catalog, isotypic or
+    search).  The report is byte-identical across runs with the same seed
+    and configuration.
     """
     _nonnegative("--samples", samples)
     resolved = _resolve_seed(seed)

@@ -3,12 +3,14 @@
 Each catalogued space is a pair (g, h): a compact rank-two algebra g and a
 subalgebra h, with the reductive complement m of h under the invariant form.
 One table, `_CATALOG`, holds each space's id (in report order), description,
-family of g, a spec for h and the name "hopf" resolves to on the four
-Hopf-fibred spaces.  The twelve su(2)-embedding rows give h as the compact
-image of an sl2 span; cp3, the twistor space of the four-sphere, as a torus
-plus root spaces; berger, the squashed three-sphere, as one element of u(2).
-m is always the orthogonal complement of h; the test suite cross-checks
-every h and m against independently written spans.
+family of g, a spec for h and the paper's verdict on it, which `classify`
+checks through `EXPECTED_VERDICTS`.  On the four Hopf-fibred spaces the
+verdict is a `_Hopf` value, which also names the subalgebra "hopf" resolves
+to.  The twelve su(2)-embedding rows give h as the compact image of an sl2
+span; cp3, the twistor space of the four-sphere, as a torus plus root
+spaces; berger, the squashed three-sphere, as one element of u(2).  m is
+always the orthogonal complement of h; the test suite cross-checks every h
+and m against independently written spans.
 """
 
 from __future__ import annotations
@@ -52,52 +54,65 @@ class _Torus(NamedTuple):
     roots: tuple[Root, ...]  # each adds its root space F[g], G[g]
 
 
+class _Hopf(NamedTuple):
+    """The verdict nonnormal_go_family, on a space fibred over a subalgebra."""
+
+    name: str  # the subalgebra name that "hopf" resolves to
+
+
 class _Row(NamedTuple):
     description: str
     family: str  # of the compact form, or "u2" for berger_algebra()
     h: _Sl2 | _Torus | dict  # a dict is one element of u(2), by label
-    hopf: str | None = None  # the subalgebra name that "hopf" resolves to
+    verdict: str | _Hopf  # the paper's, as classify reports it
 
 
 _A, _B, _NA, _NB = (1, 0), (0, 1), (-1, 0), (0, -1)
+_GROUP, _IRRED, _NORMAL = "lie_group_case", "isotropy_irreducible", "all_metrics_normal"
 
 #: One row per catalogued space, in report order.
 _CATALOG: dict[str, _Row] = {
     "a2.1": _Row("5-sphere as SU(3)/SU(2)", "a2",
-                 _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (1, 1)), "ngh"),
+                 _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (1, 1)), _Hopf("ngh")),
     "a2.2": _Row("SU(3)/SO(3), isotropy irreducible", "a2",
-                 _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1))),
+                 _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1)), _IRRED),
     "a1a1.1": _Row("3-sphere as (SU(2)xSU(2))/(SU(2)x{1}), group case", "a1a1",
-                   _Sl2(((1, _A),), ((1, _NA),), (1, 0))),
+                   _Sl2(((1, _A),), ((1, _NA),), (1, 0)), _GROUP),
     "a1a1.2": _Row("3-sphere as (SU(2)xSU(2))/({1}xSU(2)), group case", "a1a1",
-                   _Sl2(((1, _B),), ((1, _NB),), (0, 1))),
+                   _Sl2(((1, _B),), ((1, _NB),), (0, 1)), _GROUP),
     "a1a1.3": _Row("3-sphere as (SU(2)xSU(2))/diagonal, symmetric", "a1a1",
-                   _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1))),
+                   _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1)), _IRRED),
     "c2.1": _Row("7-sphere as Sp(2)/Sp(1)", "c2",
-                 _Sl2(((1, (1, 2)),), ((1, (-1, -2)),), (1, 1)), "ngh"),
+                 _Sl2(((1, (1, 2)),), ((1, (-1, -2)),), (1, 1)), _Hopf("ngh")),
     "c2.2": _Row("Sp(2)/Sp(1) with the short-root Sp(1)", "c2",
-                 _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (2, 1))),
+                 _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (2, 1)), _NORMAL),
     "c2.3": _Row("Sp(2)/Sp(1), isotropy irreducible", "c2",
-                 _Sl2(((1, _A), (1, _B)), ((4, _NA), (3, _NB)), (4, 3))),
+                 _Sl2(((1, _A), (1, _B)), ((4, _NA), (3, _NB)), (4, 3)), _IRRED),
     "g2.1": _Row("G2/SU(2) on the short simple root", "g2",
-                 _Sl2(((1, _A),), ((1, _NA),), (1, 0))),
+                 _Sl2(((1, _A),), ((1, _NA),), (1, 0)), _NORMAL),
     "g2.2": _Row("G2/SU(2) on the long simple root", "g2",
-                 _Sl2(((1, _B),), ((1, _NB),), (0, 1))),
+                 _Sl2(((1, _B),), ((1, _NB),), (0, 1)), _NORMAL),
     "g2.3": _Row("G2/SU(2) with index-4 embedding", "g2",  # h = 2 H[3a+b]
                  _Sl2(((SQRT2, (3, 2)), (SQRT2, _NB)),
-                      ((SQRT2, _B), (SQRT2, (-3, -2))), (2, 2))),
+                      ((SQRT2, _B), (SQRT2, (-3, -2))), (2, 2)), _NORMAL),
     "g2.4": _Row("G2/SU(2), isotropy irreducible", "g2",  # h = 14 H[9a+5b]
                  _Sl2(((SQRT6, _A), (SQRT10, _B)),
-                      ((SQRT6, _NA), (SQRT10, _NB)), (6, 10))),
+                      ((SQRT6, _NA), (SQRT10, _NB)), (6, 10)), _IRRED),
     "berger": _Row("3-sphere as U(2)/U(1), squashed metrics", "u2",
-                   {"iH": 1, "Z": 1}, "ngh"),
+                   {"iH": 1, "Z": 1}, _Hopf("ngh")),
     # iH[a], iH[a+2b] and the root space of a+2b
     "cp3": _Row("CP^3 as Sp(2)/(U(1)xSp(1)), twistor space of S^4", "c2",
-                _Torus(((1, 0), (1, 1)), ((1, 2),)), "sp1sp1"),
+                _Torus(((1, 0), (1, 1)), ((1, 2),)), _Hopf("sp1sp1")),
 }
 
 #: All catalogue identifiers, in table order.
 CATALOG_IDS: tuple[str, ...] = tuple(_CATALOG)
+
+#: The paper's verdict on each catalogued space, as classify reports it.
+EXPECTED_VERDICTS: dict[str, str] = {
+    i: "nonnormal_go_family" if isinstance(row.verdict, _Hopf) else row.verdict
+    for i, row in _CATALOG.items()
+}
 
 #: The twelve su(2)-embedding rows, in table order; row n is ROW_IDS[n - 1].
 ROW_IDS: tuple[str, ...] = tuple(i for i, row in _CATALOG.items()
@@ -300,12 +315,11 @@ def named_subalgebra(space: CatalogSpace, name: str) -> Subspace:
     """
     if name == "hopf":
         row = _CATALOG.get(space.space_id)
-        alias = row.hopf if row else None
-        if alias is None:
+        if row is None or not isinstance(row.verdict, _Hopf):
             raise ValueError(
                 f"space {space.space_id} has no canonical fibration subalgebra"
             )
-        return named_subalgebra(space, alias)
+        return named_subalgebra(space, row.verdict.name)
     if name == "ngh":
         K = normalizer(space.algebra, space.h)
         if K.dim == space.h.dim or K.dim == space.algebra.dim:

@@ -209,6 +209,23 @@ def test_expected_verdict_table_covers_catalog():
     assert sorted(
         sid for sid, v in EXPECTED_VERDICTS.items() if v == "nonnormal_go_family"
     ) == ["a2.1", "berger", "c2.1", "cp3"]
+    # The paper's table, written out here as an oracle for the catalogue rows.
+    assert EXPECTED_VERDICTS == {
+        "a2.1": "nonnormal_go_family",
+        "a2.2": "isotropy_irreducible",
+        "a1a1.1": "lie_group_case",
+        "a1a1.2": "lie_group_case",
+        "a1a1.3": "isotropy_irreducible",
+        "c2.1": "nonnormal_go_family",
+        "c2.2": "all_metrics_normal",
+        "c2.3": "isotropy_irreducible",
+        "g2.1": "all_metrics_normal",
+        "g2.2": "all_metrics_normal",
+        "g2.3": "all_metrics_normal",
+        "g2.4": "isotropy_irreducible",
+        "berger": "nonnormal_go_family",
+        "cp3": "nonnormal_go_family",
+    }
 
 
 def test_classify_report_matches_the_golden_hash(runner, tmp_path):
