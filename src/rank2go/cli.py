@@ -31,7 +31,15 @@ from itertools import product
 import click
 
 from .chevalley import build_compact_form, summary_dict
-from .embed import CATALOG_IDS, EXPECTED_VERDICTS, catalog_space
+from .embed import (
+    ALL_METRICS_NORMAL,
+    CATALOG_IDS,
+    EXPECTED_VERDICTS,
+    ISOTROPY_IRREDUCIBLE,
+    LIE_GROUP_CASE,
+    NONNORMAL_GO_FAMILY,
+    catalog_space,
+)
 from .field import parse_scalar
 from .gocheck import (
     DEFAULT_SEED,
@@ -359,7 +367,7 @@ def _classify_space(space, dec, samples: int, seed: int) -> dict:
     L = space.algebra
     if dec.trivial_subspace == space.m:
         center, ideals = ideal_decomposition(L, space.m)
-        entry["verdict"] = "lie_group_case"
+        entry["verdict"] = LIE_GROUP_CASE
         entry["evidence"] = {
             "reason": (
                 "the isotropy action fixes all of m, so the space is a "
@@ -380,7 +388,7 @@ def _classify_space(space, dec, samples: int, seed: int) -> dict:
             raise ArithmeticError(
                 "the standard metric failed sampling on an irreducible space"
             )
-        entry["verdict"] = "isotropy_irreducible"
+        entry["verdict"] = ISOTROPY_IRREDUCIBLE
         entry["evidence"] = {
             "reason": (
                 "m is a single component with a one-dimensional symmetric "
@@ -404,10 +412,10 @@ def _classify_space(space, dec, samples: int, seed: int) -> dict:
         ):
             passing.append(label)
     if passing:
-        entry["verdict"] = "nonnormal_go_family"
+        entry["verdict"] = NONNORMAL_GO_FAMILY
         entry["verdict_params"] = passing
     else:
-        entry["verdict"] = "all_metrics_normal"
+        entry["verdict"] = ALL_METRICS_NORMAL
     entry["evidence"] = {"candidates": runs}
     return entry
 
@@ -465,7 +473,7 @@ def classify(
                 }
             )
     flagged = [
-        e["space"] for e in entries if e.get("verdict") == "nonnormal_go_family"
+        e["space"] for e in entries if e.get("verdict") == NONNORMAL_GO_FAMILY
     ]
     mismatches = [
         e["space"]

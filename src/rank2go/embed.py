@@ -55,7 +55,7 @@ class _Torus(NamedTuple):
 
 
 class _Hopf(NamedTuple):
-    """The verdict nonnormal_go_family, on a space fibred over a subalgebra."""
+    """The verdict NONNORMAL_GO_FAMILY, on a space fibred over a subalgebra."""
 
     name: str  # the subalgebra name that "hopf" resolves to
 
@@ -67,37 +67,45 @@ class _Row(NamedTuple):
     verdict: str | _Hopf  # the paper's, as classify reports it
 
 
+#: The four verdicts of classify, as the catalogue rows record them.
+LIE_GROUP_CASE = "lie_group_case"
+ISOTROPY_IRREDUCIBLE = "isotropy_irreducible"
+ALL_METRICS_NORMAL = "all_metrics_normal"
+NONNORMAL_GO_FAMILY = "nonnormal_go_family"
+
 _A, _B, _NA, _NB = (1, 0), (0, 1), (-1, 0), (0, -1)
-_GROUP, _IRRED, _NORMAL = "lie_group_case", "isotropy_irreducible", "all_metrics_normal"
 
 #: One row per catalogued space, in report order.
 _CATALOG: dict[str, _Row] = {
     "a2.1": _Row("5-sphere as SU(3)/SU(2)", "a2",
                  _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (1, 1)), _Hopf("ngh")),
     "a2.2": _Row("SU(3)/SO(3), isotropy irreducible", "a2",
-                 _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1)), _IRRED),
+                 _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1)),
+                 ISOTROPY_IRREDUCIBLE),
     "a1a1.1": _Row("3-sphere as (SU(2)xSU(2))/(SU(2)x{1}), group case", "a1a1",
-                   _Sl2(((1, _A),), ((1, _NA),), (1, 0)), _GROUP),
+                   _Sl2(((1, _A),), ((1, _NA),), (1, 0)), LIE_GROUP_CASE),
     "a1a1.2": _Row("3-sphere as (SU(2)xSU(2))/({1}xSU(2)), group case", "a1a1",
-                   _Sl2(((1, _B),), ((1, _NB),), (0, 1)), _GROUP),
+                   _Sl2(((1, _B),), ((1, _NB),), (0, 1)), LIE_GROUP_CASE),
     "a1a1.3": _Row("3-sphere as (SU(2)xSU(2))/diagonal, symmetric", "a1a1",
-                   _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1)), _IRRED),
+                   _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1)),
+                   ISOTROPY_IRREDUCIBLE),
     "c2.1": _Row("7-sphere as Sp(2)/Sp(1)", "c2",
                  _Sl2(((1, (1, 2)),), ((1, (-1, -2)),), (1, 1)), _Hopf("ngh")),
     "c2.2": _Row("Sp(2)/Sp(1) with the short-root Sp(1)", "c2",
-                 _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (2, 1)), _NORMAL),
+                 _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (2, 1)), ALL_METRICS_NORMAL),
     "c2.3": _Row("Sp(2)/Sp(1), isotropy irreducible", "c2",
-                 _Sl2(((1, _A), (1, _B)), ((4, _NA), (3, _NB)), (4, 3)), _IRRED),
+                 _Sl2(((1, _A), (1, _B)), ((4, _NA), (3, _NB)), (4, 3)),
+                 ISOTROPY_IRREDUCIBLE),
     "g2.1": _Row("G2/SU(2) on the short simple root", "g2",
-                 _Sl2(((1, _A),), ((1, _NA),), (1, 0)), _NORMAL),
+                 _Sl2(((1, _A),), ((1, _NA),), (1, 0)), ALL_METRICS_NORMAL),
     "g2.2": _Row("G2/SU(2) on the long simple root", "g2",
-                 _Sl2(((1, _B),), ((1, _NB),), (0, 1)), _NORMAL),
+                 _Sl2(((1, _B),), ((1, _NB),), (0, 1)), ALL_METRICS_NORMAL),
     "g2.3": _Row("G2/SU(2) with index-4 embedding", "g2",  # h = 2 H[3a+b]
                  _Sl2(((SQRT2, (3, 2)), (SQRT2, _NB)),
-                      ((SQRT2, _B), (SQRT2, (-3, -2))), (2, 2)), _NORMAL),
+                      ((SQRT2, _B), (SQRT2, (-3, -2))), (2, 2)), ALL_METRICS_NORMAL),
     "g2.4": _Row("G2/SU(2), isotropy irreducible", "g2",  # h = 14 H[9a+5b]
                  _Sl2(((SQRT6, _A), (SQRT10, _B)),
-                      ((SQRT6, _NA), (SQRT10, _NB)), (6, 10)), _IRRED),
+                      ((SQRT6, _NA), (SQRT10, _NB)), (6, 10)), ISOTROPY_IRREDUCIBLE),
     "berger": _Row("3-sphere as U(2)/U(1), squashed metrics", "u2",
                    {"iH": 1, "Z": 1}, _Hopf("ngh")),
     # iH[a], iH[a+2b] and the root space of a+2b
@@ -110,7 +118,7 @@ CATALOG_IDS: tuple[str, ...] = tuple(_CATALOG)
 
 #: The paper's verdict on each catalogued space, as classify reports it.
 EXPECTED_VERDICTS: dict[str, str] = {
-    i: "nonnormal_go_family" if isinstance(row.verdict, _Hopf) else row.verdict
+    i: NONNORMAL_GO_FAMILY if isinstance(row.verdict, _Hopf) else row.verdict
     for i, row in _CATALOG.items()
 }
 

@@ -13,9 +13,10 @@ The search runs in m-coordinates, on data built once per space: the
 isotropy action ad(h_i)|_m as ring rows (isotypic.isotropy_action, which
 casimir and validation read too), a kernel that holds the bracket m x m ->
 h + m and that only the direction checker reads, the fixed part of m with
-its fixed-vector actions and simple ideals for the filters, and the
-structured batch of directions, each cleared to ints once.  The search hands
-the checker int vectors only: the batch's ints and random draws of ints.
+its fixed-vector actions and the int basis rows of its simple ideals for
+the filters, and the structured batch of directions, each cleared to ints
+once.  The search hands the checker int vectors only: the batch's ints and
+random draws of ints.
 Each direction needs only the rank pair of a small system, built on ints
 once per radical of the metric (d M = sum_b sqrt(b) M_b for integer M_b,
 and the system is linear in M).  One such system is eliminated
@@ -31,7 +32,9 @@ geodesic exactly when [MX, X] lies in [h, MX]; Alekseevsky-Nikonorov,
 SIGMA 5 (2009) 093).  The search finds the scalar lambda_k of M on each
 isotypic component V_k, where there is one, and decides every structured
 direction built from components that share one lambda; a scalar metric
-M = cI decides every direction this way.
+M = cI decides every direction this way.  One test, _MetricRows.scalar_on,
+decides whether M is a scalar on a span of int vectors: on each V_k for the
+search, and on each simple ideal of the fixed part for the filter.
 `solve_compensator` keeps the ambient-coordinate solve with its canonical
 least-norm compensator, and `verify_witness` replays every witness through
 it, independently of the search.
@@ -60,10 +63,8 @@ from .field import (
     Scalar,
     clear_denominators,
     parse_scalar,
-    ring_lift,
     ring_mac,
     ring_neg,
-    ring_pack,
     ring_scalar,
     scalar,
 )
@@ -77,7 +78,6 @@ from .isotypic import (
 from .liealg import (
     Matrix,
     SparseRows,
-    Subspace,
     Vector,
     ad_on,
     gram_matrix,
@@ -298,58 +298,28 @@ def solve_compensator(
 # -- filters ------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Span:
-    """A subspace of m as ring rows: its RREF rows cleared of one common
-    denominator d > 0, their pivots, and the sparse rows of a basis of its
-    annihilator, so that v lies in the span exactly when every annihilator
-    row has zero product with v."""
-
-    rows: tuple[list[Ring], ...]
-    pivots: tuple[int, ...]
-    annihilator: SparseRows
-
-    @classmethod
-    def lift(cls, sub: Subspace) -> "_Span":
-        n = sub.ambient_dim
-        values = ring_lift([c for row in sub.rows for c in row])
-        return cls(
-            rows=tuple(values[i * n:(i + 1) * n] for i in range(sub.dim)),
-            pivots=sub.pivots,
-            annihilator=lift_rows(kernel_basis(sub.rows, n)),
-        )
-
-    def contains(self, v: Sequence[Ring]) -> bool:
-        return not any(_ring_apply(self.annihilator, v))
-
-
-@dataclass(frozen=True)
 class _FixedPart:
-    """The fixed part p of m, in m-coordinates, on ring rows: ad(w)|_m for
-    each row w of p, each cleared of its own denominator, p itself, and its
-    simple ideals, or None for the ideals when p is not a subalgebra."""
+    """The fixed part p of m, in m-coordinates: ad(w)|_m for each row w of
+    p, as ring rows each cleared of its own denominator, and the basis rows
+    of each simple ideal of p, each cleared to ints (they are rational on
+    every catalogued space), or None for the ideals when p is not a
+    subalgebra."""
 
     actions: tuple[SparseRows, ...]
-    span: _Span
-    ideals: tuple[_Span, ...] | None
+    ideals: tuple[tuple[list[int], ...], ...] | None
 
 
 def _build_fixed_part(space: CatalogSpace) -> _FixedPart:
     L = space.algebra
     p = isotypic_decompose(space).trivial_subspace
-
-    def m_span(sub: Subspace) -> _Span:
-        return _Span.lift(Subspace.from_vectors(
-            space.dim_m, [space.m.coords(r) for r in sub.rows]
-        ))
-
     ideals = None
     if p.dim and subalgebra_closure(L, p.rows) == p:
-        ideals = tuple(m_span(ideal) for ideal in ideal_decomposition(L, p)[1])
+        ideals = tuple(
+            tuple(clear_denominators(space.m.coords(r)) for r in ideal.rows)
+            for ideal in ideal_decomposition(L, p)[1]
+        )
     return _FixedPart(
-        actions=tuple(
-            lift_rows(ad_on(L, w, space.m)) for w in p.rows
-        ),
-        span=m_span(p),
+        actions=tuple(lift_rows(ad_on(L, w, space.m)) for w in p.rows),
         ideals=ideals,
     )
 
@@ -373,34 +343,17 @@ def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool
     For X in p the compensator equation degenerates to [MX, X] = 0, which
     holds for every X in p exactly when M preserves p, restricts to a
     scalar on each simple ideal of p, and is arbitrary (symmetric positive
-    definite) on the center.  True when p is zero.  Each test is basis-free,
-    so it runs on the m-coordinate spans of p and its ideals.  The images
-    M r are taken on the metric's lift and the ring rows of each span, so
-    each is d d' M r for d, d' > 0: membership in a span, and M being a
-    scalar on an ideal, do not change under that positive factor.
+    definite) on the center.  True when p is zero.  A validated metric
+    preserves p: p is the joint kernel of the ad(h_i)|_m, and M A_i = A_i M,
+    so x in p gives A_i M x = M A_i x = 0.  So the test is that M is a
+    scalar on each ideal, on its basis rows (_MetricRows.scalar_on).
     """
     fixed = per_space(_build_fixed_part, space)
-    if not fixed.span.rows:
+    if not fixed.actions:
         return True
     if fixed.ideals is None:
         raise ValueError("the fixed part of m is not a subalgebra")
-    M = metric.rows.ring
-    if not all(fixed.span.contains(_ring_apply(M, r)) for r in fixed.span.rows):
-        return False
-    for ideal in fixed.ideals:
-        images = [_ring_apply(M, r) for r in ideal.rows]
-        if not all(ideal.contains(v) for v in images):
-            return False
-        # The coordinates of a vector of the ideal against its RREF rows
-        # are its pivot entries.
-        c = images[0][ideal.pivots[0]]
-        if any(
-            v[p] != (c if i == j else ())
-            for j, v in enumerate(images)
-            for i, p in enumerate(ideal.pivots)
-        ):
-            return False
-    return True
+    return all(metric.rows.scalar_on(rows) for rows in fixed.ideals)
 
 
 FILTER_NAMES = ("normalizer", "biinvariance")
@@ -551,16 +504,6 @@ def _apply(rows: SparseRows, v) -> list:
     return out
 
 
-def _ring_apply(rows: SparseRows, v: Sequence[Ring]) -> list[Ring]:
-    out = []
-    for row in rows:
-        acc = [0] * 8
-        for j, c in row:
-            ring_mac(acc, c, v[j])
-        out.append(ring_pack(acc))
-    return out
-
-
 def _build_kernel(
     space: CatalogSpace,
 ) -> tuple[tuple[int, int, tuple[tuple[int, Ring], ...]], ...]:
@@ -639,8 +582,9 @@ class _MetricRows:
     split by radical into parts, the pairs (b, int rows of M_b) with d M =
     sum_b sqrt(b) M_b, for b the indices into field.RADICANDS that occur, in
     increasing order.  A rational metric is the one part (0, its int rows).
-    Validation, both filters, the eigen labels and the checker all read
-    this lift."""
+    Validation and the normalizer filter read the ring rows; scalar_on,
+    which the eigen labels and the bi-invariance filter share, and the
+    checker read the parts."""
 
     ring: SparseRows
     parts: tuple[tuple[int, SparseRows], ...]
@@ -659,31 +603,35 @@ class _MetricRows:
             (b, tuple(map(tuple, parts[b]))) for b in sorted(parts)
         ))
 
-    def image(self, x: Sequence[int]) -> list[Sequence[int]]:
-        """(d M) x for an integer vector x, each entry as its coordinates
-        on the radicals of the parts."""
-        return list(zip(*(_apply(M, x) for _, M in self.parts)))
+    def scalar_on(self, xs: Sequence[Sequence[int]]) -> tuple[tuple, int] | None:
+        """(a, b) with (d M) x = (a / b) x for every int vector x in xs, or
+        None when there is none: M is a scalar on the span of xs exactly
+        when it is not None.  b = x_p and a = ((d M) x)_p, as its
+        coordinates on the radicals of the parts, at the first nonzero
+        coordinate p of the first x."""
+        ratio = None
+        for x in xs:
+            y = list(zip(*(_apply(M, x) for _, M in self.parts)))
+            if ratio is None:
+                p = next(j for j, u in enumerate(x) if u)
+                ratio = (y[p], x[p])
+            a, b = ratio
+            if any([b * t for t in v] != [u * t for t in a] if u else any(v)
+                   for u, v in zip(x, y)):
+                return None
+        return ratio
 
     def eigen_labels(self, batch: _Batch) -> list[int | None]:
         """For each isotypic component V_k, a label when M|V_k = lambda_k I,
         shared by two components exactly when their lambdas are equal, and
-        None otherwise.  For each basis vector x of V_k, cleared to ints,
-        (d M) x must equal (a / b) x, where b = x_p and a = ((d M) x)_p at
-        the first nonzero coordinate p of the first one; a / b and a' / b'
-        are equal when a b' = a' b."""
-        ratios: dict[int, tuple | None] = {}
+        None otherwise.  lambda_k is read by scalar_on off the basis vectors
+        of V_k, cleared to ints; a / b and a' / b' are equal when a b' =
+        a' b."""
+        groups: dict[int, list[list[int]]] = {}
         for (k,), x in zip(batch.parts, batch.ints[:batch.singles]):
-            if ratios.get(k, ()) is None:
-                continue
-            y = self.image(x)
-            if k not in ratios:
-                p = next(j for j, u in enumerate(x) if u)
-                ratios[k] = (y[p], x[p])
-            a, b = ratios[k]
-            if any([b * t for t in v] != [u * t for t in a] if u else any(v)
-                   for u, v in zip(x, y)):
-                ratios[k] = None
-        eigen = [(k, r) for k, r in ratios.items() if r is not None]
+            groups.setdefault(k, []).append(x)
+        ratios = ((k, self.scalar_on(xs)) for k, xs in groups.items())
+        eigen = [(k, r) for k, r in ratios if r is not None]
         labels: list[int | None] = [None] * batch.components
         for k, (a, b) in eigen:
             labels[k] = next(

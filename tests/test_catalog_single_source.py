@@ -1,11 +1,15 @@
-"""Static check: the catalogue ids are written only in embed's table.
+"""Static checks: the catalogue ids and the verdict names are written only
+in embed.
 
 Each space's id, description, family, h and the paper's verdict on it live
 in one row of `embed._CATALOG`.  Any other module of the package that
 spells out a space id (a second verdict table, a per-space branch) holds a
 second copy of a catalogue fact that nothing keeps in step with the row.
-So no `src/rank2go` module other than `embed.py` may hold a catalogue id as
-a string constant; docstrings, which only describe, are exempt.
+The four verdict names are embed's constants, which the rows and classify
+share; a literal elsewhere is a second spelling that may drift from them.
+So no `src/rank2go` module other than `embed.py` may hold a catalogue id or
+a verdict name as a string constant; docstrings, which only describe, are
+exempt.
 """
 
 import ast
@@ -34,16 +38,24 @@ def docstring_nodes(tree: ast.Module) -> set[int]:
     return found
 
 
-def catalogue_ids_written(source: str) -> list[tuple[int, str]]:
-    """Every string constant of source that equals a catalogue id, as
-    (line, id), docstrings excepted."""
+VERDICT_NAMES = (
+    embed.LIE_GROUP_CASE,
+    embed.ISOTROPY_IRREDUCIBLE,
+    embed.ALL_METRICS_NORMAL,
+    embed.NONNORMAL_GO_FAMILY,
+)
+
+
+def strings_written(source: str, names=CATALOG_IDS) -> list[tuple[int, str]]:
+    """Every string constant of source that is one of names (by default
+    the catalogue ids), as (line, name), docstrings excepted."""
     tree = ast.parse(source)
     skip = docstring_nodes(tree)
     return sorted(
         (node.lineno, node.value)
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant)
-        and node.value in CATALOG_IDS
+        and node.value in names
         and id(node) not in skip
     )
 
@@ -60,8 +72,15 @@ def test_checker_flags_planted_ids():
         "class K:\n"
         "    'berger'\n"
         "    x = 'berger'\n"
+        "    y = ('lie_group_case', 'isotropy_irreducible.', LIE_GROUP_CASE)\n"
+        "def g():\n"
+        "    'all_metrics_normal'\n"
+        "    return 'all_metrics_normal'\n"
     )
-    assert catalogue_ids_written(source) == [(2, "a2.1"), (5, "g2.4"), (10, "berger")]
+    assert strings_written(source) == [(2, "a2.1"), (5, "g2.4"), (10, "berger")]
+    assert strings_written(source, VERDICT_NAMES) == [
+        (2, "nonnormal_go_family"), (11, "lie_group_case"), (14, "all_metrics_normal"),
+    ]
 
 
 def test_only_embed_writes_catalogue_ids():
@@ -69,7 +88,17 @@ def test_only_embed_writes_catalogue_ids():
         path.name: hits
         for path in sorted(SRC.glob("*.py"))
         if path.name != "embed.py"
-        and (hits := catalogue_ids_written(path.read_text(encoding="utf-8")))
+        and (hits := strings_written(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_only_embed_writes_verdict_names():
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "embed.py"
+        and (hits := strings_written(path.read_text(encoding="utf-8"), VERDICT_NAMES))
     }
     assert found == {}
 
