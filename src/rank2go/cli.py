@@ -17,14 +17,12 @@ error (a malformed option value such as --samples abc, an unknown option, a
 missing argument) and an unknown subcommand exit 1 too.  Options given
 before the subcommand are click's own: an unknown one, as in
 `rank2go --bogus`, exits 2, and so does a bare `rank2go`, which prints the
-help.  The sampling seed defaults to 42 and can be overridden either with
---seed or with the RANK2GO_SEED environment variable.
+help.  The sampling seed is set only by --seed, which defaults to 42.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from itertools import product
 
@@ -42,6 +40,8 @@ from .embed import (
 )
 from .field import parse_scalar
 from .gocheck import (
+    DEFAULT_BUDGET,
+    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     STATUS_GO_SAMPLED,
     GoVerdict,
@@ -65,20 +65,6 @@ LATTICE = ("1/3", "1/2", "1", "2", "5")
 
 COMMUTANT_PROBE_STEPS = ("1/2", "1/4", "1/8", "1/16")
 COMMUTANT_PROBE_LIMIT = 4
-
-
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("RANK2GO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise click.ClickException(
-                f"RANK2GO_SEED must be an integer, got {env!r}"
-            )
-    return DEFAULT_SEED
 
 
 def _nonnegative(option: str, value: int) -> None:
@@ -251,13 +237,9 @@ def decompose(space_id: str) -> None:
     "--metric", "metric_text", default="standard", show_default=True,
     help="standard | fib:<name>:<scale> | blocks:<c1,c2,...>",
 )
-@click.option("--samples", default=200, show_default=True, type=int)
-@click.option("--seed", default=None, type=int, help="defaults to RANK2GO_SEED or 42")
-@click.option("--no-filters", is_flag=True, help="skip the necessary-condition filters")
-def check_go(
-    space_id: str, metric_text: str, samples: int, seed: int | None,
-    no_filters: bool,
-) -> None:
+@click.option("--samples", default=DEFAULT_SAMPLES, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+def check_go(space_id: str, metric_text: str, samples: int, seed: int) -> None:
     """Sample the geodesic-orbit condition for one metric.
 
     Exits 0 when every sampled direction admits a compensator, 2 when the
@@ -265,12 +247,8 @@ def check_go(
     """
     _nonnegative("--samples", samples)
     sp = _space(space_id)
-    resolved = _resolve_seed(seed)
     metric = _metric(sp, metric_text)
-    verdict = go_sample_check(
-        sp, metric, samples=samples, seed=resolved,
-        apply_filters=not no_filters,
-    )
+    verdict = go_sample_check(sp, metric, samples=samples, seed=seed)
     _echo_verdict(space_id, metric_text, verdict, include_time=True)
     sys.exit(0 if verdict.status == STATUS_GO_SAMPLED else 2)
 
@@ -281,11 +259,9 @@ def check_go(
     "--metric", "metric_text", required=True,
     help="standard | fib:<name>:<scale> | blocks:<c1,c2,...>",
 )
-@click.option("--budget", default=50, show_default=True, type=int)
-@click.option("--seed", default=None, type=int, help="defaults to RANK2GO_SEED or 42")
-def certify(
-    space_id: str, metric_text: str, budget: int, seed: int | None
-) -> None:
+@click.option("--budget", default=DEFAULT_BUDGET, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
+def certify(space_id: str, metric_text: str, budget: int, seed: int) -> None:
     """Search for an exact refuting direction for one metric.
 
     Exits 0 when a witness is found and re-verifies, 2 when the budget is
@@ -293,9 +269,8 @@ def certify(
     """
     _nonnegative("--budget", budget)
     sp = _space(space_id)
-    resolved = _resolve_seed(seed)
     metric = _metric(sp, metric_text)
-    verdict = find_witness(sp, metric, budget=budget, seed=resolved)
+    verdict = find_witness(sp, metric, budget=budget, seed=seed)
     _echo_verdict(space_id, metric_text, verdict, include_time=True)
     if verdict.witness is None:
         click.echo(f"no witness within budget {budget}")
@@ -427,11 +402,11 @@ def _classify_space(space, dec, samples: int, seed: int) -> dict:
     "--out", "out_path", type=click.Path(dir_okay=False), default=None,
     help="write the JSON report to this file",
 )
-@click.option("--samples", default=200, show_default=True, type=int)
-@click.option("--seed", default=None, type=int, help="defaults to RANK2GO_SEED or 42")
+@click.option("--samples", default=DEFAULT_SAMPLES, show_default=True, type=int)
+@click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
 def classify(
     space_ids: tuple[str, ...], run_all: bool, out_path: str | None,
-    samples: int, seed: int | None,
+    samples: int, seed: int,
 ) -> None:
     """Classify spaces by sampling a lattice of candidate metrics.
 
@@ -444,7 +419,6 @@ def classify(
     and configuration.
     """
     _nonnegative("--samples", samples)
-    resolved = _resolve_seed(seed)
     if run_all:
         if space_ids:
             raise click.ClickException("--all and explicit space ids are mutually exclusive")
@@ -462,7 +436,7 @@ def classify(
             stage = "isotypic"
             dec = isotypic_decompose(space)
             stage = "search"
-            entries.append(_classify_space(space, dec, samples, resolved))
+            entries.append(_classify_space(space, dec, samples, seed))
         except Exception as exc:
             errors += 1
             entries.append(
@@ -482,7 +456,7 @@ def classify(
     ]
     report = {
         "config": {
-            "seed": resolved,
+            "seed": seed,
             "samples": samples,
             "lattice": list(LATTICE),
             "spaces": ids,

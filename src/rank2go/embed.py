@@ -15,7 +15,7 @@ and m against independently written spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -129,7 +129,9 @@ ROW_IDS: tuple[str, ...] = tuple(i for i, row in _CATALOG.items()
 
 @dataclass(frozen=True)
 class CatalogSpace:
-    """A homogeneous space presented as (algebra, subalgebra, complement)."""
+    """A homogeneous space presented as (algebra, subalgebra, complement).
+
+    derived holds the data built once per space (isotypic.per_space)."""
 
     space_id: str
     description: str
@@ -137,6 +139,9 @@ class CatalogSpace:
     h: Subspace
     m: Subspace
     compact: CompactForm | None = None
+    derived: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def dim_h(self) -> int:

@@ -104,6 +104,8 @@ from .liealg import (
 )
 
 DEFAULT_SEED = 42
+DEFAULT_SAMPLES = 200
+DEFAULT_BUDGET = 50
 STATUS_GO_SAMPLED = "go_sampled"
 STATUS_NOT_GO = "not_go_certified"
 STATUS_FILTERED = "filtered_out"
@@ -356,12 +358,12 @@ def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool
     return all(metric.rows.scalar_on(rows) for rows in fixed.ideals)
 
 
-FILTER_NAMES = ("normalizer", "biinvariance")
-
 _FILTERS = {
     "normalizer": normalizer_filter,
     "biinvariance": biinvariance_filter,
 }
+
+FILTER_NAMES = tuple(_FILTERS)
 
 
 def _filter_results(
@@ -705,10 +707,10 @@ def _search(
     seed: int,
     apply_filters: bool,
 ) -> GoVerdict:
-    """The one direction search: filters (always computed, and applied only
-    when asked), the structured batch, then `draws` seeded random draws,
-    stopping at the first direction with no compensator.  samples_run counts
-    the directions decided.
+    """The one direction search: filters (always computed, and applied by
+    go_sample_check only), the structured batch, then `draws` seeded random
+    draws, stopping at the first direction with no compensator.  samples_run
+    counts the directions decided.
 
     A direction X with MX = lambda X is decided without a system: r(X) =
     [MX, X] = lambda [X, X] = 0, so a = 0 compensates it.  The scalar
@@ -769,38 +771,33 @@ def _search(
 def go_sample_check(
     space: CatalogSpace,
     metric: MetricEndomorphism,
-    samples: int = 200,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    apply_filters: bool = True,
 ) -> GoVerdict:
     """Run the filters, the structured batch, then seeded random directions.
 
-    Random directions draw every coordinate uniformly from the nonzero
-    integers in [-9, 9].  The first direction with no compensator stops the
-    run with a witness.  samples counts the random draws and must be >= 0;
-    samples_run in the verdict counts every direction decided.  A
-    direction with MX = lambda X is decided by r(X) = [MX, X] =
-    lambda [X, X] = 0 (the compensator is a = 0), without a system being
-    solved: the structured directions built from components on which M is
-    one and the same scalar, and, for a scalar metric M = cI, every
-    direction.
+    A metric that fails a filter is filtered out and no direction is
+    checked.  Random directions draw every coordinate uniformly from the
+    nonzero integers in [-9, 9].  The first direction with no compensator
+    stops the run with a witness.  samples counts the random draws and must
+    be >= 0; samples_run in the verdict counts every direction decided, as
+    _search says, eigen directions included.
     """
-    return _search(space, metric, samples, seed, apply_filters)
+    return _search(space, metric, samples, seed, apply_filters=True)
 
 
 def find_witness(
     space: CatalogSpace,
     metric: MetricEndomorphism,
-    budget: int = 50,
+    budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
 ) -> GoVerdict:
     """Search for a refuting direction: structured batch first, then up to
     budget random draws.  The budget counts random draws only and must be
     >= 0; the structured batch always runs in full if no witness appears
-    sooner.  The filters are reported but never stop the search.  A
-    direction with MX = lambda X cannot refute, since [MX, X] =
-    lambda [X, X] = 0 is compensated by a = 0; such directions are counted
-    in samples_run without a system being solved."""
+    sooner.  The filters are reported but never stop the search: this is
+    the one unfiltered search.  samples_run counts directions as in
+    _search."""
     return _search(space, metric, budget, seed, apply_filters=False)
 
 

@@ -97,19 +97,12 @@ class IsotypicDecomposition:
 # per-space data
 # ---------------------------------------------------------------------------
 
-_PER_SPACE: dict[tuple[Callable, str], tuple[CatalogSpace, object]] = {}
-
-
 def per_space(build: Callable[[CatalogSpace], object], space: CatalogSpace):
-    """build(space), built once and kept while the same space object is in
-    use: every later reader of the space gets the same data."""
-    key = (build, space.space_id)
-    hit = _PER_SPACE.get(key)
-    if hit is not None and hit[0] is space:
-        return hit[1]
-    result = build(space)
-    _PER_SPACE[key] = (space, result)
-    return result
+    """build(space), built once and kept on the space (space.derived): every
+    later reader of the space gets the same data."""
+    if build not in space.derived:
+        space.derived[build] = build(space)
+    return space.derived[build]
 
 
 @dataclass(frozen=True)

@@ -170,18 +170,18 @@ def test_classify_seed_sources(runner):
     direct = runner.invoke(
         main, ["classify", "berger", "--samples", "15", "--seed", "7"]
     )
-    via_env = runner.invoke(
-        main,
-        ["classify", "berger", "--samples", "15"],
-        env={"RANK2GO_SEED": "7"},
-    )
-    assert direct.exit_code == 0 and via_env.exit_code == 0
-    assert tail_json(direct.output) == tail_json(via_env.output)
+    assert direct.exit_code == 0
     assert tail_json(direct.output)["config"]["seed"] == 7
-    bad_env = runner.invoke(
-        main, ["classify", "berger"], env={"RANK2GO_SEED": "many"}
+
+
+@pytest.mark.parametrize("value", ["7", "many"])
+def test_classify_ignores_the_environment_for_the_seed(runner, value):
+    result = runner.invoke(
+        main, ["classify", "berger", "--samples", "15"],
+        env={"RANK2GO_SEED": value},
     )
-    assert bad_env.exit_code == 1
+    assert result.exit_code == 0, result.output
+    assert tail_json(result.output)["config"]["seed"] == 42
 
 
 def test_classify_usage_errors(runner):
@@ -325,6 +325,33 @@ def test_usage_errors_exit_1(runner, args):
     assert "Usage:" in result.output
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+def test_check_go_has_no_unfiltered_option(runner):
+    # The unfiltered search is certify; check-go always applies the filters.
+    result = runner.invoke(
+        main, ["check-go", "c2.2", "--metric", "blocks:2,1", "--no-filters"]
+    )
+    assert result.exit_code == 1
+    assert "Usage:" in result.output
+    assert "No such option" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "command, count",
+    [
+        ("check-go", "--samples INTEGER [default: 200]"),
+        ("certify", "--budget INTEGER [default: 50]"),
+        ("classify", "--samples INTEGER [default: 200]"),
+    ],
+)
+def test_help_shows_the_defaults(runner, command, count):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    text = " ".join(result.output.split())
+    assert count in text
+    assert "--seed INTEGER [default: 42]" in text
 
 
 def test_classify_mismatch_exits_2(runner, monkeypatch):

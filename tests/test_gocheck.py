@@ -307,8 +307,8 @@ def test_filtered_out_short_circuits_sampling():
     assert verdict.filter_name == "normalizer"
     assert verdict.samples_run == 0
     assert dict(verdict.filters)["biinvariance"] is False
-    # with filters disabled, sampling itself refutes the same metric
-    verdict = go_sample_check(sp, metric, samples=200, apply_filters=False)
+    # the unfiltered search refutes the same metric by sampling itself
+    verdict = find_witness(sp, metric, budget=200)
     assert verdict.status == "not_go_certified"
 
 
@@ -324,7 +324,7 @@ def test_lie_group_rows_admit_only_scalar_go_metrics():
     sp = catalog_space("a1a1.1")
     skew = p_block_metric(sp, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     assert not biinvariance_filter(sp, skew)
-    verdict = go_sample_check(sp, skew, samples=10, apply_filters=False)
+    verdict = find_witness(sp, skew, budget=10)
     assert verdict.status == "not_go_certified"
     round_metric = p_block_metric(sp, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
     assert biinvariance_filter(sp, round_metric)
@@ -429,11 +429,8 @@ def test_find_witness_is_the_unfiltered_sample_check(space_id, coeffs):
     metric = metric_from_blocks(sp, coeffs)
     for budget, seed in ((0, 1), (7, 42)):
         found = find_witness(sp, metric, budget=budget, seed=seed)
-        sampled = go_sample_check(
-            sp, metric, samples=budget, seed=seed, apply_filters=False
-        )
-        assert found.to_dict(include_time=False) == sampled.to_dict(
-            include_time=False
+        assert found.to_dict(include_time=False) == reference_verdict(
+            sp, metric, budget, seed, apply_filters=False
         )
 
 
