@@ -127,9 +127,7 @@ def _dump(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
-def _echo_verdict(
-    space_id: str, metric_text: str, verdict: GoVerdict, include_time: bool
-) -> None:
+def _echo_verdict(space_id: str, metric_text: str, verdict: GoVerdict) -> None:
     filters = " ".join(
         f"{name}={'yes' if ok else 'no'}" for name, ok in verdict.filters
     )
@@ -144,7 +142,7 @@ def _echo_verdict(
             f"witness: rank {w.rank_map} vs augmented {w.rank_augmented}; "
             f"coords ({', '.join(str(c) for c in w.coords)})"
         )
-    click.echo(_dump(verdict.to_dict(include_time=include_time)))
+    click.echo(_dump(verdict.to_dict()))
 
 
 class _Main(click.Group):
@@ -249,7 +247,7 @@ def check_go(space_id: str, metric_text: str, samples: int, seed: int) -> None:
     sp = _space(space_id)
     metric = _metric(sp, metric_text)
     verdict = go_sample_check(sp, metric, samples=samples, seed=seed)
-    _echo_verdict(space_id, metric_text, verdict, include_time=True)
+    _echo_verdict(space_id, metric_text, verdict)
     sys.exit(0 if verdict.status == STATUS_GO_SAMPLED else 2)
 
 
@@ -271,7 +269,7 @@ def certify(space_id: str, metric_text: str, budget: int, seed: int) -> None:
     sp = _space(space_id)
     metric = _metric(sp, metric_text)
     verdict = find_witness(sp, metric, budget=budget, seed=seed)
-    _echo_verdict(space_id, metric_text, verdict, include_time=True)
+    _echo_verdict(space_id, metric_text, verdict)
     if verdict.witness is None:
         click.echo(f"no witness within budget {budget}")
         sys.exit(2)

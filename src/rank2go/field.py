@@ -17,6 +17,7 @@ decimal rendering of reports.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from itertools import chain, compress
@@ -70,6 +71,7 @@ _ZERO7 = (0,) * 7
 _ZERO8 = (0,) * 8
 
 
+@functools.total_ordering
 class Scalar:
     """An immutable element of Q(sqrt2, sqrt3, sqrt5)."""
 
@@ -323,24 +325,6 @@ class Scalar:
         if other is NotImplemented:
             return NotImplemented
         return (self - other).sign() < 0
-
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() >= 0
 
     # -- roots ------------------------------------------------------------
 

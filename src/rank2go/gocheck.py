@@ -11,28 +11,28 @@ necessary-condition filters that rule metrics out without sampling.
 
 The search runs in m-coordinates, on data built once per space: the
 isotropy action ad(h_i)|_m as ring rows (isotypic.isotropy_action, which
-casimir and validation read too), a kernel that holds the bracket m x m ->
-h + m and that only the direction checker reads, the fixed part of m with
-its fixed-vector actions and the int basis rows of its simple ideals for
-the filters, and the structured batch of directions, each cleared to ints
-once.  The search hands the checker int vectors only: the batch's ints and
-random draws of ints.
+casimir and validation read too), the int tensors of the direction checker
+(_int_tensors: those rows and the bracket m x m -> h + m, built in one
+step), the fixed part of m with its fixed-vector actions and the int basis
+rows of its simple ideals for the filters, and the structured batch of
+directions, each cleared to ints once.  The search hands the checker int
+vectors only: the batch's ints and random draws of ints.
 Each direction needs only the rank pair of a small system, built on ints
 once per radical of the metric (d M = sum_b sqrt(b) M_b for integer M_b,
 and the system is linear in M).  One such system is eliminated
 fraction-free on its ints; two or more are packed entry by entry into ring
 rows, integer coordinates over the radical basis 1, sqrt2, ..., sqrt30
-(field.Ring).  No Scalar is eliminated in the search, and a Scalar
-direction is built only for a witness.  The spaces c2.3 and g2.4, whose h
-is irrational, fall back to the ambient solve_compensator; no search
-reaches it, since every metric on them is scalar.  A
-direction X with MX = lambda X builds no system at all: [MX, X] =
-lambda [X, X] = 0, so a = 0 compensates it (the geodesic lemma: X is
-geodesic exactly when [MX, X] lies in [h, MX]; Alekseevsky-Nikonorov,
-SIGMA 5 (2009) 093).  The search finds the scalar lambda_k of M on each
-isotypic component V_k, where there is one, and decides every structured
-direction built from components that share one lambda; a scalar metric
-M = cI decides every direction this way.  One test, _MetricRows.scalar_on,
+(field.Ring).  Each solution is checked exactly by the liealg solver that
+returns it.  No Scalar is eliminated in the search, and a Scalar direction
+is built only for a witness.  The spaces c2.3 and g2.4, whose h is
+irrational, fall back to the ambient solve_compensator; no search reaches
+it, since every metric on them is scalar.  A direction X with MX = lambda
+X builds no system at all: [MX, X] = lambda [X, X] = 0, so a = 0
+compensates it (the geodesic lemma: X is geodesic exactly when [MX, X]
+lies in [h, MX]; Alekseevsky-Nikonorov, SIGMA 5 (2009) 093).  The search
+finds the scalar lambda_k of M on each isotypic component V_k, where there
+is one, and decides every structured direction built from components that
+share one lambda; a scalar metric M = cI decides every direction this way.  One test, _MetricRows.scalar_on,
 decides whether M is a scalar on a span of int vectors: on each V_k for the
 search, and on each simple ideal of the fixed part for the filter.
 `solve_compensator` keeps the ambient-coordinate solve with its canonical
@@ -63,8 +63,6 @@ from .field import (
     Scalar,
     clear_denominators,
     parse_scalar,
-    ring_mac,
-    ring_neg,
     ring_scalar,
     scalar,
 )
@@ -349,6 +347,16 @@ def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool
     preserves p: p is the joint kernel of the ad(h_i)|_m, and M A_i = A_i M,
     so x in p gives A_i M x = M A_i x = 0.  So the test is that M is a
     scalar on each ideal, on its basis rows (_MetricRows.scalar_on).
+
+    A validated metric that passes normalizer_filter passes this filter
+    too.  M commutes with ad(w)|_m for each w in p, and p is a subalgebra
+    that M preserves, so M|_p commutes with ad(w)|_p: M|_p is a map of
+    p-modules.  Each simple ideal s of p is an absolutely irreducible
+    p-module (p acts on s through s, whose complexification is simple, as
+    s is compact), and no two of them, nor s and the center, are
+    isomorphic, since an ideal acts trivially on every other ideal and on
+    the center.  So M|_p maps each simple ideal into itself, and M is a
+    scalar on each simple ideal.
     """
     fixed = per_space(_build_fixed_part, space)
     if not fixed.actions:
@@ -506,22 +514,6 @@ def _apply(rows: SparseRows, v) -> list:
     return out
 
 
-def _build_kernel(
-    space: CatalogSpace,
-) -> tuple[tuple[int, int, tuple[tuple[int, Ring], ...]], ...]:
-    """The bracket m x m -> h + m of one space as (i, j, terms) for i < j,
-    terms being the nonzero coordinates of [m_i, m_j] in the basis h.rows
-    + m.rows, all cleared of one common denominator d > 0 as ring rows."""
-    L = space.algebra
-    rows = space.m.rows
-    to_basis = mat_inverse(mat_transpose(list(space.h.rows + rows)))
-    pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))]
-    coords = lift_rows(
-        mat_apply(to_basis, L.bracket(rows[i], rows[j])) for i, j in pairs
-    )
-    return tuple((i, j, terms) for (i, j), terms in zip(pairs, coords) if terms)
-
-
 @dataclass(frozen=True)
 class _Tensors:
     """ad(h_i)|_m and the bracket kernel, each cleared of its own
@@ -562,19 +554,23 @@ class _Tensors:
 
 
 def _int_tensors(space: CatalogSpace) -> _Tensors | None:
-    """The int tensors of one space, read (liealg.int_rows) off the ring
-    rows of ad(h_i)|_m (isotypic.isotropy_action) and of the bracket
-    kernel, or None when one entry is irrational."""
-    kernel = _build_kernel(space)
+    """The int tensors of one space, or None when one entry is irrational:
+    ad(h_i)|_m, read (liealg.int_rows) off its ring rows
+    (isotypic.isotropy_action), and the bracket m x m -> h + m as (i, j,
+    terms) for i < j, terms being the nonzero coordinates of [m_i, m_j] in
+    the basis h.rows + m.rows, lifted together (liealg.lift_rows)."""
     ad = tuple(int_rows(A) for A in isotropy_action(space).ad)
-    terms = int_rows([t for _, _, t in kernel])
+    L = space.algebra
+    rows = space.m.rows
+    to_basis = mat_inverse(mat_transpose(list(space.h.rows + rows)))
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))]
+    terms = int_rows(lift_rows(
+        mat_apply(to_basis, L.bracket(rows[i], rows[j])) for i, j in pairs
+    ))
     if None in ad or terms is None:
         return None
-    return _Tensors(
-        ad,
-        tuple((i, j, t) for (i, j, _), t in zip(kernel, terms)),
-        space.dim_h,
-    )
+    brackets = tuple((i, j, t) for (i, j), t in zip(pairs, terms) if t)
+    return _Tensors(ad, brackets, space.dim_h)
 
 
 @dataclass(frozen=True)
@@ -656,11 +652,10 @@ def _direction_checker(
     fraction-free on those ints, since a positive factor sqrt(b) on every
     C_i and on r changes no rank pair, and two or more are packed into ring
     rows (_Tensors.packed_system).  No Scalar is eliminated and no pivot
-    inverted.  A consistent system is checked exactly: sum_i (P x_i) C_i =
-    P r, for P the denominator of the solution.  The decision and the rank
-    pair are those of solve_compensator, which c2.3 and g2.4 call instead:
-    their h is irrational, and no search reaches their checker, since every
-    metric on them is scalar."""
+    inverted, and the solver checks each solution it returns.  The decision
+    and the rank pair are those of solve_compensator, which c2.3 and g2.4
+    call instead: their h is irrational, and no search reaches their
+    checker, since every metric on them is scalar."""
     rows = metric.rows
     ints = per_space(_int_tensors, space)
     if ints is None:
@@ -674,27 +669,11 @@ def _direction_checker(
 
     def check(x: Sequence[int]) -> tuple[bool, int, int]:
         if len(rows.parts) == 1:
-            columns, r = ints.system(rows.parts[0][1], x)
-            sol, rank_map, rank_aug = solve_int_columns(columns, r)
-            if sol is not None:
-                nums, den = sol
-                for p, rp in enumerate(r):
-                    lhs = sum(a * col[p] for a, col in zip(nums, columns) if a)
-                    if lhs != den * rp:
-                        raise ArithmeticError("compensator verification failed")
-            return sol is not None, rank_map, rank_aug
-        columns, r = ints.packed_system(rows.parts, x)
-        sol, rank_map, rank_aug = solve_ring_columns(columns, r)
-        if sol is not None:
-            nums, den = sol
-            neg_den = ring_neg(den)
-            for p, rp in enumerate(r):
-                acc = [0] * 8
-                for a, col in zip(nums, columns):
-                    ring_mac(acc, a, col[p])
-                ring_mac(acc, neg_den, rp)
-                if any(acc):
-                    raise ArithmeticError("compensator verification failed")
+            system = ints.system(rows.parts[0][1], x)
+            sol, rank_map, rank_aug = solve_int_columns(*system)
+        else:
+            system = ints.packed_system(rows.parts, x)
+            sol, rank_map, rank_aug = solve_ring_columns(*system)
         return sol is not None, rank_map, rank_aug
 
     return check

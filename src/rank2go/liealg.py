@@ -299,7 +299,9 @@ def solve_int_columns(
     _eliminate, the integer core of rref, on the augmented matrix.  Returns
     ((nums, den), rank_map, rank_augmented): the solution with free
     variables set to zero is x_j = nums[j] / den, with den > 0.  The
-    solution is None when the system is inconsistent.
+    solution is None when the system is inconsistent.  A solution is
+    checked on the given ints before it is returned, sum_j nums[j] *
+    columns[j] = den * rhs, and a mismatch raises ArithmeticError.
     """
     work, pivots, consistent = _eliminate_augmented(columns, rhs, _int_combine)
     rank = len(pivots)
@@ -310,6 +312,9 @@ def solve_int_columns(
     nums = [0] * n
     for i, p in enumerate(pivots):
         nums[p] = work[i][n] * (den // work[i][p])
+    for i, b in enumerate(rhs):
+        if sum(x * col[i] for x, col in zip(nums, columns) if x) != den * b:
+            raise ArithmeticError("the solution does not solve the system")
     return (nums, den), rank, rank
 
 
@@ -321,7 +326,10 @@ def solve_ring_columns(
 
     Returns ((nums, P), rank_map, rank_augmented): P is the product of the
     pivots and x_j = nums[j] / P is the solution with free variables set to
-    zero.  The solution is None when the system is inconsistent.
+    zero.  The solution is None when the system is inconsistent.  A
+    solution is checked on the given ring rows before it is returned, sum_j
+    nums[j] * columns[j] = P * rhs by field.ring_mac, and a mismatch raises
+    ArithmeticError.
     """
     work, pivots, consistent = _eliminate_augmented(columns, rhs, ring_combine)
     rank = len(pivots)
@@ -337,6 +345,14 @@ def solve_ring_columns(
                 num = ring_mul(num, work[k][q])
         nums[p] = num
         P = ring_mul(P, work[i][p])
+    neg_P = ring_neg(P)
+    for i, b in enumerate(rhs):
+        acc = [0] * 8
+        for x, col in zip(nums, columns):
+            ring_mac(acc, x, col[i])
+        ring_mac(acc, neg_P, b)
+        if any(acc):
+            raise ArithmeticError("the solution does not solve the system")
     return (nums, P), rank, rank
 
 

@@ -420,20 +420,6 @@ def test_float_least_squares_cross_check():
     assert disagreements == 0
 
 
-@pytest.mark.parametrize(
-    "space_id, coeffs",
-    [("c2.2", (2, 1)), ("g2.1", (2, 1)), ("g2.2", (1, 3)), ("g2.3", (2, 1))],
-)
-def test_find_witness_is_the_unfiltered_sample_check(space_id, coeffs):
-    sp = catalog_space(space_id)
-    metric = metric_from_blocks(sp, coeffs)
-    for budget, seed in ((0, 1), (7, 42)):
-        found = find_witness(sp, metric, budget=budget, seed=seed)
-        assert found.to_dict(include_time=False) == reference_verdict(
-            sp, metric, budget, seed, apply_filters=False
-        )
-
-
 @pytest.mark.parametrize("space_id", CATALOG_IDS)
 def test_direction_kernel_matches_the_ambient_solve(space_id):
     # The m-coordinate checker of the search loop agrees with the ambient
@@ -788,6 +774,14 @@ def test_search_matches_the_every_direction_loop_on_refutations():
         )
         refuted += found.witness is not None
     assert refuted == 60
+    # Fixed block metrics with no random draw, and with a few.
+    for space_id, coeffs in (
+        ("c2.2", (2, 1)), ("g2.1", (2, 1)), ("g2.2", (1, 3)), ("g2.3", (2, 1)),
+    ):
+        sp = catalog_space(space_id)
+        metric = metric_from_blocks(sp, coeffs)
+        for draws, seed in ((0, 1), (7, 42)):
+            assert_search_matches_reference(sp, metric, draws, seed)
 
 
 def classify_candidates():
@@ -1128,16 +1122,16 @@ def test_metric_build_and_search_make_no_dense_product(monkeypatch):
 def test_scalar_metric_checks_build_no_bracket_table(monkeypatch):
     # Validation reads ad(h_i)|_m from their one per-space source, and a
     # scalar metric builds no direction system, so the bracket table of
-    # m x m (gocheck._build_kernel) is never built for it.  Fresh space
+    # m x m (gocheck._int_tensors) is never built for it.  Fresh space
     # objects miss every per-space cache.
     built = []
-    original = gocheck._build_kernel
+    original = gocheck._int_tensors
 
     def recorded(space):
         built.append(space.space_id)
         return original(space)
 
-    monkeypatch.setattr(gocheck, "_build_kernel", recorded)
+    monkeypatch.setattr(gocheck, "_int_tensors", recorded)
     for space_id in ("g2.4", "c2.3"):
         sp = catalog_space.__wrapped__(space_id)
         verdict = go_sample_check(sp, standard_metric(sp), samples=20, seed=3)

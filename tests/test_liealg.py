@@ -17,6 +17,7 @@ from rank2go.isotypic import isotypic_decompose
 from rank2go.field import (
     ONE,
     RADICANDS,
+    RING_ONE,
     SQRT2,
     SQRT3,
     ZERO,
@@ -24,6 +25,8 @@ from rank2go.field import (
     radical_labels,
     ring_combine,
     ring_lift,
+    ring_mac,
+    ring_pack,
     ring_scalar,
     scalar,
 )
@@ -273,6 +276,50 @@ def test_ring_solve_matches_solve_columns_hypothesis():
         assert_ring_solve_matches(*mixed_radical_system(rng, nrows, ncols))
 
     check()
+
+
+def test_solve_int_columns_checks_its_solution(monkeypatch):
+    # A nonsingular square system keeps its rank pair (3, 3) whatever its
+    # right-hand side, so only the solution check can see a corrupted row
+    # update.
+    columns, rhs = [[2, 1, 0], [1, 3, 1], [0, 1, 4]], [5, 7, -3]
+    (nums, den), rank_map, rank_aug = solve_int_columns(columns, rhs)
+    assert (rank_map, rank_aug) == (3, 3)
+    assert [Fraction(x, den) for x in nums] == [
+        Fraction(4, 3), Fraction(7, 3), Fraction(-4, 3),
+    ]
+    combine = liealg._int_combine
+
+    def corrupted(p, row, c, prow):
+        new = combine(p, row, c, prow)
+        return new[:-1] + [new[-1] + 1]
+
+    monkeypatch.setattr(liealg, "_int_combine", corrupted)
+    with pytest.raises(ArithmeticError):
+        solve_int_columns(columns, rhs)
+
+
+def test_solve_ring_columns_checks_its_solution(monkeypatch):
+    # The same on a mixed-radical system: ring_combine adds 1 to the
+    # right-hand-side entry of each row it updates.
+    entries = [ONE, SQRT2, SQRT3, SQRT3, ONE, SQRT2, SQRT2, SQRT3, ONE]
+    rhs = [ONE + SQRT2, SQRT3, scalar(2)]
+    ring = ring_lift(entries + rhs)
+    columns, ring_rhs = [ring[0:3], ring[3:6], ring[6:9]], ring[9:]
+    sol, rank_map, rank_aug = solve_ring_columns(columns, ring_rhs)
+    assert sol is not None and (rank_map, rank_aug) == (3, 3)
+    combine = liealg.ring_combine
+
+    def corrupted(p, row, c, prow):
+        new = combine(p, row, c, prow)
+        acc = [0] * 8
+        ring_mac(acc, new[-1], RING_ONE)
+        acc[0] += 1
+        return new[:-1] + [ring_pack(acc)]
+
+    monkeypatch.setattr(liealg, "ring_combine", corrupted)
+    with pytest.raises(ArithmeticError):
+        solve_ring_columns(columns, ring_rhs)
 
 
 def _rational_rows(rng, nrows, ncols):

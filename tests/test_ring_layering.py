@@ -1,0 +1,60 @@
+"""Static check: ring arithmetic stays in the field and the solvers.
+
+The ring elements of field.Ring are multiplied, negated and combined only
+in `field.py`, which defines them, and in `liealg.py`, whose eliminations
+and fraction-free solvers run on them and check their own solutions.  Any
+other module hands its ring rows to those functions: a module that
+multiplied ring elements itself would hold a second copy of the arithmetic,
+or of a check that belongs next to the solve it checks.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "rank2go"
+
+RING_ARITHMETIC = {"ring_mac", "ring_mul", "ring_neg", "ring_combine"}
+RING_MODULES = {"field.py", "liealg.py"}
+
+
+def ring_arithmetic_names(source: str) -> list[tuple[int, str]]:
+    """Every use of a ring arithmetic name in source, as (line, name): an
+    attribute (field.ring_mac), a bare name (ring_mac) or an import of one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in RING_ARITHMETIC:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in RING_ARITHMETIC:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend(
+                (node.lineno, alias.name)
+                for alias in node.names
+                if alias.name in RING_ARITHMETIC
+            )
+    return sorted(found)
+
+
+def test_checker_flags_planted_ring_arithmetic():
+    source = (
+        '"""Names ring_mac in its docstring only."""\n'
+        "from .field import ring_lift, ring_neg as neg\n"
+        "from . import field\n"
+        "def f(acc, a, b):\n"
+        "    field.ring_mac(acc, a, b)\n"
+        "    return ring_mul(a, b), ring_pack(acc), 'ring_combine'\n"
+        "combine = ring_combine\n"
+    )
+    assert ring_arithmetic_names(source) == [
+        (2, "ring_neg"), (5, "ring_mac"), (6, "ring_mul"), (7, "ring_combine"),
+    ]
+
+
+def test_only_the_field_and_the_solvers_do_ring_arithmetic():
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in RING_MODULES
+        and (hits := ring_arithmetic_names(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
