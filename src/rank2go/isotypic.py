@@ -6,6 +6,12 @@ operator of that action (refined by squared central generators when h has a
 center), annotates every component with its multiplicity data, and solves
 exactly for the commutant of the action together with its symmetric part,
 which parameterizes all invariant metric endomorphisms.
+
+The zero-Casimir component is the fixed part of m (the vectors h kills): with
+S = -form on m, positive definite, each A_i = ad(h_i)|_m is S-skew, so
+<Cx, x>_S = -sum_ij (G^-1)_ij <A_i x, A_j x>_S <= 0, with equality exactly
+when every A_i x = 0 (G^-1 is positive definite).  Hence Cx = 0 exactly
+when h kills x, and the central refinement vanishes on ker C.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .liealg import (
     mat_mul,
     mat_transpose,
     matrix_kernel_of,
-    normalizer,
     ring_rows_commute,
     ring_rows_mul,
     rows_symmetric,
@@ -61,9 +66,8 @@ class IsotypicComponent:
 
     @property
     def is_trivial(self) -> bool:
-        return self.casimir_eigenvalue == 0 and all(
-            r == 0 for r in self.refinement
-        )
+        # the refinement vanishes on ker C (see the module docstring)
+        return self.casimir_eigenvalue == 0
 
     @property
     def is_irreducible(self) -> bool:
@@ -76,14 +80,19 @@ class IsotypicDecomposition:
 
     space: CatalogSpace
     components: tuple[IsotypicComponent, ...]
-    trivial_index: int | None
 
     @property
     def profile(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.components)
 
     @property
+    def trivial_index(self) -> int | None:
+        trivial = [i for i, c in enumerate(self.components) if c.is_trivial]
+        return trivial[0] if trivial else None
+
+    @property
     def trivial_subspace(self) -> Subspace:
+        """The fixed part of m, ker C (see the module docstring)."""
         if self.trivial_index is None:
             return Subspace.zero(self.space.algebra.dim)
         return self.components[self.trivial_index].subspace
@@ -176,23 +185,6 @@ def casimir(space: CatalogSpace) -> Matrix:
     if not all(ring_rows_commute(C_rows, A) for A in ads):
         raise ArithmeticError("casimir does not commute with the action")
     return C
-
-
-def trivial_component(space: CatalogSpace) -> Subspace:
-    """Fixed vectors of h on m, cross-checked against the normalizer.
-
-    Computes the centralizer of h in m and, independently, normalizer(h)
-    intersected with m; raises if the two disagree.
-    """
-    L = space.algebra
-    cent = centralizer_in(L, space.h, space.m)
-    via_normalizer = normalizer(L, space.h).intersection(space.m)
-    if cent != via_normalizer:
-        raise ArithmeticError(
-            "internal consistency error: centralizer of h in m differs "
-            "from normalizer(h) intersected with m"
-        )
-    return cent
 
 
 # ---------------------------------------------------------------------------
@@ -315,26 +307,7 @@ def _analyze(space: CatalogSpace) -> _Analysis:
                     if L.form_value(b, b2):
                         raise ArithmeticError("components are not orthogonal")
 
-    # the trivial component must be exactly the fixed-vector space
-    fixed = trivial_component(space)
-    trivial_index: int | None = None
-    for i, c in enumerate(components):
-        if c.is_trivial:
-            if c.subspace != fixed:
-                raise ArithmeticError(
-                    "internal consistency error: zero-eigenvalue component "
-                    "differs from the fixed-vector space"
-                )
-            trivial_index = i
-    if trivial_index is None and not fixed.is_zero():
-        raise ArithmeticError(
-            "internal consistency error: fixed vectors exist but no "
-            "component has zero eigenvalues"
-        )
-
-    decomposition = IsotypicDecomposition(
-        space=space, components=components, trivial_index=trivial_index
-    )
+    decomposition = IsotypicDecomposition(space=space, components=components)
 
     # adapted-basis change for projections and commutant embedding
     n = space.m.dim

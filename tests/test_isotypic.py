@@ -23,9 +23,9 @@ from rank2go.isotypic import (
     decomposition_summary,
     isotypic_decompose,
     m_gram,
-    trivial_component,
 )
 from rank2go.liealg import (
+    LieAlgebra,
     Subspace,
     abelian,
     ad_on,
@@ -36,6 +36,7 @@ from rank2go.liealg import (
     mat_mul,
     mat_transpose,
     minimal_polynomial,
+    normalizer,
     operator_on_subspace,
     rational_roots,
     solve_columns,
@@ -295,11 +296,31 @@ def test_casimir_rejects_non_negative_definite_form():
 
 @pytest.mark.parametrize("space_id", CATALOG_IDS)
 def test_trivial_component_three_ways(space_id):
+    """The zero-Casimir component is the centralizer of h in m, and it is
+    the normalizer of h met with m."""
     sp = catalog_space(space_id)
-    fixed = trivial_component(sp)
-    assert fixed == centralizer_in(sp.algebra, sp.h, sp.m)
-    dec = isotypic_decompose(sp)
-    assert fixed == dec.trivial_subspace
+    L = sp.algebra
+    fixed = isotypic_decompose(sp).trivial_subspace
+    assert fixed == centralizer_in(L, sp.h, sp.m)
+    assert fixed == normalizer(L, sp.h).intersection(sp.m)
+
+
+def test_decomposition_never_scans_the_whole_algebra(monkeypatch):
+    """A cold decomposition reads the fixed part from its own components:
+    nothing in it builds the full subspace of the algebra, as the
+    normalizer of h does."""
+    spaces = [catalog_space.__wrapped__(sid) for sid in CATALOG_IDS]
+    calls = []
+    full_subspace = LieAlgebra.full_subspace
+
+    def spy(self):
+        calls.append(self.name)
+        return full_subspace(self)
+
+    monkeypatch.setattr(LieAlgebra, "full_subspace", spy)
+    for sp in spaces:
+        isotypic_decompose(sp)
+    assert calls == []
 
 
 @pytest.mark.parametrize("space_id", CATALOG_IDS)

@@ -6,30 +6,13 @@ command line alone.  A module that read `os.environ` or `os.getenv` would
 give a setting a second, invisible source.
 """
 
-import ast
 from pathlib import Path
+
+from name_uses import name_uses
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rank2go"
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
-
-
-def environment_reads(source: str) -> list[tuple[int, str]]:
-    """Every use of an environment name in source, as (line, name): an
-    attribute (os.environ), a bare name (environ) or an import of one."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
-            found.append((node.lineno, node.attr))
-        elif isinstance(node, ast.Name) and node.id in ENVIRONMENT_NAMES:
-            found.append((node.lineno, node.id))
-        elif isinstance(node, ast.ImportFrom):
-            found.extend(
-                (node.lineno, alias.name)
-                for alias in node.names
-                if alias.name in ENVIRONMENT_NAMES
-            )
-    return sorted(found)
 
 
 def test_checker_flags_planted_reads():
@@ -43,7 +26,7 @@ def test_checker_flags_planted_reads():
         "class K:\n"
         "    environment = 'environ'\n"
     )
-    assert environment_reads(source) == [
+    assert name_uses(source, ENVIRONMENT_NAMES) == [
         (3, "getenv"), (4, "environ"), (6, "environ"), (6, "getenv"),
     ]
 
@@ -52,6 +35,6 @@ def test_no_module_reads_the_environment():
     found = {
         path.name: hits
         for path in sorted(SRC.glob("*.py"))
-        if (hits := environment_reads(path.read_text(encoding="utf-8")))
+        if (hits := name_uses(path.read_text("utf-8"), ENVIRONMENT_NAMES))
     }
     assert found == {}

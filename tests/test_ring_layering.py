@@ -8,31 +8,14 @@ multiplied ring elements itself would hold a second copy of the arithmetic,
 or of a check that belongs next to the solve it checks.
 """
 
-import ast
 from pathlib import Path
+
+from name_uses import name_uses
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rank2go"
 
 RING_ARITHMETIC = {"ring_mac", "ring_mul", "ring_neg", "ring_combine"}
 RING_MODULES = {"field.py", "liealg.py"}
-
-
-def ring_arithmetic_names(source: str) -> list[tuple[int, str]]:
-    """Every use of a ring arithmetic name in source, as (line, name): an
-    attribute (field.ring_mac), a bare name (ring_mac) or an import of one."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in RING_ARITHMETIC:
-            found.append((node.lineno, node.attr))
-        elif isinstance(node, ast.Name) and node.id in RING_ARITHMETIC:
-            found.append((node.lineno, node.id))
-        elif isinstance(node, ast.ImportFrom):
-            found.extend(
-                (node.lineno, alias.name)
-                for alias in node.names
-                if alias.name in RING_ARITHMETIC
-            )
-    return sorted(found)
 
 
 def test_checker_flags_planted_ring_arithmetic():
@@ -45,7 +28,7 @@ def test_checker_flags_planted_ring_arithmetic():
         "    return ring_mul(a, b), ring_pack(acc), 'ring_combine'\n"
         "combine = ring_combine\n"
     )
-    assert ring_arithmetic_names(source) == [
+    assert name_uses(source, RING_ARITHMETIC) == [
         (2, "ring_neg"), (5, "ring_mac"), (6, "ring_mul"), (7, "ring_combine"),
     ]
 
@@ -55,6 +38,6 @@ def test_only_the_field_and_the_solvers_do_ring_arithmetic():
         path.name: hits
         for path in sorted(SRC.glob("*.py"))
         if path.name not in RING_MODULES
-        and (hits := ring_arithmetic_names(path.read_text(encoding="utf-8")))
+        and (hits := name_uses(path.read_text("utf-8"), RING_ARITHMETIC))
     }
     assert found == {}
