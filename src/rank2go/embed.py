@@ -30,14 +30,17 @@ from .chevalley import (
 from .field import ONE, SQRT2, SQRT6, SQRT10, ZERO, Scalar, scalar
 from .liealg import (
     LieAlgebra,
+    Matrix,
     Subspace,
     Vector,
     abelian,
+    ad_on,
     direct_sum,
     normalizer,
     orth_complement,
     su2,
     subalgebra_closure,
+    subalgebra_generators,
     vec_scale,
 )
 from .rootsys import Root, root_neg
@@ -138,6 +141,8 @@ class CatalogSpace:
     algebra: LieAlgebra
     h: Subspace
     m: Subspace
+    generators: tuple[int, ...]  # indices of rows of h that generate it
+    h_action: tuple[Matrix, ...] = field(compare=False, repr=False)  # ad(h_i)|_m
     compact: CompactForm | None = None
     derived: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -168,7 +173,11 @@ def _torus_span(cf: CompactForm, spec: _Torus) -> list[Vector]:
     return vecs
 
 
-def _build_space(space_id: str) -> CatalogSpace:
+@lru_cache(maxsize=None)
+def catalog_space(space_id: str) -> CatalogSpace:
+    """Build (and fully validate) a catalogued space by identifier.  The
+    check that h is a subalgebra finds generators of h, and the check that
+    [h, m] lies in m computes each ad(h_i)|_m: the space keeps both."""
     row = _CATALOG.get(space_id)
     if row is None:
         raise ValueError(
@@ -184,20 +193,17 @@ def _build_space(space_id: str) -> CatalogSpace:
         h_vecs = [L.element(row.h)]
 
     h = Subspace.from_vectors(L.dim, h_vecs)
-    if subalgebra_closure(L, h.rows) != h:
+    gens, closure = subalgebra_generators(L, h.rows)
+    if closure != h:
         raise ArithmeticError(f"{space_id}: the declared h is not a subalgebra")
     m = orth_complement(L, h)
     if h.dim + m.dim != L.dim or not h.intersection(m).is_zero():
         raise ArithmeticError(f"{space_id}: h and m do not decompose the algebra")
-    if any(not m.contains(L.bracket(a, x)) for a in h.rows for x in m.rows):
-        raise ArithmeticError(f"{space_id}: [h, m] leaves m")
-    return CatalogSpace(space_id, row.description, L, h, m, compact)
-
-
-@lru_cache(maxsize=None)
-def catalog_space(space_id: str) -> CatalogSpace:
-    """Build (and fully validate) a catalogued space by identifier."""
-    return _build_space(space_id)
+    try:  # m.coords raises on a bracket outside m
+        action = tuple(ad_on(L, a, m) for a in h.rows)
+    except ValueError:
+        raise ArithmeticError(f"{space_id}: [h, m] leaves m") from None
+    return CatalogSpace(space_id, row.description, L, h, m, gens, action, compact)
 
 
 def su2_embedding_space(row: int) -> CatalogSpace:

@@ -12,6 +12,11 @@ S = -form on m, positive definite, each A_i = ad(h_i)|_m is S-skew, so
 <Cx, x>_S = -sum_ij (G^-1)_ij <A_i x, A_j x>_S <= 0, with equality exactly
 when every A_i x = 0 (G^-1 is positive definite).  Hence Cx = 0 exactly
 when h kills x, and the central refinement vanishes on ker C.
+
+Commutation is tested against the generators of h (CatalogSpace.generators)
+only, which is exact: a commutant is closed under brackets and linear
+combinations, and ad is a homomorphism, so T commutes with ad(h)|_m exactly
+when it commutes with ad(g)|_m for each generator g.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .liealg import (
     Matrix,
     SparseRows,
     Subspace,
-    Vector,
     ad_on,
     centralizer_in,
     commuting_operators,
@@ -116,10 +120,10 @@ def per_space(build: Callable[[CatalogSpace], object], space: CatalogSpace):
 
 @dataclass(frozen=True)
 class IsotropyRows:
-    """The per-space lift of the invariance data on m: ad(h_i)|_m for each
-    row h_i of h, as ring rows of d ad(h_i)|_m for one common d > 0, and
-    the Gram matrix of -form on the basis of m, as Scalars and as ring rows
-    cleared of their own denominator (liealg.lift_rows)."""
+    """The per-space lift of the invariance data on m: the space's h_action,
+    as ring rows of d ad(h_i)|_m for one common d > 0, and the Gram matrix
+    of -form on the basis of m, as Scalars and as ring rows cleared of
+    their own denominator (liealg.lift_rows)."""
 
     ad: tuple[SparseRows, ...]
     d: int
@@ -128,11 +132,11 @@ class IsotropyRows:
 
 
 def _build_isotropy_action(space: CatalogSpace) -> IsotropyRows:
-    L = space.algebra
-    ads = [ad_on(L, a, space.m) for a in space.h.rows]
+    """Lift the space's ad(h_i)|_m: this takes no bracket."""
+    ads = space.h_action
     n = space.m.dim
     stacked = lift_rows(row for A in ads for row in A)
-    gram = gram_matrix(L, space.m.rows)
+    gram = gram_matrix(space.algebra, space.m.rows)
     return IsotropyRows(
         ad=tuple(stacked[k * n:(k + 1) * n] for k in range(len(ads))),
         d=lcm(*(c.den for A in ads for row in A for c in row)),
@@ -158,10 +162,11 @@ def casimir(space: CatalogSpace) -> Matrix:
 
     C = sum_ij (G^-1)_ij ad(e_i)|_m ad(e_j)|_m for a basis {e_i} of h and
     G_ij = -form(e_i, e_j).  Exactly symmetric for the invariant form and
-    commuting with the action; both are verified before returning, on ring
-    rows of the matrices, each cleared of one denominator d > 0, which
-    scales both sides of each test.  The products run on the per-space
-    ring rows of the d ad(e_i)|_m, and each is divided by d^2.
+    commuting with the action (with the generators of h: module docstring);
+    both are verified before returning, on ring rows of the matrices, each
+    cleared of one denominator d > 0, which scales both sides of each test.
+    The products run on the per-space ring rows of the d ad(e_i)|_m, and
+    each is divided by d^2.
     """
     L = space.algebra
     G = gram_matrix(L, space.h.rows)
@@ -182,7 +187,7 @@ def casimir(space: CatalogSpace) -> Matrix:
     C_rows = lift_rows(C)
     if not rows_symmetric(ring_rows_mul(action.gram_rows, C_rows)):
         raise ArithmeticError("casimir is not symmetric for the form")
-    if not all(ring_rows_commute(C_rows, A) for A in ads):
+    if not all(ring_rows_commute(C_rows, ads[k]) for k in space.generators):
         raise ArithmeticError("casimir does not commute with the action")
     return C
 
@@ -271,7 +276,7 @@ def _analyze(space: CatalogSpace) -> _Analysis:
 
     records = []
     for piece, lam, tags in pieces:
-        ads = [ad_on(L, a, piece) for a in space.h.rows]
+        ads = [ad_on(L, space.h.rows[k], piece) for k in space.generators]
         commuting = commuting_operators(ads, piece.dim)
         S = gram_matrix(L, piece.rows)
         symmetric = _symmetric_span(commuting, S, piece.dim)
@@ -299,7 +304,7 @@ def _analyze(space: CatalogSpace) -> _Analysis:
     )
     components = tuple(c for c, _ in records)
 
-    # mutual orthogonality (ad_on above raised if a bracket left its piece)
+    # mutual orthogonality (ad_on raised if a generator moved a piece out)
     for i, ci in enumerate(components):
         for cj in components[i + 1 :]:
             for b in ci.subspace.rows:
@@ -311,9 +316,7 @@ def _analyze(space: CatalogSpace) -> _Analysis:
 
     # adapted-basis change for projections and commutant embedding
     n = space.m.dim
-    adapted: list[Vector] = []
-    for c in components:
-        adapted.extend(c.subspace.rows)
+    adapted = [vec for c in components for vec in c.subspace.rows]
     T = mat_transpose([space.m.coords(vec) for vec in adapted])
     Tinv = mat_inverse(T)
 

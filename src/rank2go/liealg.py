@@ -698,6 +698,21 @@ def subalgebra_closure(L: LieAlgebra, vectors: Iterable) -> Subspace:
         span = Subspace.from_vectors(L.dim, new_vectors)
 
 
+def subalgebra_generators(
+    L: LieAlgebra, rows: Sequence[Vector]
+) -> tuple[tuple[int, ...], Subspace]:
+    """Greedy generators of the subalgebra the rows generate: the indices of
+    the rows that the closure of the earlier picks misses, and that closure
+    (the rows' span exactly when they span a subalgebra).  The picks' adjoint
+    matrices have the commutant of all rows', since ad[x, y] = [ad x, ad y]."""
+    picks, closure = [], Subspace.zero(L.dim)
+    for i, b in enumerate(rows):
+        if not closure.contains(b):
+            picks.append(i)
+            closure = subalgebra_closure(L, [rows[k] for k in picks])
+    return tuple(picks), closure
+
+
 def matrix_kernel_of(mats: Sequence[Matrix], images: Sequence) -> list[Matrix]:
     """{sum_t y_t * mats[t] : sum_t y_t * images[t] = 0} for square matrices
     mats[t] with flattened images images[t]: the twin of Subspace.kernel_of."""
@@ -738,17 +753,8 @@ def _simple_ideals(L: LieAlgebra, derived: Subspace) -> list[Subspace]:
     """
     if derived.is_zero():
         return []
-    # The adjoint matrices of a generating set have the same commutant as
-    # those of every row, since ad[x, y] = [ad x, ad y].
-    gens: list[Vector] = []
-    closure = Subspace.zero(L.dim)
-    for b in derived.rows:
-        if closure == derived:
-            break
-        if not closure.contains(b):
-            gens.append(b)
-            closure = subalgebra_closure(L, gens)
-    ad_mats = [ad_on(L, b, derived) for b in gens]
+    gens, _ = subalgebra_generators(L, derived.rows)
+    ad_mats = [ad_on(L, derived.rows[k], derived) for k in gens]
     parts = [derived]
     for T in commuting_operators(ad_mats, derived.dim):
         refined: list[Subspace] = []

@@ -5,6 +5,7 @@ import pytest
 from catalog_spans import declared_spans
 from rank2go.cli import EXPECTED_VERDICTS
 from rank2go.chevalley import build_compact_form, c_bracket, c_scale, complex_E
+from rank2go import embed
 from rank2go.embed import (
     CATALOG_IDS,
     ROW_IDS,
@@ -120,6 +121,35 @@ def test_row_accessor_matches_catalog():
         sl2_triple_for_row(13)
     with pytest.raises(ValueError):
         catalog_space("so5.1")
+
+
+def test_build_rejects_an_h_that_is_not_a_subalgebra(monkeypatch):
+    """A root space alone, with no coroot: F and G bracket out of their
+    span, so the row's h is no subalgebra and the build names the space."""
+    row = embed._Row("one root space of c2", "c2",
+                     embed._Torus((), ((1, 0),)), embed.ALL_METRICS_NORMAL)
+    monkeypatch.setitem(embed._CATALOG, "bad-root", row)
+    with pytest.raises(ArithmeticError, match=r"^bad-root: the declared h"):
+        catalog_space.__wrapped__("bad-root")
+
+
+def test_build_rejects_a_complement_that_h_does_not_preserve(monkeypatch):
+    """A complement of the right dimension that meets h in 0, made by adding
+    a row of h to the first row of m, is not h-invariant: the build raises
+    the [h, m] error, not the decomposition one."""
+    true_complement = orth_complement
+
+    def skewed(L, sub, within=None):
+        m = true_complement(L, sub, within)
+        first = vec_add(m.rows[0], sub.rows[0])
+        return Subspace.from_vectors(L.dim, (first,) + m.rows[1:])
+
+    sp = catalog_space("c2.1")
+    m = skewed(sp.algebra, sp.h)
+    assert m.dim == sp.dim_m and sp.h.intersection(m).is_zero()
+    monkeypatch.setattr(embed, "orth_complement", skewed)
+    with pytest.raises(ArithmeticError, match=r"^c2\.1: \[h, m\] leaves m$"):
+        catalog_space.__wrapped__("c2.1")
 
 
 @pytest.mark.parametrize("row", range(1, 13))

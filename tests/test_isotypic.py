@@ -16,11 +16,13 @@ from rank2go.embed import (
     sl2_triple_for_row,
 )
 from rank2go.field import ZERO
+from rank2go import isotypic
 from rank2go.isotypic import (
     casimir,
     commutant_symmetric_basis,
     component_projections,
     decomposition_summary,
+    isotropy_action,
     isotypic_decompose,
     m_gram,
 )
@@ -30,6 +32,7 @@ from rank2go.liealg import (
     abelian,
     ad_on,
     centralizer_in,
+    commuting_operators,
     eigenspace_in,
     eigenspaces,
     kernel_basis,
@@ -289,6 +292,8 @@ def test_casimir_rejects_non_negative_definite_form():
         algebra=L,
         h=Subspace.full(1),
         m=Subspace.zero(1),
+        generators=(0,),
+        h_action=([],),
     )
     with pytest.raises(ArithmeticError):
         casimir(bad)
@@ -321,6 +326,59 @@ def test_decomposition_never_scans_the_whole_algebra(monkeypatch):
     for sp in spaces:
         isotypic_decompose(sp)
     assert calls == []
+
+
+# Rows of h that the greedy generator search picks: two of each su(2), the
+# one row of berger's h, and three of the four rows of cp3's u(1) + sp(1).
+EXPECTED_GENERATORS = dict.fromkeys(ROW_IDS, 2) | {"berger": 1, "cp3": 3}
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_generators_have_the_commutant_of_h(space_id):
+    """The generators close to h, and on every component the operators
+    commuting with their action are those commuting with all of h's."""
+    sp = catalog_space(space_id)
+    L = sp.algebra
+    gens = [sp.h.rows[k] for k in sp.generators]
+    assert len(gens) == EXPECTED_GENERATORS[space_id]
+    assert subalgebra_closure(L, gens) == sp.h
+    for comp in isotypic_decompose(sp).components:
+        piece, d = comp.subspace, comp.dim
+        on_gens = commuting_operators([ad_on(L, g, piece) for g in gens], d)
+        on_h = commuting_operators([ad_on(L, a, piece) for a in sp.h.rows], d)
+        assert on_gens == on_h
+        assert len(on_gens) == comp.commutant_dim
+
+
+def test_decomposition_brackets_h_with_m_once(monkeypatch):
+    """On fresh spaces, the isotropy action lifts the matrices that the
+    build computed without taking a bracket, and every commutant is solved
+    over the generators of h only."""
+    spaces = [catalog_space.__wrapped__(sid) for sid in CATALOG_IDS]
+    brackets = []
+    bracket = LieAlgebra.bracket
+
+    def bracket_spy(self, v, w):
+        brackets.append(self.name)
+        return bracket(self, v, w)
+
+    sizes = []
+    solve = isotypic.commuting_operators
+
+    def solve_spy(ads, d):
+        sizes.append(len(ads))
+        return solve(ads, d)
+
+    monkeypatch.setattr(isotypic, "commuting_operators", solve_spy)
+    for sp in spaces:
+        monkeypatch.setattr(LieAlgebra, "bracket", bracket_spy)
+        action = isotropy_action(sp)
+        monkeypatch.setattr(LieAlgebra, "bracket", bracket)
+        assert brackets == [], sp.space_id
+        assert len(action.ad) == sp.dim_h
+        sizes.clear()
+        isotypic_decompose(sp)
+        assert sizes and set(sizes) == {len(sp.generators)}, sp.space_id
 
 
 @pytest.mark.parametrize("space_id", CATALOG_IDS)
