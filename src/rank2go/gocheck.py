@@ -19,12 +19,13 @@ directions, each cleared to ints once.  The search hands the checker int
 vectors only: the batch's ints and random draws of ints.
 Each direction needs only the rank pair of a small system, built on ints
 once per radical of the metric (d M = sum_b sqrt(b) M_b for integer M_b,
-and the system is linear in M).  One such system is eliminated
-fraction-free on its ints; two or more are packed entry by entry into ring
-rows, integer coordinates over the radical basis 1, sqrt2, ..., sqrt30
-(field.Ring).  Each solution is checked exactly by the liealg solver that
-returns it.  No Scalar is eliminated in the search, and a Scalar direction
-is built only for a witness.  The spaces c2.3 and g2.4, whose h is
+and the system is linear in M).  One such system is solved fraction-free
+on its ints; two or more are packed entry by entry into ring rows, integer
+coordinates over the radical basis 1, sqrt2, ..., sqrt30 (field.Ring).
+Either is decided on its column vectors C_i and r, not its m rows, and each
+solution is checked exactly by the liealg solver that returns it.  No
+Scalar is eliminated in the search, and a Scalar direction is built only
+for a witness.  The spaces c2.3 and g2.4, whose h is
 irrational, fall back to the ambient solve_compensator; no search reaches
 it, since every metric on them is scalar.  A direction X with MX = lambda
 X builds no system at all: [MX, X] = lambda [X, X] = 0, so a = 0
@@ -648,11 +649,13 @@ def _direction_checker(
     rank_augmented) from the rank pair of [C | r].  The space and the
     metric are each cleared of one common denominator, on the space's data
     lifted once per space and on the metric's lift.  The system is built on
-    ints, once per part (b, M_b) of the metric: a single part is eliminated
+    ints, once per part (b, M_b) of the metric: a single part is solved
     fraction-free on those ints, since a positive factor sqrt(b) on every
     C_i and on r changes no rank pair, and two or more are packed into ring
-    rows (_Tensors.packed_system).  No Scalar is eliminated and no pivot
-    inverted, and the solver checks each solution it returns.  The decision
+    rows (_Tensors.packed_system).  Either is decided on its column vectors
+    C_i and r (liealg.solve_int_columns, solve_ring_columns).  No Scalar is
+    eliminated and no pivot inverted, and the solver checks each solution
+    it returns.  The decision
     and the rank pair are those of solve_compensator, which c2.3 and g2.4
     call instead: their h is irrational, and no search reaches their
     checker, since every metric on them is scalar."""
@@ -785,8 +788,10 @@ def verify_witness(
 ) -> bool:
     """Re-run the compensator solve on a (possibly deserialized) witness and
     confirm it still refutes with the same rank pair.  The replay solves
-    through liealg.solve_columns, which shares liealg._eliminate with the
-    direction checker; it is independent of the search in its ambient
+    through liealg.solve_columns, on the rows of the ambient system, by
+    liealg._reduce and _eliminate; the direction checker reaches neither
+    (it reduces column vectors, liealg._reduce_columns), so the replay is
+    independent of the search in its elimination as well as in its ambient
     coordinates of h + m, and the tests compare every solve_columns path
     with a Scalar Gauss-Jordan loop."""
     sol, rank_map, rank_aug = solve_compensator(

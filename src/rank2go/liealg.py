@@ -7,7 +7,9 @@ extraction exact and canonical.  rref reads its rows into sparse rows of
 their nonzero entries and eliminates on sparse integer rows when the data
 is rational or radical-monomial (every entry a rational multiple of one
 radical, the radicals factoring over rows and columns), else on ring rows
-(field.Ring); both run in the one fraction-free loop _eliminate.
+(field.Ring); both run in the one fraction-free loop _eliminate.  The
+direction checker's tall, thin systems are decided on their k + 1 column
+vectors instead, not their m rows (_reduce_columns), by the same updates.
 
 The Scalar loops below (bracket, the form, the matrix products, residuals)
 walk lists of nonzero entries only.  An entry is zero when it is the shared
@@ -33,7 +35,6 @@ from .field import (
     ring_combine,
     ring_lift,
     ring_mac,
-    ring_mul,
     ring_neg,
     ring_pack,
     ring_scalar,
@@ -209,8 +210,8 @@ def _eliminate(
     coordinates.  The rows are lists of ints, or dicts {column: nonzero
     int} with _sparse_combine, read by dict.get, which gives None for a
     missing column; with field.ring_combine they are lists of ring elements
-    (field.Ring), as in rref on mixed-radical data and in
-    solve_ring_columns.
+    (field.Ring), as in rref on mixed-radical data.  It serves _reduce
+    alone, behind rref and solve_columns.
 
     Returns the pivot columns; work[:len(pivots)] are then the pivot rows.
     """
@@ -277,18 +278,43 @@ def solve_columns(
     return x, rank_aug, rank_aug
 
 
-def _eliminate_augmented(
-    columns: Sequence[Sequence], rhs: Sequence, combine: Callable
-) -> tuple[list[list], list[int], bool]:
-    """_eliminate on [columns | rhs] with its zero rows dropped.  Returns
-    the rows, the pivot columns, and whether the system is consistent."""
-    work = [
-        row
-        for row in ([col[i] for col in columns] + [b] for i, b in enumerate(rhs))
-        if any(row)
-    ]
-    pivots = _eliminate(work, range(len(columns) + 1), combine)
-    return work, pivots, len(columns) not in pivots
+def _reduce_columns(
+    columns: Sequence[Sequence], rhs: Sequence, combine: Callable, zero, one
+) -> tuple[int, list | None]:
+    """The elimination behind solve_int_columns and solve_ring_columns, on
+    the column vectors of [columns | rhs] instead of its rows.
+
+    Each vector carries k + 1 tags t after its data, data = sum_j t_j *
+    columns[j] + t_k * rhs, starting from the tag `one` in its own slot.
+    Each column, then rhs, is reduced against the columns kept before it by
+    combine(p, v, c, w) = p * v - c * w at the pivot of w (its first nonzero
+    data coordinate), which leaves v zero at every kept pivot; so its data
+    is zero exactly when it lies in the span of the kept columns, and a
+    column is kept otherwise.  The kept count is rank_map.  Returns
+    (rank_map, tags): tags is None when rhs is not in the span, and else
+    those of the reduced rhs, sum_j t_j * columns[j] = -t_k * rhs with t_k
+    nonzero and t_j zero for each column not kept (a free variable).
+    """
+    m, k = len(rhs), len(columns)
+    pad = [zero] * (k + 1)
+    kept: list[tuple[int, list]] = []
+
+    def reduced(data: Sequence, j: int) -> list:
+        v = [*data, *pad]
+        v[m + j] = one
+        for q, w in kept:
+            c = v[q]
+            if c:
+                v = combine(w[q], v, c, w)
+        return v
+
+    for j, col in enumerate(columns):
+        v = reduced(col, j)
+        q = next(compress(range(m), v), None)
+        if q is not None:
+            kept.append((q, v))
+    v = reduced(rhs, k)
+    return len(kept), None if any(v[:m]) else v[m:]
 
 
 def solve_int_columns(
@@ -296,56 +322,45 @@ def solve_int_columns(
 ) -> tuple[tuple[list[int], int] | None, int, int]:
     """solve_columns for integer data, fraction-free.
 
-    _eliminate, the integer core of rref, on the augmented matrix.  Returns
-    ((nums, den), rank_map, rank_augmented): the solution with free
+    _reduce_columns on the column vectors with the row update _int_combine.
+    Returns ((nums, den), rank_map, rank_augmented): the solution with free
     variables set to zero is x_j = nums[j] / den, with den > 0.  The
     solution is None when the system is inconsistent.  A solution is
     checked on the given ints before it is returned, sum_j nums[j] *
     columns[j] = den * rhs, and a mismatch raises ArithmeticError.
     """
-    work, pivots, consistent = _eliminate_augmented(columns, rhs, _int_combine)
-    rank = len(pivots)
-    if not consistent:
-        return None, rank - 1, rank
-    n = len(columns)
-    den = lcm(*(abs(work[i][p]) for i, p in enumerate(pivots)))
-    nums = [0] * n
-    for i, p in enumerate(pivots):
-        nums[p] = work[i][n] * (den // work[i][p])
-    for i, b in enumerate(rhs):
-        if sum(x * col[i] for x, col in zip(nums, columns) if x) != den * b:
-            raise ArithmeticError("the solution does not solve the system")
+    rank, tags = _reduce_columns(columns, rhs, _int_combine, 0, 1)
+    if tags is None:
+        return None, rank, rank + 1
+    nums, den = tags[:-1], -tags[-1]
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    acc = [den * b for b in rhs]
+    for x, col in zip(nums, columns):
+        if x:
+            acc = [a - x * y for a, y in zip(acc, col)]
+    if any(acc):
+        raise ArithmeticError("the solution does not solve the system")
     return (nums, den), rank, rank
 
 
 def solve_ring_columns(
     columns: Sequence[Sequence[Ring]], rhs: Sequence[Ring]
 ) -> tuple[tuple[list[Ring], Ring] | None, int, int]:
-    """solve_int_columns for ring rows (field.Ring): _eliminate with the
-    row update field.ring_combine, with no pivot inverted.
+    """solve_int_columns for ring rows (field.Ring): _reduce_columns with
+    the row update field.ring_combine, with no pivot inverted.
 
-    Returns ((nums, P), rank_map, rank_augmented): P is the product of the
-    pivots and x_j = nums[j] / P is the solution with free variables set to
-    zero.  The solution is None when the system is inconsistent.  A
-    solution is checked on the given ring rows before it is returned, sum_j
-    nums[j] * columns[j] = P * rhs by field.ring_mac, and a mismatch raises
+    Returns ((nums, P), rank_map, rank_augmented): x_j = nums[j] / P is the
+    solution with free variables set to zero, for a nonzero ring element P.
+    The solution is None when the system is inconsistent.  A solution is
+    checked on the given ring rows before it is returned, sum_j nums[j] *
+    columns[j] = P * rhs by field.ring_mac, and a mismatch raises
     ArithmeticError.
     """
-    work, pivots, consistent = _eliminate_augmented(columns, rhs, ring_combine)
-    rank = len(pivots)
-    if not consistent:
-        return None, rank - 1, rank
-    n = len(columns)
-    nums: list[Ring] = [()] * n
-    P = RING_ONE
-    for i, p in enumerate(pivots):
-        num = work[i][n]
-        for k, q in enumerate(pivots):
-            if k != i:
-                num = ring_mul(num, work[k][q])
-        nums[p] = num
-        P = ring_mul(P, work[i][p])
-    neg_P = ring_neg(P)
+    rank, tags = _reduce_columns(columns, rhs, ring_combine, (), RING_ONE)
+    if tags is None:
+        return None, rank, rank + 1
+    nums, neg_P = tags[:-1], tags[-1]
     for i, b in enumerate(rhs):
         acc = [0] * 8
         for x, col in zip(nums, columns):
@@ -353,7 +368,7 @@ def solve_ring_columns(
         ring_mac(acc, neg_P, b)
         if any(acc):
             raise ArithmeticError("the solution does not solve the system")
-    return (nums, P), rank, rank
+    return (nums, ring_neg(neg_P)), rank, rank
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +703,7 @@ def subalgebra_closure(L: LieAlgebra, vectors: Iterable) -> Subspace:
         new_vectors = list(span.rows)
         grown = False
         for i, a in enumerate(span.rows):
-            for b in span.rows[i:]:
+            for b in span.rows[i + 1:]:
                 w = L.bracket(a, b)
                 if not span.contains(w):
                     new_vectors.append(w)

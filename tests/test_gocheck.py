@@ -1323,3 +1323,40 @@ def test_irrational_block_verdicts_match_the_golden_hash():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "bb219988777a00fece161fefa4c02b8084b516e95c5e4edc0692dd7e5e2963a2"
     )
+
+
+def test_the_search_and_the_replay_share_no_elimination(monkeypatch):
+    # The direction search decides each system on its column vectors, by
+    # liealg._reduce_columns; verify_witness replays a witness through
+    # solve_columns, on the rows of [C | r], by liealg._reduce and
+    # _eliminate.  Neither reaches the other's elimination, so the replay
+    # checks the search independently.
+    from rank2go import liealg
+
+    g21, c22 = catalog_space("g2.1"), catalog_space("c2.2")
+    candidate = next(
+        metric for label, metric in _candidate_metrics(g21, isotypic_decompose(g21))
+        if label["kind"] == "blocks" and len(set(label["coeffs"])) > 1
+    )
+    packed = metric_from_spec(c22, "blocks:1,r2")
+    assert len(packed.rows.parts) == 2
+    searches = [(g21, candidate), (c22, packed)]
+    for sp, metric in searches:
+        go_sample_check(sp, metric)  # builds the per-space data
+    calls = []
+    for name in ("_eliminate", "_reduce", "_reduce_columns"):
+        original = getattr(liealg, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(liealg, name, counted)
+    for sp, metric in searches:
+        calls.clear()
+        verdict = go_sample_check(sp, metric)
+        assert verdict.status == "not_go_certified"
+        assert calls and set(calls) == {"_reduce_columns"}
+        calls.clear()
+        assert verify_witness(sp, metric, verdict.witness)
+        assert set(calls) == {"_reduce", "_eliminate"}

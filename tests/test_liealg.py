@@ -137,8 +137,11 @@ def _int_system(rng, rows, cols, consistent):
 
 
 # (rows, columns): berger and cp3 give the 1- and 4-column systems of the
-# direction search, g2 the 11-row ones.
-@pytest.mark.parametrize("rows, cols", [(3, 1), (6, 4), (7, 3), (11, 3)])
+# direction search, g2 the 11-row ones.  The wide shapes have fewer data
+# coordinates than columns, over which the column vectors find their pivots.
+@pytest.mark.parametrize(
+    "rows, cols", [(3, 1), (6, 4), (7, 3), (11, 3), (2, 4), (1, 3)]
+)
 def test_solve_int_columns_matches_solve_columns(rows, cols):
     rng = random.Random(100 * rows + cols)
     systems = [
@@ -821,6 +824,33 @@ def test_structural_subspaces_on_su2():
     assert comp == Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
     assert subalgebra_closure(L, [[0, 1, 0]]).dim == 1
     assert subalgebra_closure(L, [[0, 1, 0], [0, 0, 1]]) == full
+
+
+def test_subalgebra_closure_brackets_no_row_with_itself(monkeypatch):
+    """[a, a] = 0, so each round of subalgebra_closure brackets every pair
+    of distinct rows of the span once, and never a row with itself; the
+    closures are unchanged."""
+    pairs = []
+    original = LieAlgebra.bracket
+
+    def spy(self, v, w):
+        pairs.append((v, w))
+        return original(self, v, w)
+
+    monkeypatch.setattr(LieAlgebra, "bracket", spy)
+    L = direct_sum("su2+su2", su2("L."), su2("R."))
+    # [L.iH + R.iH, L.F] = 2 L.G, then [L.F, L.G] = 2 L.iH: two rounds grow
+    # the span to su2 + R.iH.
+    seed = [vec_add(L.basis_vector("L.iH"), L.basis_vector("R.iH")),
+            L.basis_vector("L.F")]
+    closure = subalgebra_closure(L, seed)
+    assert closure == Subspace.from_vectors(
+        6, [L.basis_vector(lab) for lab in ("L.iH", "L.F", "L.G", "R.iH")]
+    )
+    for space_id in CATALOG_IDS:
+        sp = catalog_space(space_id)
+        assert subalgebra_closure(sp.algebra, sp.h.rows) == sp.h
+    assert pairs and all(v != w for v, w in pairs)
 
 
 def test_ideal_decomposition_plain_sum():
