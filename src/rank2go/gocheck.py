@@ -35,7 +35,8 @@ finds the scalar lambda_k of M on each isotypic component V_k, where there
 is one, and decides every structured direction built from components that
 share one lambda; a scalar metric M = cI decides every direction this way.  One test, _MetricRows.scalar_on,
 decides whether M is a scalar on a span of int vectors: on each V_k for the
-search, and on each simple ideal of the fixed part for the filter.
+search, and on each simple ideal of the fixed part for the filter, for
+every metric but a per-component block metric (below).
 `solve_compensator` keeps the ambient-coordinate solve with its canonical
 least-norm compensator, and `verify_witness` replays every witness through
 it, independently of the search.
@@ -46,6 +47,17 @@ read off them by liealg.int_rows).  Each metric is lifted once, at
 validation (_MetricRows), and every per-metric test runs on that lift
 against the space's data lifted once per space; no Scalar matrix is
 multiplied per metric, and no test changes under the positive factors.
+
+A per-component block metric M = sum_k c_k P_k, P_k the projection onto
+the isotypic component V_k, is decided by its coefficients alone.  The V_k
+are mutually S-orthogonal and h-invariant (isotypic._analyze checks both),
+so each P_k is S-self-adjoint and commutes with every ad(h_i)|_m: S M is
+symmetric, M commutes with the isotropy action, and x^T S M x = sum_k c_k
+|P_k x|_S^2, so S M is positive definite exactly when every c_k > 0, S
+being positive definite on m (isotypic.isotropy_action checks it).  M is
+c_k on V_k, which gives the eigen labels, and M passes both filters: the
+fixed part is one component, and each fixed-vector action commutes with
+the isotropy action, so it maps every V_k into itself.
 """
 
 from __future__ import annotations
@@ -193,32 +205,40 @@ def metric_from_blocks(space: CatalogSpace, coeffs: Sequence) -> MetricEndomorph
     """Build a metric from block coefficients.
 
     When one coefficient is given per isotypic component, the metric is the
-    corresponding combination of component projections.  Otherwise the
-    length must match the symmetric commutant basis, and the coefficients
-    combine that basis directly.  When both readings apply (every component
-    contributes one commutant direction) they agree, and the per-component
-    reading is used.
+    corresponding combination of component projections, M = sum_k c_k P_k.
+    It is accepted exactly when every c_k > 0, with no test of the matrix:
+    S M is symmetric and M commutes with the isotropy action for any c_k,
+    and S M is positive definite exactly when every c_k is positive (the
+    lemma of the module docstring).  Otherwise the length must match the
+    symmetric commutant basis, the coefficients combine that basis
+    directly, and the operator is validated as any other.  When both
+    readings apply (every component contributes one commutant direction)
+    they agree, and the per-component reading is used.
     """
     cs = [scalar(c) for c in coeffs]
     dec = isotypic_decompose(space)
     n_components = len(dec.components)
     basis = commutant_symmetric_basis(space)
+    params = tuple(c.exact_str() for c in cs)
     if len(cs) == n_components:
-        mats = component_projections(space)
-    elif len(cs) == len(basis):
-        mats = basis
-    elif n_components == len(basis):
-        raise ValueError(f"expected {n_components} coefficients, got {len(cs)}")
-    else:
-        raise ValueError(
-            f"expected {n_components} per-component coefficients or "
-            f"{len(basis)} commutant coefficients, got {len(cs)}"
+        if any(c.sign() <= 0 for c in cs):
+            raise ValueError("metric operator is not positive definite")
+        matrix = mat_combine(cs, component_projections(space), space.dim_m)
+        return MetricEndomorphism(
+            space=space,
+            matrix=matrix,
+            provenance="block_coeffs",
+            params=params,
+            rows=_MetricRows.lift(matrix, tuple(cs)),
         )
-    return _validated(
-        space,
-        mat_combine(cs, mats, space.dim_m),
-        "block_coeffs",
-        tuple(c.exact_str() for c in cs),
+    if len(cs) == len(basis):
+        matrix = mat_combine(cs, basis, space.dim_m)
+        return _validated(space, matrix, "block_coeffs", params)
+    if n_components == len(basis):
+        raise ValueError(f"expected {n_components} coefficients, got {len(cs)}")
+    raise ValueError(
+        f"expected {n_components} per-component coefficients or "
+        f"{len(basis)} commutant coefficients, got {len(cs)}"
     )
 
 
@@ -330,7 +350,15 @@ def normalizer_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
     action.  Vectors of m that centralize h generate extra isometries, and a
     geodesic-orbit metric must commute with each of their actions on m.
     The test runs on the metric's lift and the ring rows of each action:
-    (d M)(d' A) = (d' A)(d M) exactly when MA = AM, as d, d' > 0."""
+    (d M)(d' A) = (d' A)(d M) exactly when MA = AM, as d, d' > 0.
+
+    A per-component block metric passes with no test.  For w in p, [h, w]
+    = 0 gives [h_i, [w, x]] = [w, [h_i, x]], so A = ad(w)|_m commutes with
+    every ad(h_i)|_m, hence with the Casimir and the central squares that
+    cut out the V_k: A maps each V_k into itself and commutes with sum_k
+    c_k P_k."""
+    if metric.rows.coeffs is not None:
+        return True
     M = metric.rows.ring
     return all(
         ring_rows_commute(M, A)
@@ -358,12 +386,17 @@ def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool
     isomorphic, since an ideal acts trivially on every other ideal and on
     the center.  So M|_p maps each simple ideal into itself, and M is a
     scalar on each simple ideal.
+
+    A per-component block metric passes with no test: p is one isotypic
+    component (the zero-Casimir one), on which M is its coefficient.
     """
     fixed = per_space(_build_fixed_part, space)
     if not fixed.actions:
         return True
     if fixed.ideals is None:
         raise ValueError("the fixed part of m is not a subalgebra")
+    if metric.rows.coeffs is not None:
+        return True
     return all(metric.rows.scalar_on(rows) for rows in fixed.ideals)
 
 
@@ -583,13 +616,18 @@ class _MetricRows:
     increasing order.  A rational metric is the one part (0, its int rows).
     Validation and the normalizer filter read the ring rows; scalar_on,
     which the eigen labels and the bi-invariance filter share, and the
-    checker read the parts."""
+    checker read the parts.  coeffs holds the c_k of a per-component block
+    metric sum_k c_k P_k (metric_from_blocks), and is None for every other
+    metric."""
 
     ring: SparseRows
     parts: tuple[tuple[int, SparseRows], ...]
+    coeffs: tuple[Scalar, ...] | None = None
 
     @classmethod
-    def lift(cls, matrix: Matrix) -> "_MetricRows":
+    def lift(
+        cls, matrix: Matrix, coeffs: tuple[Scalar, ...] | None = None
+    ) -> "_MetricRows":
         ring = lift_rows(matrix)
         parts: dict[int, list[list]] = {}
         for i, row in enumerate(ring):
@@ -600,7 +638,7 @@ class _MetricRows:
                     parts[b][i].append((j, v))
         return cls(ring=ring, parts=tuple(
             (b, tuple(map(tuple, parts[b]))) for b in sorted(parts)
-        ))
+        ), coeffs=coeffs)
 
     def scalar_on(self, xs: Sequence[Sequence[int]]) -> tuple[tuple, int] | None:
         """(a, b) with (d M) x = (a / b) x for every int vector x in xs, or
@@ -623,9 +661,13 @@ class _MetricRows:
     def eigen_labels(self, batch: _Batch) -> list[int | None]:
         """For each isotypic component V_k, a label when M|V_k = lambda_k I,
         shared by two components exactly when their lambdas are equal, and
-        None otherwise.  lambda_k is read by scalar_on off the basis vectors
-        of V_k, cleared to ints; a / b and a' / b' are equal when a b' =
-        a' b."""
+        None otherwise; the label is the first component with the same
+        lambda.  A per-component block metric sum_k c_k P_k is c_k on V_k,
+        so its labels are read off the coefficients.  Otherwise lambda_k is
+        read by scalar_on off the basis vectors of V_k, cleared to ints; a /
+        b and a' / b' are equal when a b' = a' b."""
+        if self.coeffs is not None:
+            return [self.coeffs.index(c) for c in self.coeffs]
         groups: dict[int, list[list[int]]] = {}
         for (k,), x in zip(batch.parts, batch.ints[:batch.singles]):
             groups.setdefault(k, []).append(x)

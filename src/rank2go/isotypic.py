@@ -132,11 +132,19 @@ class IsotropyRows:
 
 
 def _build_isotropy_action(space: CatalogSpace) -> IsotropyRows:
-    """Lift the space's ad(h_i)|_m: this takes no bracket."""
+    """Lift the space's ad(h_i)|_m: this takes no bracket.  The Gram matrix
+    of m is checked positive definite here, once per space, as casimir
+    checks that of h: metric validation reads a block metric's
+    definiteness off the signs of its coefficients, which holds only when
+    S is positive definite."""
     ads = space.h_action
     n = space.m.dim
     stacked = lift_rows(row for A in ads for row in A)
     gram = gram_matrix(space.algebra, space.m.rows)
+    if not is_positive_definite(gram):
+        raise ArithmeticError(
+            "invariant form is degenerate or not negative definite on m"
+        )
     return IsotropyRows(
         ad=tuple(stacked[k * n:(k + 1) * n] for k in range(len(ads))),
         d=lcm(*(c.den for A in ads for row in A for c in row)),
@@ -363,7 +371,8 @@ def component_projections(space: CatalogSpace) -> list[Matrix]:
 
 
 def m_gram(space: CatalogSpace) -> Matrix:
-    """Positive definite Gram matrix of -form on the basis of m."""
+    """Positive definite Gram matrix of -form on the basis of m (checked
+    once per space, by isotropy_action)."""
     return [list(row) for row in isotropy_action(space).gram]
 
 

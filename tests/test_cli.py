@@ -273,6 +273,23 @@ def test_zero_denominator_metric_is_a_clean_error(runner):
     assert not isinstance(result.exception, ZeroDivisionError)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check-go", "a2.1", "--metric", "blocks:-1,1"],
+        ["check-go", "a2.1", "--metric", "blocks:0,1"],
+        ["check-go", "a2.1", "--metric", "blocks:1-r2,1"],
+        ["certify", "g2.1", "--metric", "blocks:r3-2,1"],
+    ],
+)
+def test_non_positive_block_is_a_clean_error(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert "Error: metric operator is not positive definite" in result.output
+    assert "Traceback" not in result.output
+    assert "status" not in result.output
+
+
 def test_wrong_block_count_names_one_count_when_both_agree(runner):
     # a2.1 has two components and a two-dimensional commutant.
     result = runner.invoke(

@@ -10,7 +10,12 @@ from itertools import chain, product
 import pytest
 
 from rank2go import gocheck
-from rank2go.cli import COMMUTANT_PROBE_STEPS, _candidate_metrics, metric_from_spec
+from rank2go.cli import (
+    COMMUTANT_PROBE_STEPS,
+    LATTICE,
+    _candidate_metrics,
+    metric_from_spec,
+)
 from rank2go.embed import CATALOG_IDS, catalog_space
 from rank2go.field import (
     SQRT2,
@@ -710,6 +715,38 @@ def test_eigen_directions_are_solvable(space_id):
     assert decided >= 3 * len(batch.parts)
 
 
+def test_block_labels_match_scalar_on():
+    # A per-component block metric reads its eigen labels off its
+    # coefficients; its matrix, lifted with none, reads them by scalar_on.
+    # On classify's block candidates, and on every ordered pair of the
+    # refute sweep's coefficients, equal irrational pairs included.
+    metrics = []
+    for space_id in CATALOG_IDS:
+        sp = catalog_space(space_id)
+        metrics += [
+            metric
+            for label, metric in _candidate_metrics(sp, isotypic_decompose(sp))
+            if label["kind"] == "blocks"
+        ]
+    for space_id in ("c2.2", "g2.1", "g2.2", "g2.3"):
+        sp = catalog_space(space_id)
+        metrics += [
+            metric_from_blocks(sp, [parse_scalar(c) for c in pair])
+            for pair in product(REFUTE_COEFFS, repeat=2)
+        ]
+    equal = 0
+    for metric in metrics:
+        batch = gocheck.per_space(gocheck._build_structured, metric.space)
+        lifted = gocheck._MetricRows.lift(metric.matrix)
+        assert metric.rows.coeffs is not None and lifted.coeffs is None
+        labels = metric.rows.eigen_labels(batch)
+        assert labels == lifted.eigen_labels(batch), metric.params
+        equal += labels == [0, 0]
+    # the 11 equal pairs on each of the four spaces, and (1, 1) on each
+    # two-component space
+    assert equal == 4 * len(REFUTE_COEFFS) + 8
+
+
 def reference_verdict(sp, metric, draws, seed, apply_filters):
     """The search as a loop that checks every direction, scalar metrics
     and eigen directions included."""
@@ -902,14 +939,28 @@ def validation_cases(sp):
         ("not equivariant, near the identity",
          mat_combine((1, Fraction(1, 100)), (ident, swap), n)),
     ]
-    k = len(dec.components)
     projections = component_projections(sp)
-    for coeffs in (
-        (-1, 1), (1, 0), (1 + SQRT2, 3), (2 - SQRT3, SQRT2),
-        (1 - SQRT2, 3), (SQRT3 - 2, SQRT2),
-    ):
-        coeffs = (coeffs + (1,) * k)[:k]
+    for coeffs in block_cases(sp):
         cases.append((f"blocks {coeffs}", mat_combine(coeffs, projections, n)))
+    return cases
+
+
+def block_cases(sp):
+    """Per-component coefficient tuples: zero, negative and near-zero
+    irrational coefficients in each place, and classify's lattice."""
+    k = len(isotypic_decompose(sp).components)
+    cases = [
+        (coeffs + (1,) * k)[:k]
+        for coeffs in (
+            (-1, 1), (1, 0), (0, 1), (1 + SQRT2, 3), (2 - SQRT3, SQRT2),
+            (1 - SQRT2, 3), (3, 1 - SQRT2), (SQRT3 - 2, SQRT2),
+            (SQRT2, SQRT3 - 2),
+        )
+    ]
+    cases += [
+        (1,) + tuple(map(parse_scalar, tail))
+        for tail in product(LATTICE, repeat=k - 1)
+    ]
     return cases
 
 
@@ -921,6 +972,15 @@ def test_validation_matches_the_dense_reference(space_id):
         outcome = validation_outcome(explicit_metric, sp, matrix)
         assert outcome == validation_outcome(reference_validated, sp, matrix), label
         seen.add(outcome)
+    # A per-component block metric is accepted on the signs of its
+    # coefficients alone, with the outcome of the dense checks.
+    projections = component_projections(sp)
+    for coeffs in block_cases(sp):
+        matrix = mat_combine(coeffs, projections, sp.dim_m)
+        outcome = validation_outcome(metric_from_blocks, sp, coeffs)
+        assert outcome == validation_outcome(reference_validated, sp, matrix), coeffs
+        if outcome == "accepted":
+            assert metric_from_blocks(sp, coeffs).matrix == matrix
     expected = {
         "accepted",
         "metric operator is not symmetric for the invariant form",
@@ -1143,6 +1203,54 @@ def test_scalar_metric_checks_build_no_bracket_table(monkeypatch):
     find_witness(sp, metric_from_spec(sp, "blocks:2,1"))
     find_witness(sp, metric_from_spec(sp, "blocks:3,1"))
     assert built == ["c2.2"]
+
+
+def test_block_metrics_are_decided_by_their_coefficients(monkeypatch):
+    # A per-component block metric is validated by the signs of its
+    # coefficients, labelled by them, and passes both filters with no test
+    # (the lemma of the gocheck docstring): building it and searching it
+    # runs no Sylvester test, no commutation test and no scalar_on.  Any
+    # other reading of an operator runs all three.  c2.2 and g2.1 both
+    # have a fixed part, and g2.1's has a simple ideal.
+    spaces = [catalog_space(space_id) for space_id in ("c2.2", "g2.1")]
+    for sp in spaces:
+        find_witness(sp, metric_from_blocks(sp, (2, 1)))  # per-space data
+    c21 = catalog_space("c2.1")
+    n = c21.dim_m
+    flat = [
+        tuple(B[i][j] for i in range(n) for j in range(n))
+        for B in commutant_symmetric_basis(c21)
+    ]
+    identity = tuple(
+        scalar(1 if i == j else 0) for i in range(n) for j in range(n)
+    )
+    commutant_coeffs = list(solve_columns(flat, identity)[0])
+    commutant_coeffs[0] += scalar(Fraction(1, 8))
+    find_witness(c21, standard_metric(c21))
+    calls = []
+    for owner, name in (
+        (gocheck, "is_positive_definite"),
+        (gocheck, "ring_rows_commute"),
+        (gocheck._MetricRows, "scalar_on"),
+    ):
+        def counted(*args, _name=name, _original=getattr(owner, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    every = {"is_positive_definite", "ring_rows_commute", "scalar_on"}
+    for sp in spaces:
+        metric = metric_from_blocks(sp, (SQRT2, 1))
+        assert find_witness(sp, metric).witness is not None
+        assert calls == [], sp.space_id
+        explicit = explicit_metric(sp, metric.matrix)
+        assert find_witness(sp, explicit).witness is not None
+        assert set(calls) == every, sp.space_id
+        calls.clear()
+    metric = metric_from_blocks(c21, commutant_coeffs)
+    assert metric.rows.coeffs is None
+    find_witness(c21, metric)
+    assert set(calls) == every
 
 
 # -- irrational metrics on rational spaces: one int system per radical ---------

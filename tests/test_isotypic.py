@@ -299,6 +299,26 @@ def test_casimir_rejects_non_negative_definite_form():
         casimir(bad)
 
 
+def test_isotropy_action_rejects_non_negative_definite_form_on_m():
+    # A block metric is accepted on the signs of its coefficients, which
+    # decide positive definiteness only when -form is positive definite on
+    # m: the per-space build checks it.
+    L = abelian(("X",), (4,))  # positive form: -form is not positive definite
+    bad = CatalogSpace(
+        space_id="bad-form-m",
+        description="synthetic space with a positive form on m",
+        algebra=L,
+        h=Subspace.zero(1),
+        m=Subspace.full(1),
+        generators=(),
+        h_action=(),
+    )
+    with pytest.raises(ArithmeticError, match="not negative definite on m"):
+        isotropy_action(bad)
+    with pytest.raises(ArithmeticError, match="not negative definite on m"):
+        isotypic_decompose(bad)
+
+
 @pytest.mark.parametrize("space_id", CATALOG_IDS)
 def test_trivial_component_three_ways(space_id):
     """The zero-Casimir component is the centralizer of h in m, and it is
