@@ -51,6 +51,7 @@ from .gocheck import (
     go_sample_check,
     metric_from_blocks,
     standard_metric,
+    two_block_family,
     verify_witness,
 )
 from .isotypic import (
@@ -329,6 +330,9 @@ def _candidate_metrics(space, dec):
 
 
 def _classify_space(space, dec, samples: int, seed: int) -> dict:
+    """The report entry of one space.  The candidates of one two-block
+    family (gocheck.two_block_family) share one search; every other
+    candidate is its own family.  Each candidate keeps its own entry."""
     entry = {
         "space": space.space_id,
         "description": space.description,
@@ -373,8 +377,14 @@ def _classify_space(space, dec, samples: int, seed: int) -> dict:
         return entry
     runs = []
     passing = []
-    for label, metric in _candidate_metrics(space, dec):
-        verdict = go_sample_check(space, metric, samples=samples, seed=seed)
+    verdicts = {}
+    for index, (label, metric) in enumerate(_candidate_metrics(space, dec)):
+        family = None if two_block_family(space, metric) else index
+        if family not in verdicts:
+            verdicts[family] = go_sample_check(
+                space, metric, samples=samples, seed=seed
+            )
+        verdict = verdicts[family]
         runs.append({"metric": label, **verdict.to_dict(include_time=False)})
         # "Non-scalar" equals "non-normal" only for simple G: on berger (G =
         # U(2)) blocks (1, 2) and (1, 5) are induced from bi-invariant metrics.
@@ -414,7 +424,8 @@ def classify(
     record them, 2 on any mismatch, 1 when a space errored; the report
     then names the space and the stage that failed (catalog, isotypic or
     search).  The report is byte-identical across runs with the same seed
-    and configuration.
+    and configuration.  Each family of two-block candidates is searched
+    once (gocheck.two_block_family); the report lists every candidate.
     """
     _nonnegative("--samples", samples)
     if run_all:

@@ -57,14 +57,17 @@ symmetric, M commutes with the isotropy action, and x^T S M x = sum_k c_k
 being positive definite on m (isotypic.isotropy_action checks it).  M is
 c_k on V_k, which gives the eigen labels, and M passes both filters: the
 fixed part is one component, and each fixed-vector action commutes with
-the isotropy action, so it maps every V_k into itself.
+the isotropy action, so it maps every V_k into itself.  On a space of two
+components with [V_0, V_1] in V_0 or in V_1 (the premise, checked once per
+space), every such metric with c_0 != c_1 gets one search verdict: scaling
+rows and r takes its systems to one free of c (two_block_family).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from itertools import chain, compress
 from typing import Callable, Sequence
 
@@ -87,8 +90,10 @@ from .isotypic import (
     per_space,
 )
 from .liealg import (
+    LieAlgebra,
     Matrix,
     SparseRows,
+    Subspace,
     Vector,
     ad_on,
     gram_matrix,
@@ -145,16 +150,18 @@ class MetricEndomorphism:
         return m.combine(mat_apply(self.matrix, m.coords(v)))
 
     def scaled(self, c) -> "MetricEndomorphism":
-        """The homothetic metric c * M (c must be positive)."""
+        """The homothetic metric c * M (c must be positive).  A per-component
+        block metric stays one, on the coefficients c c_k, with no test."""
         c = scalar(c)
         if c.sign() <= 0:
             raise ValueError("a homothety factor must be positive")
-        return _validated(
-            self.space,
-            mat_scale(c, self.matrix),
-            self.provenance,
-            self.params + (c.exact_str(),),
-        )
+        matrix = mat_scale(c, self.matrix)
+        params = self.params + (c.exact_str(),)
+        coeffs = self.rows.coeffs
+        if coeffs is None:
+            return _validated(self.space, matrix, self.provenance, params)
+        rows = _MetricRows.lift(matrix, tuple(c * k for k in coeffs))
+        return replace(self, matrix=matrix, params=params, rows=rows)
 
 
 def _validated(
@@ -790,6 +797,42 @@ def _search(
         filters=filters,
         elapsed_s=time.perf_counter() - start,
     )
+
+
+def _brackets_stay_in_one(L: LieAlgebra, a: Subspace, b: Subspace) -> bool:
+    """True when [a, b] lies in a or in b, on the brackets of their rows."""
+    brackets = [L.bracket(x, y) for x in a.rows for y in b.rows]
+    return any(all(map(s.contains, brackets)) for s in (a, b))
+
+
+def _two_block_premise(space: CatalogSpace) -> bool:
+    pair = [c.subspace for c in isotypic_decompose(space).components]
+    return len(pair) == 2 and _brackets_stay_in_one(space.algebra, *pair)
+
+
+def two_block_family(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
+    """True when metric is c_0 P_0 + c_1 P_1 with c_0 != c_1, on a space of
+    two isotypic components V_0, V_1 with [V_0, V_1] in V_0 or in V_1 (the
+    premise, checked once per space).  Every such metric of one space gets
+    the same verdict from _search (status, samples_run, witness, filters)
+    at equal (draws, seed, apply_filters).
+
+    Proof.  Write X = X_0 + X_1 with X_k in V_k.  The V_k are h-invariant,
+    so C_i = [h_i, MX] = c_0 [h_i, X_0] + c_1 [h_i, X_1] has V_k part c_k
+    [h_i, X_k], and r = [MX, X] = (c_0 - c_1) [X_0, X_1] lies in one block
+    V_j by the premise (so in m: no member raises the transverse error).
+    In a basis of m adapted to V_0 + V_1, scale the V_k rows by 1 / c_k and
+    the column r by c_j / (c_0 - c_1): the system becomes C_i = [h_i, X],
+    r = [X_0, X_1], free of c, and neither rank changes.  So each direction
+    gets one (solvable, rank_map, rank_augmented) under every member.
+    Nothing else that _search reads of a metric differs: the filters read
+    only that it is a block metric, the eigen labels are [0, 1], and the
+    batch and the seeded draws belong to the space.  This is the criterion
+    for metrics on a fibration (Tamaru, Osaka J. Math. 36 (1999);
+    Alekseevsky-Nikonorov, SIGMA 5 (2009) 093) on two blocks."""
+    cs = metric.rows.coeffs
+    pair = cs is not None and len(cs) == len(set(cs)) == 2
+    return pair and per_space(_two_block_premise, space)
 
 
 def go_sample_check(

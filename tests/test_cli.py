@@ -6,10 +6,24 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from rank2go.cli import EXPECTED_VERDICTS, main, metric_from_spec
+from rank2go import cli, gocheck
+from rank2go.cli import (
+    EXPECTED_VERDICTS,
+    _candidate_metrics,
+    _classify_space,
+    main,
+    metric_from_spec,
+)
 from rank2go.embed import CATALOG_IDS, catalog_space
-from rank2go.gocheck import fibration_metric, metric_from_blocks, standard_metric
+from rank2go.gocheck import (
+    fibration_metric,
+    go_sample_check,
+    metric_from_blocks,
+    standard_metric,
+)
 from rank2go.field import SQRT2, parse_scalar
+from rank2go.isotypic import isotypic_decompose
+from rank2go.liealg import scalar_of
 
 
 @pytest.fixture()
@@ -240,6 +254,11 @@ def test_classify_report_matches_the_golden_hash(runner, tmp_path):
             ["c2.3", "g2.4", "--samples", "10"],
             "1b6c987ea7ba7e647f1821ded4d38e0c78ab534c95fabd8f3769aa5f4f9e26ae",
         ),
+        # The whole catalogue at a second draw count.
+        (
+            ["--all", "--samples", "20"],
+            "db68fde2f3a7604a970b6ca967248a5a9f7f084dacd0074020d246149bd584ba",
+        ),
     ]
     for i, (args, expected) in enumerate(cases):
         out = tmp_path / f"golden{i}.json"
@@ -420,3 +439,93 @@ def test_classify_error_names_the_space_and_the_stage(
     assert by_space["a2.2"]["verdict"] == "isotropy_irreducible"
     assert report["flagged"] == ["berger"]
     assert report["mismatches"] == []
+
+
+# -- one search per two-block family ------------------------------------------
+
+TWO_BLOCK_SPACES = (
+    "a2.1", "c2.1", "c2.2", "g2.1", "g2.2", "g2.3", "berger", "cp3",
+)
+
+
+def reference_entry(sp, dec, samples, seed):
+    """The classify entry of a space with two components, each candidate
+    searched on its own."""
+    runs, passing = [], []
+    for label, metric in _candidate_metrics(sp, dec):
+        verdict = go_sample_check(sp, metric, samples=samples, seed=seed)
+        runs.append({"metric": label, **verdict.to_dict(include_time=False)})
+        if verdict.status == "go_sampled" and scalar_of(metric.matrix) is None:
+            passing.append(label)
+    entry = {
+        "space": sp.space_id,
+        "description": sp.description,
+        "dim_m": sp.dim_m,
+        "profile": list(dec.profile),
+        "commutant_dim": sum(c.commutant_dim for c in dec.components),
+        "invariant_metric_dim": dec.invariant_metric_dim,
+        "verdict": "nonnormal_go_family" if passing else "all_metrics_normal",
+        "evidence": {"candidates": runs},
+    }
+    if passing:
+        entry["verdict_params"] = passing
+    return entry
+
+
+@pytest.mark.parametrize("space_id", TWO_BLOCK_SPACES)
+def test_classify_entries_match_one_search_per_candidate(space_id):
+    sp = catalog_space(space_id)
+    dec = isotypic_decompose(sp)
+    for seed in (42, 7):
+        for samples in (0, 5, 200):
+            assert _classify_space(sp, dec, samples, seed) == reference_entry(
+                sp, dec, samples, seed
+            ), (seed, samples)
+
+
+def counted_searches(monkeypatch):
+    calls = []
+
+    def counted(space, *args, _original=cli.go_sample_check, **kwargs):
+        calls.append(space.space_id)
+        return _original(space, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "go_sample_check", counted)
+    return calls
+
+
+def no_premise(space):
+    return False
+
+
+def test_classify_without_the_premise_searches_every_candidate(
+    runner, monkeypatch, tmp_path
+):
+    monkeypatch.setattr(gocheck, "_two_block_premise", no_premise)
+    calls = counted_searches(monkeypatch)
+    out = tmp_path / "all.json"
+    result = runner.invoke(
+        main, ["classify", "--all", "--seed", "42", "--out", str(out)]
+    )
+    assert result.exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "6ac51427baf1607c676eeeb0bee6b8c220b87798893a5cdc6f03fb02145f003b"
+    )
+    searched = []
+    for entry in json.loads(out.read_text())["results"]:
+        evidence = entry["evidence"]
+        runs = len(evidence.get("candidates", [])) + ("standard_check" in evidence)
+        searched += [entry["space"]] * runs
+    assert calls == searched
+
+
+@pytest.mark.parametrize("space_id, searches", [("c2.1", 6), ("cp3", 2)])
+def test_classify_searches_each_two_block_family_once(
+    runner, monkeypatch, space_id, searches
+):
+    # c2.1: the scalar, one search for its four two-block candidates, and
+    # four commutant probes; cp3: the scalar and one family search.
+    calls = counted_searches(monkeypatch)
+    result = runner.invoke(main, ["classify", space_id])
+    assert result.exit_code == 0
+    assert len(calls) == searches

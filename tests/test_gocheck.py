@@ -65,13 +65,17 @@ from rank2go.liealg import (
     mat_combine,
     mat_inverse,
     mat_mul,
+    mat_scale,
     mat_transpose,
     minimal_polynomial,
     operator_on_subspace,
     rational_roots,
     scalar_of,
+    Subspace,
     solve_columns,
+    su2,
     subalgebra_closure,
+    unit_vector,
     vec_add,
     vec_scale,
     zero_vector,
@@ -1468,3 +1472,85 @@ def test_the_search_and_the_replay_share_no_elimination(monkeypatch):
         calls.clear()
         assert verify_witness(sp, metric, verdict.witness)
         assert set(calls) == {"_reduce", "_eliminate"}
+
+
+# -- the scaling lemma: one verdict per two-block family -----------------------
+
+TWO_BLOCK_SPACES = (
+    "a2.1", "c2.1", "c2.2", "g2.1", "g2.2", "g2.3", "berger", "cp3",
+)
+# Four lattice values of classify, four values off the lattice (two of them
+# irrational) and one pair with no coefficient 1.
+FAMILY_PAIRS = tuple(
+    [("1", t) for t in ("1/3", "1/2", "2", "5", "7/4", "r2", "1+r2", "3/2*r6")]
+    + [("3", "r5")]
+)
+
+
+def test_scaled_block_metric_keeps_its_coefficients(monkeypatch):
+    # c (c_0 P_0 + c_1 P_1) is again a per-component block metric: scaling
+    # runs no Sylvester test and keeps the family's coefficients.  Any other
+    # metric is validated again.
+    sp = catalog_space("c2.2")
+    metric = metric_from_blocks(sp, (2, 1))
+    other = explicit_metric(sp, metric.matrix)
+    calls = []
+
+    def counted(*args, _original=gocheck.is_positive_definite):
+        calls.append(1)
+        return _original(*args)
+
+    monkeypatch.setattr(gocheck, "is_positive_definite", counted)
+    scaled = metric.scaled(3)
+    assert calls == []
+    assert scaled.rows.coeffs == (scalar(6), scalar(3))
+    assert scaled.matrix == mat_scale(3, metric.matrix)
+    assert scaled.rows.ring == lift_rows(scaled.matrix)
+    assert scaled.params == metric.params + (scalar(3).exact_str(),)
+    assert scaled.provenance == metric.provenance
+    assert scaled.rows.coeffs == metric_from_blocks(sp, (6, 3)).rows.coeffs
+    assert other.scaled(3).rows.coeffs is None
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("space_id", TWO_BLOCK_SPACES)
+def test_the_premise_holds_as_brackets_into_the_second_block(space_id):
+    sp = catalog_space(space_id)
+    v0, v1 = (c.subspace for c in isotypic_decompose(sp).components)
+    brackets = [sp.algebra.bracket(x, y) for x in v0.rows for y in v1.rows]
+    assert all(v1.contains(b) for b in brackets)
+    assert not all(v0.contains(b) for b in brackets)
+    assert gocheck._two_block_premise(sp)
+
+
+def test_the_premise_fails_on_a_planted_pair():
+    # In su(2), [iH, F] = 2G lies in neither span(iH) nor span(F).
+    L = su2()
+    h, f, g = (unit_vector(3, i) for i in range(3))
+    line = Subspace.from_vectors(3, [h])
+    assert not gocheck._brackets_stay_in_one(
+        L, line, Subspace.from_vectors(3, [f])
+    )
+    assert gocheck._brackets_stay_in_one(
+        L, line, Subspace.from_vectors(3, [f, g])
+    )
+
+
+@pytest.mark.parametrize("space_id", TWO_BLOCK_SPACES)
+def test_every_two_block_metric_decides_each_direction_alike(space_id):
+    # The lemma of gocheck.two_block_family, direction by direction: the
+    # structured batch and 40 seeded draws get one (solvable, rank_map,
+    # rank_augmented) under every pair of distinct block coefficients.
+    sp = catalog_space(space_id)
+    rng = random.Random(7)
+    directions = list(gocheck.per_space(gocheck._build_structured, sp).ints)
+    directions += [_random_direction(rng, sp.dim_m) for _ in range(40)]
+    results = set()
+    for pair in FAMILY_PAIRS:
+        metric = metric_from_blocks(sp, [parse_scalar(c) for c in pair])
+        assert gocheck.two_block_family(sp, metric)
+        check = _direction_checker(sp, metric)
+        results.add(tuple(check(x) for x in directions))
+    assert len(results) == 1
+    assert not gocheck.two_block_family(sp, metric_from_blocks(sp, (2, 2)))
+    assert not gocheck.two_block_family(sp, explicit_metric(sp, metric.matrix))
