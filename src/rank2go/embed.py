@@ -4,13 +4,14 @@ Each catalogued space is a pair (g, h): a compact rank-two algebra g and a
 subalgebra h, with the reductive complement m of h under the invariant form.
 One table, `_CATALOG`, holds each space's id (in report order), description,
 family of g, a spec for h and the paper's verdict on it, which `classify`
-checks through `EXPECTED_VERDICTS`.  On the four Hopf-fibred spaces the
-verdict is a `_Hopf` value, which also names the subalgebra "hopf" resolves
-to.  The twelve su(2)-embedding rows give h as the compact image of an sl2
-span; cp3, the twistor space of the four-sphere, as a torus plus root
-spaces; berger, the squashed three-sphere, as one element of u(2).  m is
-always the orthogonal complement of h; the test suite cross-checks every h
-and m against independently written spans.
+checks through `EXPECTED_VERDICTS`.  A row names no subalgebra: the Hopf
+fiber of a space is read off its isotypic decomposition
+(gocheck.fibration_metric), and `named_subalgebra` resolves the other names
+of the metric grammar.  The twelve su(2)-embedding rows give h as the
+compact image of an sl2 span; cp3, the twistor space of the four-sphere, as
+a torus plus root spaces; berger, the squashed three-sphere, as one element
+of u(2).  m is always the orthogonal complement of h; the test suite
+cross-checks every h and m against independently written spans.
 """
 
 from __future__ import annotations
@@ -57,17 +58,11 @@ class _Torus(NamedTuple):
     roots: tuple[Root, ...]  # each adds its root space F[g], G[g]
 
 
-class _Hopf(NamedTuple):
-    """The verdict NONNORMAL_GO_FAMILY, on a space fibred over a subalgebra."""
-
-    name: str  # the subalgebra name that "hopf" resolves to
-
-
 class _Row(NamedTuple):
     description: str
     family: str  # of the compact form, or "u2" for berger_algebra()
     h: _Sl2 | _Torus | dict  # a dict is one element of u(2), by label
-    verdict: str | _Hopf  # the paper's, as classify reports it
+    verdict: str  # the paper's, as classify reports it
 
 
 #: The four verdicts of classify, as the catalogue rows record them.
@@ -81,7 +76,7 @@ _A, _B, _NA, _NB = (1, 0), (0, 1), (-1, 0), (0, -1)
 #: One row per catalogued space, in report order.
 _CATALOG: dict[str, _Row] = {
     "a2.1": _Row("5-sphere as SU(3)/SU(2)", "a2",
-                 _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (1, 1)), _Hopf("ngh")),
+                 _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (1, 1)), NONNORMAL_GO_FAMILY),
     "a2.2": _Row("SU(3)/SO(3), isotropy irreducible", "a2",
                  _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1)),
                  ISOTROPY_IRREDUCIBLE),
@@ -93,7 +88,7 @@ _CATALOG: dict[str, _Row] = {
                    _Sl2(((1, _A), (1, _B)), ((1, _NA), (1, _NB)), (1, 1)),
                    ISOTROPY_IRREDUCIBLE),
     "c2.1": _Row("7-sphere as Sp(2)/Sp(1)", "c2",
-                 _Sl2(((1, (1, 2)),), ((1, (-1, -2)),), (1, 1)), _Hopf("ngh")),
+                 _Sl2(((1, (1, 2)),), ((1, (-1, -2)),), (1, 1)), NONNORMAL_GO_FAMILY),
     "c2.2": _Row("Sp(2)/Sp(1) with the short-root Sp(1)", "c2",
                  _Sl2(((1, (1, 1)),), ((1, (-1, -1)),), (2, 1)), ALL_METRICS_NORMAL),
     "c2.3": _Row("Sp(2)/Sp(1), isotropy irreducible", "c2",
@@ -110,20 +105,17 @@ _CATALOG: dict[str, _Row] = {
                  _Sl2(((SQRT6, _A), (SQRT10, _B)),
                       ((SQRT6, _NA), (SQRT10, _NB)), (6, 10)), ISOTROPY_IRREDUCIBLE),
     "berger": _Row("3-sphere as U(2)/U(1), squashed metrics", "u2",
-                   {"iH": 1, "Z": 1}, _Hopf("ngh")),
+                   {"iH": 1, "Z": 1}, NONNORMAL_GO_FAMILY),
     # iH[a], iH[a+2b] and the root space of a+2b
     "cp3": _Row("CP^3 as Sp(2)/(U(1)xSp(1)), twistor space of S^4", "c2",
-                _Torus(((1, 0), (1, 1)), ((1, 2),)), _Hopf("sp1sp1")),
+                _Torus(((1, 0), (1, 1)), ((1, 2),)), NONNORMAL_GO_FAMILY),
 }
 
 #: All catalogue identifiers, in table order.
 CATALOG_IDS: tuple[str, ...] = tuple(_CATALOG)
 
 #: The paper's verdict on each catalogued space, as classify reports it.
-EXPECTED_VERDICTS: dict[str, str] = {
-    i: NONNORMAL_GO_FAMILY if isinstance(row.verdict, _Hopf) else row.verdict
-    for i, row in _CATALOG.items()
-}
+EXPECTED_VERDICTS: dict[str, str] = {i: row.verdict for i, row in _CATALOG.items()}
 
 #: The twelve su(2)-embedding rows, in table order; row n is ROW_IDS[n - 1].
 ROW_IDS: tuple[str, ...] = tuple(i for i, row in _CATALOG.items()
@@ -328,17 +320,11 @@ _SP1SP1 = _Torus(((1, 0), (1, 1)), ((1, 0), (1, 2)))
 def named_subalgebra(space: CatalogSpace, name: str) -> Subspace:
     """Resolve an intermediate subalgebra h < K < g by name.
 
-    Names: "ngh" (normalizer of h, available everywhere it is proper),
-    "sp1sp1" (the long-root regular subalgebra, c2-based spaces only),
-    "hopf" (the canonical fibration subalgebra of the four fibered spaces).
+    Names: "ngh" (normalizer of h, available everywhere it is proper) and
+    "sp1sp1" (the long-root regular subalgebra, c2-based spaces only).  The
+    Hopf fiber "hopf" is no name here: gocheck.fibration_metric reads it off
+    the isotypic decomposition.
     """
-    if name == "hopf":
-        row = _CATALOG.get(space.space_id)
-        if row is None or not isinstance(row.verdict, _Hopf):
-            raise ValueError(
-                f"space {space.space_id} has no canonical fibration subalgebra"
-            )
-        return named_subalgebra(space, row.verdict.name)
     if name == "ngh":
         K = normalizer(space.algebra, space.h)
         if K.dim == space.h.dim or K.dim == space.algebra.dim:

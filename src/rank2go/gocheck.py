@@ -37,9 +37,9 @@ share one lambda; a scalar metric M = cI decides every direction this way.  One 
 decides whether M is a scalar on a span of int vectors: on each V_k for the
 search, and on each simple ideal of the fixed part for the filter, for
 every metric but a per-component block metric (below).
-`solve_compensator` keeps the ambient-coordinate solve with its canonical
-least-norm compensator, and `verify_witness` replays every witness through
-it, independently of the search.
+`solve_compensator` keeps the ambient-coordinate solve, and
+`verify_witness` replays every witness through it, independently of the
+search.
 
 Every matrix is lifted by the one function liealg.lift_rows (its nonzero
 entries cleared of one common denominator d > 0, as ring rows; int rows are
@@ -58,9 +58,10 @@ being positive definite on m (isotypic.isotropy_action checks it).  M is
 c_k on V_k, which gives the eigen labels, and M passes both filters: the
 fixed part is one component, and each fixed-vector action commutes with
 the isotropy action, so it maps every V_k into itself.  On a space of two
-components with [V_0, V_1] in V_0 or in V_1 (the premise, checked once per
-space), every such metric with c_0 != c_1 gets one search verdict: scaling
-rows and r takes its systems to one free of c (two_block_family).
+components with [V_0, V_1] in V_(1-f) (_fiber_index, checked once per
+space), every such metric with c_0 != c_1, the Hopf metrics among them,
+gets one search verdict: scaling rows and r takes its systems to one free
+of c (two_block_family).
 """
 
 from __future__ import annotations
@@ -90,18 +91,14 @@ from .isotypic import (
     per_space,
 )
 from .liealg import (
-    LieAlgebra,
     Matrix,
     SparseRows,
-    Subspace,
     Vector,
     ad_on,
-    gram_matrix,
     ideal_decomposition,
     identity_matrix,
     is_positive_definite,
     int_rows,
-    kernel_basis,
     lift_rows,
     mat_apply,
     mat_combine,
@@ -116,7 +113,6 @@ from .liealg import (
     solve_int_columns,
     solve_ring_columns,
     subalgebra_closure,
-    vec_sub,
 )
 
 DEFAULT_SEED = 42
@@ -252,14 +248,26 @@ def metric_from_blocks(space: CatalogSpace, coeffs: Sequence) -> MetricEndomorph
 def fibration_metric(
     space: CatalogSpace, subalgebra_name: str, lam
 ) -> MetricEndomorphism:
-    """Scale the fiber directions of a named intermediate subalgebra by lam.
+    """Scale the fiber directions of an intermediate subalgebra h < K < g by lam.
 
     The operator is the identity on the base directions and lam times the
-    identity on the fiber directions; lam must be positive.
+    identity on the fiber directions; lam must be positive.  "hopf" is K =
+    h + V_f for the fiber block f of a two-component space (_fiber_index):
+    the block metric with lam on V_f and 1 on V_(1-f).  Other names are
+    resolved by embed.named_subalgebra.
     """
     lam = scalar(lam)
     if lam.sign() <= 0:
         raise ValueError("the fiber scaling must be positive")
+    params = (subalgebra_name, lam.exact_str())
+    if subalgebra_name == "hopf":
+        f = per_space(_fiber_index, space)
+        if f is None:
+            raise ValueError(
+                f"space {space.space_id} has no canonical fibration subalgebra"
+            )
+        metric = metric_from_blocks(space, (lam, ONE) if f == 0 else (ONE, lam))
+        return replace(metric, provenance="fibration", params=params)
     K = named_subalgebra(space, subalgebra_name)
     fiber, base = fibration_split(space, K)
     n = space.dim_m
@@ -272,9 +280,7 @@ def fibration_metric(
         for i in range(n)
     ]
     mat = mat_mul(T, mat_mul(diag, mat_inverse(T)))
-    return _validated(
-        space, mat, "fibration", (subalgebra_name, lam.exact_str())
-    )
+    return _validated(space, mat, "fibration", params)
 
 
 def explicit_metric(space: CatalogSpace, matrix: Matrix) -> MetricEndomorphism:
@@ -296,9 +302,9 @@ def solve_compensator(
 
     Returns (a, rank_map, rank_augmented).  a is None exactly when the
     system is inconsistent; then rank_augmented exceeds rank_map and the
-    pair certifies the refutation.  When the system is underdetermined the
-    solution of least norm for the positive form on h is returned, so the
-    output is canonical.
+    pair certifies the refutation.  Otherwise a combines the rows of h by
+    the solution of liealg.solve_columns, its free variables at zero, and
+    is checked against the equation.
     """
     L = space.algebra
     y = metric.apply(x)
@@ -309,14 +315,6 @@ def solve_compensator(
     sol, rank_map, rank_aug = solve_columns(columns, rhs)
     if sol is None:
         return None, rank_map, rank_aug
-    if rank_map < space.dim_h:
-        # Shift the particular solution a0 along the null space N of the
-        # map to the G-orthogonal one: a = a0 - N^T (N G N^T)^-1 N G a0.
-        null = kernel_basis(mat_transpose(columns), space.dim_h)
-        G = gram_matrix(L, space.h.rows)
-        NtGN = mat_mul(mat_mul(null, G), mat_transpose(null))
-        u = mat_apply(mat_inverse(NtGN), mat_apply(null, mat_apply(G, sol)))
-        sol = vec_sub(sol, mat_apply(mat_transpose(null), u))
     a = space.h.combine(sol)
     if L.bracket(a, y) != rhs:
         raise ArithmeticError("compensator verification failed")
@@ -799,23 +797,29 @@ def _search(
     )
 
 
-def _brackets_stay_in_one(L: LieAlgebra, a: Subspace, b: Subspace) -> bool:
-    """True when [a, b] lies in a or in b, on the brackets of their rows."""
-    brackets = [L.bracket(x, y) for x in a.rows for y in b.rows]
-    return any(all(map(s.contains, brackets)) for s in (a, b))
-
-
-def _two_block_premise(space: CatalogSpace) -> bool:
+def _fiber_index(space: CatalogSpace) -> int | None:
+    """The fiber block f of a space of two isotypic components V_0, V_1:
+    [V_0, V_1] lies in V_(1-f), on the brackets of their rows (f = 0 when
+    both hold); None for any other space.  h + V_f is then a subalgebra,
+    the Hopf fiber: [h, V_f] lies in V_f, and [V_f, V_f] in h + V_f by
+    invariance of the form, <[V_f, V_f], V_(1-f)> = <V_f, [V_f, V_(1-f)]>,
+    which lies in <V_f, V_(1-f)> = 0."""
     pair = [c.subspace for c in isotypic_decompose(space).components]
-    return len(pair) == 2 and _brackets_stay_in_one(space.algebra, *pair)
+    if len(pair) != 2:
+        return None
+    brackets = [space.algebra.bracket(x, y) for x in pair[0].rows for y in pair[1].rows]
+    return next(
+        (f for f in (0, 1) if all(map(pair[1 - f].contains, brackets))), None
+    )
 
 
 def two_block_family(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
     """True when metric is c_0 P_0 + c_1 P_1 with c_0 != c_1, on a space of
     two isotypic components V_0, V_1 with [V_0, V_1] in V_0 or in V_1 (the
-    premise, checked once per space).  Every such metric of one space gets
-    the same verdict from _search (status, samples_run, witness, filters)
-    at equal (draws, seed, apply_filters).
+    premise: a fiber block, _fiber_index, checked once per space).  Every
+    such metric of one space, fibration_metric(space, "hopf", lam != 1)
+    among them, gets the same verdict from _search (status, samples_run,
+    witness, filters) at equal (draws, seed, apply_filters).
 
     Proof.  Write X = X_0 + X_1 with X_k in V_k.  The V_k are h-invariant,
     so C_i = [h_i, MX] = c_0 [h_i, X_0] + c_1 [h_i, X_1] has V_k part c_k
@@ -832,7 +836,7 @@ def two_block_family(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
     Alekseevsky-Nikonorov, SIGMA 5 (2009) 093) on two blocks."""
     cs = metric.rows.coeffs
     pair = cs is not None and len(cs) == len(set(cs)) == 2
-    return pair and per_space(_two_block_premise, space)
+    return pair and per_space(_fiber_index, space) is not None
 
 
 def go_sample_check(

@@ -105,3 +105,14 @@ def test_only_embed_writes_verdict_names():
 
 def test_cli_reads_the_verdicts_of_the_catalogue_rows():
     assert cli.EXPECTED_VERDICTS is embed.EXPECTED_VERDICTS
+
+
+def test_catalogue_rows_hold_a_verdict_and_nothing_beside_it():
+    # A row's verdict is one of the four constants, not a value carrying
+    # side data (the Hopf fiber is read off the decomposition), and classify
+    # expects exactly the rows' verdicts.
+    assert embed._Row._fields == ("description", "family", "h", "verdict")
+    rows = embed._CATALOG.items()
+    for space_id, row in rows:
+        assert type(row.verdict) is str and row.verdict in VERDICT_NAMES, space_id
+    assert embed.EXPECTED_VERDICTS == {i: row.verdict for i, row in rows}

@@ -122,6 +122,40 @@ def test_check_go_exit_codes(runner):
     assert "unknown metric spec" in result.output
 
 
+def test_hopf_metric_resolves_on_every_two_block_space(runner):
+    # The fiber is read off the decomposition, so the two-component spaces
+    # c2.2 and g2.3 get a Hopf metric too, and it is refuted there.
+    result = runner.invoke(main, ["check-go", "c2.2", "--metric", "fib:hopf:2"])
+    assert result.exit_code == 2
+    assert tail_json(result.output)["status"] == "not_go_certified"
+    result = runner.invoke(main, ["certify", "g2.3", "--metric", "fib:hopf:2"])
+    assert result.exit_code == 0
+    assert "witness re-verified exactly" in result.output
+    result = runner.invoke(main, ["check-go", "a2.2", "--metric", "fib:hopf:2"])
+    assert result.exit_code == 1
+    assert "a2.2 has no canonical fibration subalgebra" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["check-go", "certify"])
+@pytest.mark.parametrize(
+    "space_id, name",
+    [("a2.1", "ngh"), ("c2.1", "ngh"), ("berger", "ngh"), ("cp3", "sp1sp1")],
+)
+def test_hopf_metric_prints_what_its_named_fibration_prints(
+    runner, command, space_id, name
+):
+    # On the four flagged spaces these names give the Hopf fiber through
+    # the general fibration_split path; the block metric read off the
+    # decomposition prints the same, elapsed time aside.
+    def printed(spec):
+        result = runner.invoke(main, [command, space_id, "--metric", spec])
+        lines = result.output.replace(spec, "<spec>").splitlines()
+        return result.exit_code, [line for line in lines if "elapsed_s" not in line]
+
+    assert printed("fib:hopf:1/2") == printed(f"fib:{name}:1/2")
+
+
 def test_certify_exit_codes(runner):
     result = runner.invoke(
         main, ["certify", "g2.1", "--metric", "blocks:2,1", "--budget", "50"]
@@ -494,14 +528,14 @@ def counted_searches(monkeypatch):
     return calls
 
 
-def no_premise(space):
-    return False
+def no_fiber(space):
+    return None
 
 
 def test_classify_without_the_premise_searches_every_candidate(
     runner, monkeypatch, tmp_path
 ):
-    monkeypatch.setattr(gocheck, "_two_block_premise", no_premise)
+    monkeypatch.setattr(gocheck, "_fiber_index", no_fiber)
     calls = counted_searches(monkeypatch)
     out = tmp_path / "all.json"
     result = runner.invoke(

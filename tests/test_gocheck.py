@@ -6,6 +6,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import chain, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,12 @@ from rank2go.cli import (
     _candidate_metrics,
     metric_from_spec,
 )
-from rank2go.embed import CATALOG_IDS, catalog_space
+from rank2go.embed import (
+    CATALOG_IDS,
+    catalog_space,
+    fibration_split,
+    named_subalgebra,
+)
 from rank2go.field import (
     SQRT2,
     SQRT3,
@@ -59,7 +65,6 @@ from rank2go.liealg import (
     identity_matrix,
     int_rows,
     is_positive_definite,
-    kernel_basis,
     lift_rows,
     mat_apply,
     mat_combine,
@@ -146,26 +151,36 @@ def test_validation_rejects_bad_operators():
 
 def test_blocks_dispatch_and_fibration_agree():
     # One coefficient per component scales that component's projection, so
-    # on a two-component space the block metric (lam, 1) is the fibration
-    # metric of the fixed-part fibration.
+    # on a two-component space the block metric with lam on the fiber block
+    # is the fibration metric of an intermediate subalgebra h + V_f.  The
+    # general path (fibration_split and a dense T diag T^-1, validated)
+    # checks the block metric, and both searches agree at two seeds.
     for space_id, name, lam in [
-        ("a2.1", "hopf", 2),
-        ("c2.1", "hopf", 2),
-        ("berger", "hopf", 5),
-        ("cp3", "hopf", Fraction(1, 2)),
+        ("a2.1", "ngh", 2),
+        ("c2.1", "ngh", 2),
+        ("c2.1", "sp1sp1", SQRT2),
+        ("berger", "ngh", 5),
+        ("cp3", "sp1sp1", Fraction(1, 2)),
     ]:
         sp = catalog_space(space_id)
-        dec = isotypic_decompose(sp)
-        coeffs = [1] * len(dec.components)
-        fiber_index = (
-            dec.trivial_index if dec.trivial_index is not None else 0
-        )
-        coeffs[fiber_index] = lam
+        coeffs = [1, 1]
+        coeffs[gocheck._fiber_index(sp)] = lam
         blocks = metric_from_blocks(sp, coeffs)
         fib = fibration_metric(sp, name, lam)
-        assert blocks.matrix == fib.matrix
-        assert fib.provenance == "fibration"
+        hopf = fibration_metric(sp, "hopf", lam)
+        assert blocks.matrix == fib.matrix == hopf.matrix
+        assert fib.provenance == hopf.provenance == "fibration"
         assert blocks.provenance == "block_coeffs"
+        assert fib.rows.coeffs is None
+        for seed in (42, 7):
+            for search in (go_sample_check, find_witness):
+                verdicts = [
+                    search(sp, metric, 50, seed).to_dict(include_time=False)
+                    for metric in (blocks, fib, hopf)
+                ]
+                assert verdicts[0] == verdicts[1] == verdicts[2], (
+                    space_id, name, seed, search.__name__
+                )
 
 
 def test_fibration_eigenvalue_profiles():
@@ -214,7 +229,7 @@ def test_commutant_length_coefficients_are_accepted():
     assert metric.matrix != standard_metric(sp).matrix
 
 
-def test_compensator_solution_verifies_and_is_minimal():
+def test_compensator_solution_verifies():
     sp = catalog_space("c2.1")
     metric = fibration_metric(sp, "hopf", 2)
     L = sp.algebra
@@ -225,25 +240,6 @@ def test_compensator_solution_verifies_and_is_minimal():
     assert a is not None and rank_map == rank_aug
     y = metric.apply(x)
     assert L.bracket(a, y) == L.bracket(y, x)
-    if rank_map < sp.dim_h:
-        # minimality: the solution is orthogonal to the kernel of the map
-        columns = [L.bracket(b, y) for b in sp.h.rows]
-        null = kernel_basis(
-            [[col[j] for col in columns] for j in range(len(columns[0]))],
-            sp.dim_h,
-        )
-        G = gram_matrix(L, sp.h.rows)
-        coords = sp.h.coords(a)
-        for nu in null:
-            pairing = sum(
-                (
-                    nu[i] * G[i][j] * coords[j]
-                    for i in range(sp.dim_h)
-                    for j in range(sp.dim_h)
-                ),
-                ZERO,
-            )
-            assert not pairing
 
 
 def test_standard_metric_compensator_is_zero():
@@ -1344,8 +1340,6 @@ def assert_cleared_on_its_own(batch):
 def rescaled_decomposition(sp, factors):
     """The isotypic components of sp, as _build_structured reads them, with
     the i-th basis vector of m multiplied by factors[i]."""
-    from types import SimpleNamespace
-
     factors = iter(factors)
     return SimpleNamespace(components=[
         SimpleNamespace(subspace=SimpleNamespace(rows=[
@@ -1520,20 +1514,84 @@ def test_the_premise_holds_as_brackets_into_the_second_block(space_id):
     brackets = [sp.algebra.bracket(x, y) for x in v0.rows for y in v1.rows]
     assert all(v1.contains(b) for b in brackets)
     assert not all(v0.contains(b) for b in brackets)
-    assert gocheck._two_block_premise(sp)
+    assert gocheck._fiber_index(sp) == 0
 
 
-def test_the_premise_fails_on_a_planted_pair():
-    # In su(2), [iH, F] = 2G lies in neither span(iH) nor span(F).
+def planted_fiber_index(monkeypatch, a, b):
+    """_fiber_index on a stand-in space of su(2) whose two components are
+    the spans of a and of b."""
     L = su2()
+    pair = [Subspace.from_vectors(3, vecs) for vecs in (a, b)]
+    monkeypatch.setattr(gocheck, "isotypic_decompose", lambda space: SimpleNamespace(
+        components=[SimpleNamespace(subspace=v) for v in pair]
+    ))
+    return gocheck._fiber_index(SimpleNamespace(algebra=L))
+
+
+def test_the_premise_fails_on_a_planted_pair(monkeypatch):
+    # In su(2), [iH, F] = 2G lies in neither span(iH) nor span(F); it lies
+    # in span(F, G), in either order of the two blocks.
     h, f, g = (unit_vector(3, i) for i in range(3))
-    line = Subspace.from_vectors(3, [h])
-    assert not gocheck._brackets_stay_in_one(
-        L, line, Subspace.from_vectors(3, [f])
-    )
-    assert gocheck._brackets_stay_in_one(
-        L, line, Subspace.from_vectors(3, [f, g])
-    )
+    assert planted_fiber_index(monkeypatch, [h], [f]) is None
+    assert planted_fiber_index(monkeypatch, [h], [f, g]) == 0
+    assert planted_fiber_index(monkeypatch, [f, g], [h]) == 1
+
+
+# h + V_f against the subalgebras the metric grammar names; on g2.3 it is
+# the su(3) of the long roots, checked below.
+FIBER_NAMES = {
+    "a2.1": ("ngh",), "c2.1": ("ngh", "sp1sp1"), "c2.2": ("ngh",),
+    "g2.1": ("ngh",), "g2.2": ("ngh",), "g2.3": (), "berger": ("ngh",),
+    "cp3": ("sp1sp1",),
+}
+
+
+@pytest.mark.parametrize("space_id", TWO_BLOCK_SPACES)
+def test_the_fiber_block_closes_and_splits(space_id):
+    # h + V_f is a subalgebra, and fibration_split reads (V_f, V_(1-f)) off it.
+    sp = catalog_space(space_id)
+    f = gocheck._fiber_index(sp)
+    blocks = [c.subspace for c in isotypic_decompose(sp).components]
+    K = sp.h.add(blocks[f])
+    assert subalgebra_closure(sp.algebra, K.rows) == K
+    assert fibration_split(sp, K) == (blocks[f], blocks[1 - f])
+    for name in FIBER_NAMES[space_id]:
+        assert named_subalgebra(sp, name) == K
+    if space_id == "g2.3":
+        cf = sp.compact
+        L = cf.algebra
+        su3 = Subspace.from_vectors(
+            cf.dim, [L.basis_vector("iH[a]"), L.basis_vector("iH[b]")]
+        )
+        for root in ((0, 1), (3, 1), (3, 2)):  # the long positive roots
+            su3 = su3.add(cf.root_space(root))
+        assert K == su3 and K.dim == 8
+
+
+@pytest.mark.parametrize("space_id", TWO_BLOCK_SPACES)
+def test_the_hopf_metric_is_the_block_metric_on_the_fiber(space_id):
+    sp = catalog_space(space_id)
+    f = gocheck._fiber_index(sp)
+    for lam in (2, Fraction(1, 3), SQRT2, 5):
+        coeffs = [1, 1]
+        coeffs[f] = lam
+        hopf = fibration_metric(sp, "hopf", lam)
+        assert hopf.matrix == metric_from_blocks(sp, coeffs).matrix
+        params = ("hopf", scalar(lam).exact_str())
+        assert (hopf.provenance, hopf.params) == ("fibration", params)
+
+
+def test_hopf_resolves_only_on_two_block_spaces():
+    # "hopf" is read off the decomposition, never resolved as a name.
+    for space_id in CATALOG_IDS:
+        sp = catalog_space(space_id)
+        with pytest.raises(ValueError, match="unknown subalgebra name"):
+            named_subalgebra(sp, "hopf")
+        if space_id in TWO_BLOCK_SPACES:
+            continue
+        assert gocheck._fiber_index(sp) is None
+        with pytest.raises(ValueError, match="no canonical fibration subalgebra"):
+            fibration_metric(sp, "hopf", 2)
 
 
 @pytest.mark.parametrize("space_id", TWO_BLOCK_SPACES)
