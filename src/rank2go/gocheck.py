@@ -49,7 +49,8 @@ against the space's data lifted once per space; no Scalar matrix is
 multiplied per metric, and no test changes under the positive factors.
 
 A per-component block metric M = sum_k c_k P_k, P_k the projection onto
-the isotypic component V_k, is decided by its coefficients alone.  The V_k
+the isotypic component V_k, is decided by its coefficients alone, and
+every named metric is one (standard_metric, fibration_metric).  The V_k
 are mutually S-orthogonal and h-invariant (isotypic._analyze checks both),
 so each P_k is S-self-adjoint and commutes with every ad(h_i)|_m: S M is
 symmetric, M commutes with the isotropy action, and x^T S M x = sum_k c_k
@@ -59,9 +60,9 @@ c_k on V_k, which gives the eigen labels, and M passes both filters: the
 fixed part is one component, and each fixed-vector action commutes with
 the isotropy action, so it maps every V_k into itself.  On a space of two
 components with [V_0, V_1] in V_(1-f) (_fiber_index, checked once per
-space), every such metric with c_0 != c_1, the Hopf metrics among them,
-gets one search verdict: scaling rows and r takes its systems to one free
-of c (two_block_family).
+space), every such metric with c_0 != c_1, the fibration metrics among
+them, gets one search verdict: scaling rows and r takes its systems to one
+free of c (two_block_family).
 """
 
 from __future__ import annotations
@@ -96,14 +97,12 @@ from .liealg import (
     Vector,
     ad_on,
     ideal_decomposition,
-    identity_matrix,
     is_positive_definite,
     int_rows,
     lift_rows,
     mat_apply,
     mat_combine,
     mat_inverse,
-    mat_mul,
     mat_scale,
     mat_transpose,
     ring_rows_commute,
@@ -200,8 +199,9 @@ def _validated(
 
 
 def standard_metric(space: CatalogSpace) -> MetricEndomorphism:
-    """The normal metric: the identity operator on m."""
-    return _validated(space, identity_matrix(space.dim_m), "standard", ())
+    """The normal metric: the identity on m, the block metric of all 1s."""
+    ones = (ONE,) * len(isotypic_decompose(space).components)
+    return replace(metric_from_blocks(space, ones), provenance="standard", params=())
 
 
 def metric_from_blocks(space: CatalogSpace, coeffs: Sequence) -> MetricEndomorphism:
@@ -251,11 +251,12 @@ def fibration_metric(
     """Scale the fiber directions of an intermediate subalgebra h < K < g by lam.
 
     The operator is the identity on the base directions and lam times the
-    identity on the fiber directions; lam must be positive.  "hopf" is K =
-    h + V_f for the fiber block f of a two-component space (_fiber_index):
-    the block metric with lam on V_f and 1 on V_(1-f).  Other names are
-    resolved by embed.named_subalgebra.
-    """
+    identity on the fiber directions K intersect m; lam must be positive.
+    The fiber must be a sum of isotypic components, the base then being the
+    sum of the others, and the metric is the block metric with lam on the
+    fiber's components.  "hopf" is K = h + V_f for the fiber block f of a
+    two-component space (_fiber_index); other names are resolved by
+    embed.named_subalgebra and split by embed.fibration_split."""
     lam = scalar(lam)
     if lam.sign() <= 0:
         raise ValueError("the fiber scaling must be positive")
@@ -266,21 +267,18 @@ def fibration_metric(
             raise ValueError(
                 f"space {space.space_id} has no canonical fibration subalgebra"
             )
-        metric = metric_from_blocks(space, (lam, ONE) if f == 0 else (ONE, lam))
-        return replace(metric, provenance="fibration", params=params)
-    K = named_subalgebra(space, subalgebra_name)
-    fiber, base = fibration_split(space, K)
-    n = space.dim_m
-    T = mat_transpose([space.m.coords(v) for v in fiber.rows + base.rows])
-    diag = [
-        [
-            (lam if i < fiber.dim else ONE) if i == j else ZERO
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    mat = mat_mul(T, mat_mul(diag, mat_inverse(T)))
-    return _validated(space, mat, "fibration", params)
+        in_fiber = (f == 0, f == 1)
+    else:
+        fiber, _ = fibration_split(space, named_subalgebra(space, subalgebra_name))
+        blocks = [c.subspace for c in isotypic_decompose(space).components]
+        in_fiber = [fiber.contains_subspace(V) for V in blocks]
+        if sum(V.dim for V, flag in zip(blocks, in_fiber) if flag) != fiber.dim:
+            raise ValueError(
+                f"the fiber of {subalgebra_name} is not a sum of isotypic "
+                f"components of {space.space_id}"
+            )
+    metric = metric_from_blocks(space, [lam if flag else ONE for flag in in_fiber])
+    return replace(metric, provenance="fibration", params=params)
 
 
 def explicit_metric(space: CatalogSpace, matrix: Matrix) -> MetricEndomorphism:

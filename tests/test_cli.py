@@ -14,7 +14,7 @@ from rank2go.cli import (
     main,
     metric_from_spec,
 )
-from rank2go.embed import CATALOG_IDS, catalog_space
+from rank2go.embed import CATALOG_IDS, catalog_space, fibration_split
 from rank2go.gocheck import (
     fibration_metric,
     go_sample_check,
@@ -22,8 +22,8 @@ from rank2go.gocheck import (
     standard_metric,
 )
 from rank2go.field import SQRT2, parse_scalar
-from rank2go.isotypic import isotypic_decompose
-from rank2go.liealg import scalar_of
+from rank2go.isotypic import commutant_symmetric_basis, isotypic_decompose
+from rank2go.liealg import eigenspace_in, scalar_of, subalgebra_closure
 
 
 @pytest.fixture()
@@ -145,15 +145,81 @@ def test_hopf_metric_resolves_on_every_two_block_space(runner):
 def test_hopf_metric_prints_what_its_named_fibration_prints(
     runner, command, space_id, name
 ):
-    # On the four flagged spaces these names give the Hopf fiber through
-    # the general fibration_split path; the block metric read off the
-    # decomposition prints the same, elapsed time aside.
+    # On the four flagged spaces these names resolve, through
+    # fibration_split, to the Hopf fiber read off the decomposition, and
+    # print the same, elapsed time aside.
     def printed(spec):
         result = runner.invoke(main, [command, space_id, "--metric", spec])
         lines = result.output.replace(spec, "<spec>").splitlines()
         return result.exit_code, [line for line in lines if "elapsed_s" not in line]
 
     assert printed("fib:hopf:1/2") == printed(f"fib:{name}:1/2")
+
+
+# standard on every space, and every fib: spec that resolves.
+NAMED_METRIC_CASES = (
+    [(space_id, "standard") for space_id in CATALOG_IDS]
+    + [
+        (space_id, "fib:hopf:1/2")
+        for space_id in (
+            "a2.1", "c2.1", "c2.2", "g2.1", "g2.2", "g2.3", "berger", "cp3",
+        )
+    ]
+    + [
+        (space_id, f"fib:{name}:1/2")
+        for space_id, name in (
+            ("a2.1", "ngh"), ("c2.1", "ngh"), ("c2.1", "sp1sp1"), ("c2.2", "ngh"),
+            ("g2.1", "ngh"), ("g2.2", "ngh"), ("berger", "ngh"), ("cp3", "sp1sp1"),
+        )
+    ]
+)
+
+
+def test_named_metric_outputs_match_the_golden_hash(runner):
+    # check-go and certify at seed 7 for each case, elapsed time aside.
+    digest = hashlib.sha256()
+    for command in ("check-go", "certify"):
+        for space_id, spec in NAMED_METRIC_CASES:
+            result = runner.invoke(
+                main, [command, space_id, "--metric", spec, "--seed", "7"]
+            )
+            assert result.exit_code in (0, 2), (command, space_id, spec)
+            lines = [
+                line for line in result.output.splitlines() if "elapsed_s" not in line
+            ]
+            digest.update(f"{command} {space_id} {spec} {result.exit_code}\n".encode())
+            digest.update("\n".join(lines).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "df1a5cbe06918c7e443ca633cf762339091e43880a8ccfc64a25e211f2a27785"
+    )
+
+
+def test_a_fiber_that_splits_a_component_is_a_clean_error(runner, monkeypatch):
+    # On c2.2, h + E is a subalgebra for E the +1 eigenspace of a symmetric
+    # commutant direction: a 3-dim fiber inside the 6-dim component.  No
+    # grammar name reaches it, so it is planted as the name "planted".
+    sp = catalog_space("c2.2")
+    E = eigenspace_in(sp.m, commutant_symmetric_basis(sp)[1], 1)
+    V = isotypic_decompose(sp).components[1].subspace
+    K = sp.h.add(E)
+    assert (E.dim, V.dim) == (3, 6) and V.contains_subspace(E)
+    assert subalgebra_closure(sp.algebra, K.rows) == K
+    assert fibration_split(sp, K)[0] == E
+    named = gocheck.named_subalgebra
+    monkeypatch.setattr(
+        gocheck,
+        "named_subalgebra",
+        lambda space, name: K if name == "planted" else named(space, name),
+    )
+    with pytest.raises(ValueError, match="not a sum of isotypic components"):
+        fibration_metric(sp, "planted", 2)
+    result = runner.invoke(main, ["check-go", "c2.2", "--metric", "fib:planted:2"])
+    assert result.exit_code == 1
+    assert (
+        "the fiber of planted is not a sum of isotypic components of c2.2"
+        in result.output
+    )
+    assert "Traceback" not in result.output
 
 
 def test_certify_exit_codes(runner):

@@ -150,37 +150,63 @@ def test_validation_rejects_bad_operators():
 
 
 def test_blocks_dispatch_and_fibration_agree():
-    # One coefficient per component scales that component's projection, so
-    # on a two-component space the block metric with lam on the fiber block
-    # is the fibration metric of an intermediate subalgebra h + V_f.  The
-    # general path (fibration_split and a dense T diag T^-1, validated)
-    # checks the block metric, and both searches agree at two seeds.
-    for space_id, name, lam in [
-        ("a2.1", "ngh", 2),
-        ("c2.1", "ngh", 2),
-        ("c2.1", "sp1sp1", SQRT2),
-        ("berger", "ngh", 5),
-        ("cp3", "sp1sp1", Fraction(1, 2)),
-    ]:
+    # Every named fibration metric is a block metric.  Its matrix is pinned
+    # by fibration_split alone: M is lam on each fiber row and 1 on each
+    # base row, and these rows span m.  It equals the block metric with lam
+    # on the fiber block and the Hopf metric, and the three searches agree
+    # at two seeds.
+    for space_id, names in FIBER_NAMES.items():
         sp = catalog_space(space_id)
-        coeffs = [1, 1]
-        coeffs[gocheck._fiber_index(sp)] = lam
-        blocks = metric_from_blocks(sp, coeffs)
-        fib = fibration_metric(sp, name, lam)
-        hopf = fibration_metric(sp, "hopf", lam)
-        assert blocks.matrix == fib.matrix == hopf.matrix
-        assert fib.provenance == hopf.provenance == "fibration"
-        assert blocks.provenance == "block_coeffs"
-        assert fib.rows.coeffs is None
-        for seed in (42, 7):
-            for search in (go_sample_check, find_witness):
-                verdicts = [
-                    search(sp, metric, 50, seed).to_dict(include_time=False)
-                    for metric in (blocks, fib, hopf)
-                ]
-                assert verdicts[0] == verdicts[1] == verdicts[2], (
-                    space_id, name, seed, search.__name__
-                )
+        for name, lam in product(names, (scalar(2), scalar(Fraction(1, 3)), SQRT2)):
+            fiber, base = fibration_split(sp, named_subalgebra(sp, name))
+            fib = fibration_metric(sp, name, lam)
+            for rows, c in ((fiber.rows, lam), (base.rows, scalar(1))):
+                for v in rows:
+                    x = sp.m.coords(v)
+                    assert list(mat_apply(fib.matrix, x)) == [c * t for t in x]
+            assert fib.rows.coeffs is not None
+            assert fib.provenance == "fibration"
+            assert fib.params == (name, lam.exact_str())
+            coeffs = [1, 1]
+            coeffs[gocheck._fiber_index(sp)] = lam
+            blocks = metric_from_blocks(sp, coeffs)
+            hopf = fibration_metric(sp, "hopf", lam)
+            assert blocks.matrix == fib.matrix == hopf.matrix
+            for seed in (42, 7):
+                for search in (go_sample_check, find_witness):
+                    verdicts = [
+                        search(sp, metric, 50, seed).to_dict(include_time=False)
+                        for metric in (blocks, fib, hopf)
+                    ]
+                    assert verdicts[0] == verdicts[1] == verdicts[2], (
+                        space_id, name, lam, seed, search.__name__
+                    )
+
+
+def test_named_metrics_are_built_without_validation(monkeypatch):
+    # standard and every fib: metric are per-component block metrics,
+    # accepted on the signs of their coefficients: no dense validation.
+    calls = []
+
+    def spy(space, *args, _original=gocheck._validated):
+        calls.append(space.space_id)
+        return _original(space, *args)
+
+    monkeypatch.setattr(gocheck, "_validated", spy)
+    for space_id in CATALOG_IDS:
+        sp = catalog_space(space_id)
+        ones = (1,) * len(isotypic_decompose(sp).components)
+        metric = metric_from_spec(sp, "standard")
+        assert metric.rows.coeffs == ones
+        assert metric.matrix == identity_matrix(sp.dim_m)
+        assert (metric.provenance, metric.params) == ("standard", ())
+        assert metric.scaled(3).rows.coeffs == tuple(3 * c for c in ones)
+    for space_id, names in FIBER_NAMES.items():
+        sp = catalog_space(space_id)
+        for name, lam in product(("hopf",) + names, ("2", "1/2", "r2", "1")):
+            metric = metric_from_spec(sp, f"fib:{name}:{lam}")
+            assert metric.scaled(3).rows.coeffs is not None
+    assert calls == []
 
 
 def test_fibration_eigenvalue_profiles():
@@ -1147,13 +1173,17 @@ def test_the_invariance_data_is_lifted_once_per_space(monkeypatch):
 
 
 def test_metric_build_and_search_make_no_dense_product(monkeypatch):
-    # metric_from_spec and find_witness of a block metric run on the lift
-    # and on per-space ring rows only.  verify_witness is not measured: it
+    # metric_from_spec and find_witness of a block metric, a named
+    # fibration metric among them, run on the lift and on per-space ring
+    # rows only.  verify_witness is not measured: it
     # replays the witness through the ambient solve_compensator on Scalars,
     # independently of the search, by design.
     from rank2go import liealg
 
-    cases = [("g2.1", "blocks:r2,1"), ("c2.2", "blocks:2,1")]
+    cases = [
+        ("g2.1", "blocks:r2,1"), ("c2.2", "blocks:2,1"), ("c2.2", "fib:ngh:2"),
+        ("g2.2", "fib:ngh:1/3"),
+    ]
     for space_id, spec in cases:
         sp = catalog_space(space_id)
         find_witness(sp, metric_from_spec(sp, spec))  # builds per-space data
