@@ -451,7 +451,6 @@ def clear_denominators(values: Iterable[Scalar]) -> list[int] | None:
 # rows of these, with no pivot inverted.
 
 Ring = tuple[tuple[int, int], ...]
-RING_ONE: Ring = ((0, 1),)
 
 
 def ring_lift(values: Iterable[Scalar]) -> list[Ring]:
@@ -483,12 +482,6 @@ def ring_mac(acc: list[int], a: Ring, b: Ring) -> None:
         for j, y in b:
             k, c = row[j]
             acc[k] += c * x * y
-
-
-def ring_mul(a: Ring, b: Ring) -> Ring:
-    acc = [0] * 8
-    ring_mac(acc, a, b)
-    return ring_pack(acc)
 
 
 def ring_neg(a: Ring) -> Ring:

@@ -17,26 +17,26 @@ step), the fixed part of m with its fixed-vector actions and the int basis
 rows of its simple ideals for the filters, and the structured batch of
 directions, each cleared to ints once.  The search hands the checker int
 vectors only: the batch's ints and random draws of ints.
-Each direction needs only the rank pair of a small system, built on ints
-once per radical of the metric (d M = sum_b sqrt(b) M_b for integer M_b,
-and the system is linear in M).  One such system is solved fraction-free
-on its ints; two or more are packed entry by entry into ring rows, integer
-coordinates over the radical basis 1, sqrt2, ..., sqrt30 (field.Ring).
-Either is decided on its column vectors C_i and r, not its m rows, and each
-solution is checked exactly by the liealg solver that returns it.  No
-Scalar is eliminated in the search, and a Scalar direction is built only
-for a witness.  The spaces c2.3 and g2.4, whose h is
-irrational, fall back to the ambient solve_compensator; no search reaches
-it, since every metric on them is scalar.  A direction X with MX = lambda
-X builds no system at all: [MX, X] = lambda [X, X] = 0, so a = 0
-compensates it (the geodesic lemma: X is geodesic exactly when [MX, X]
-lies in [h, MX]; Alekseevsky-Nikonorov, SIGMA 5 (2009) 093).  The search
-finds the scalar lambda_k of M on each isotypic component V_k, where there
-is one, and decides every structured direction built from components that
-share one lambda; a scalar metric M = cI decides every direction this way.  One test, _MetricRows.scalar_on,
-decides whether M is a scalar on a span of int vectors: on each V_k for the
-search, and on each simple ideal of the fixed part for the filter, for
-every metric but a per-component block metric (below).
+Each direction needs only the rank pair of a small system on ints, decided
+fraction-free on its column vectors (_direction_checker): every two-block
+metric of a space on the one rational system of P_0 + 2 P_1
+(two_block_family), any other metric on its own int rows, and a metric
+with two or more radical parts, or any metric on c2.3 and g2.4, whose h
+is irrational, by the ambient solve_compensator.  No search over the
+catalogue reaches that last case: such a metric is written on the
+commutant basis or given explicitly, and every metric on c2.3 and g2.4 is
+scalar.  No Scalar is eliminated in the search, and a Scalar direction is
+built only for a witness.  A direction X with MX = lambda X builds no
+system at all: [MX, X] = lambda [X, X] = 0, so a = 0 compensates it (the
+geodesic lemma: X is geodesic exactly when [MX, X] lies in [h, MX];
+Alekseevsky-Nikonorov, SIGMA 5 (2009) 093).  The search finds the scalar
+lambda_k of M on each isotypic component V_k, where there is one, and
+decides every structured direction built from components that share one
+lambda; a scalar metric M = cI decides every direction this way.  One
+test, _MetricRows.scalar_on, decides whether M is a scalar on a span of
+int vectors: on each V_k for the search, and on each simple ideal of the
+fixed part for the filter, for every metric but a per-component block
+metric (below).
 `solve_compensator` keeps the ambient-coordinate solve, and
 `verify_witness` replays every witness through it, independently of the
 search.
@@ -62,7 +62,8 @@ the isotropy action, so it maps every V_k into itself.  On a space of two
 components with [V_0, V_1] in V_(1-f) (_fiber_index, checked once per
 space), every such metric with c_0 != c_1, the fibration metrics among
 them, gets one search verdict: scaling rows and r takes its systems to one
-free of c (two_block_family).
+free of c (two_block_family), and the checker decides all of them on the
+system of P_0 + 2 P_1.
 """
 
 from __future__ import annotations
@@ -70,14 +71,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import chain, compress
+from itertools import chain
 from typing import Callable, Sequence
 
 from .embed import CatalogSpace, fibration_split, named_subalgebra
 from .field import (
     ONE,
     ZERO,
-    Ring,
     Scalar,
     clear_denominators,
     parse_scalar,
@@ -110,7 +110,6 @@ from .liealg import (
     rows_symmetric,
     solve_columns,
     solve_int_columns,
-    solve_ring_columns,
     subalgebra_closure,
 )
 
@@ -575,20 +574,6 @@ class _Tensors:
             raise ArithmeticError(_TRANSVERSE_ERROR)
         return [_apply(A, y) for A in self.ad], full[self.dim_h:]
 
-    def packed_system(
-        self, parts: Sequence[tuple[int, SparseRows]], x: Sequence[int]
-    ) -> tuple[list, list]:
-        """The system of d M = sum_b sqrt(b) M_b on ring rows, from the int
-        system of each part (b, M_b): the system is linear in the metric, so
-        each entry is sum_b sqrt(b) times the entry for M_b."""
-        radicals = [b for b, _ in parts]
-        columns, rhs = zip(*(self.system(M, x) for _, M in parts))
-
-        def pack(vectors) -> list[Ring]:
-            return [tuple(compress(zip(radicals, e), e)) for e in zip(*vectors)]
-
-        return list(map(pack, zip(*columns))), pack(rhs)
-
 
 def _int_tensors(space: CatalogSpace) -> _Tensors | None:
     """The int tensors of one space, or None when one entry is irrational:
@@ -619,9 +604,9 @@ class _MetricRows:
     increasing order.  A rational metric is the one part (0, its int rows).
     Validation and the normalizer filter read the ring rows; scalar_on,
     which the eigen labels and the bi-invariance filter share, and the
-    checker read the parts.  coeffs holds the c_k of a per-component block
-    metric sum_k c_k P_k (metric_from_blocks), and is None for every other
-    metric."""
+    checker of a metric outside two_block_family read the parts.  coeffs
+    holds the c_k of a per-component block metric sum_k c_k P_k
+    (metric_from_blocks), and is None for every other metric."""
 
     ring: SparseRows
     parts: tuple[tuple[int, SparseRows], ...]
@@ -685,28 +670,39 @@ class _MetricRows:
         return labels
 
 
+def _two_block_rows(space: CatalogSpace) -> SparseRows:
+    """The int rows of the block metric P_0 + 2 P_1 of a two-component
+    space with rational data: the one system on which _direction_checker
+    decides every two_block_family metric of the space."""
+    return int_rows(lift_rows(mat_combine(
+        (ONE, scalar(2)), component_projections(space), space.dim_m
+    )))
+
+
 def _direction_checker(
     space: CatalogSpace, metric: MetricEndomorphism
 ) -> Callable[[Sequence[int]], tuple[bool, int, int]]:
     """The compensator test of one metric, direction by direction.
 
     For int m-coordinates x it returns (solvable, rank_map,
-    rank_augmented) from the rank pair of [C | r].  The space and the
-    metric are each cleared of one common denominator, on the space's data
-    lifted once per space and on the metric's lift.  The system is built on
-    ints, once per part (b, M_b) of the metric: a single part is solved
-    fraction-free on those ints, since a positive factor sqrt(b) on every
-    C_i and on r changes no rank pair, and two or more are packed into ring
-    rows (_Tensors.packed_system).  Either is decided on its column vectors
-    C_i and r (liealg.solve_int_columns, solve_ring_columns).  No Scalar is
-    eliminated and no pivot inverted, and the solver checks each solution
-    it returns.  The decision
-    and the rank pair are those of solve_compensator, which c2.3 and g2.4
-    call instead: their h is irrational, and no search reaches their
-    checker, since every metric on them is scalar."""
-    rows = metric.rows
+    rank_augmented) from the rank pair of [C | r], built on the space's int
+    tensors and one set of int rows of a metric, and decided fraction-free
+    on its column vectors (liealg.solve_int_columns, which checks each
+    solution it returns; no Scalar is eliminated and no pivot inverted).
+    A two_block_family metric is decided on the rows of P_0 + 2 P_1, kept
+    once per space: by that lemma each direction gets the rank pair it
+    gets under the metric itself.  Any other metric whose lift d M =
+    sqrt(b) M_b has one radical part is decided on M_b, since a positive
+    factor on every C_i and on r changes no rank pair.  Every other metric,
+    and every metric on c2.3 and g2.4, whose h is irrational, calls
+    solve_compensator, whose decision and rank pair these give."""
+    parts = metric.rows.parts
     ints = per_space(_int_tensors, space)
-    if ints is None:
+    if ints is not None and two_block_family(space, metric):
+        M = per_space(_two_block_rows, space)
+    elif ints is not None and len(parts) == 1:
+        M = parts[0][1]
+    else:
         def ambient(x: Sequence[int]) -> tuple[bool, int, int]:
             sol, rank_map, rank_aug = solve_compensator(
                 space, metric, space.m.combine(x)
@@ -716,12 +712,7 @@ def _direction_checker(
         return ambient
 
     def check(x: Sequence[int]) -> tuple[bool, int, int]:
-        if len(rows.parts) == 1:
-            system = ints.system(rows.parts[0][1], x)
-            sol, rank_map, rank_aug = solve_int_columns(*system)
-        else:
-            system = ints.packed_system(rows.parts, x)
-            sol, rank_map, rank_aug = solve_ring_columns(*system)
+        sol, rank_map, rank_aug = solve_int_columns(*ints.system(M, x))
         return sol is not None, rank_map, rank_aug
 
     return check
@@ -831,7 +822,9 @@ def two_block_family(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
     only that it is a block metric, the eigen labels are [0, 1], and the
     batch and the seeded draws belong to the space.  This is the criterion
     for metrics on a fibration (Tamaru, Osaka J. Math. 36 (1999);
-    Alekseevsky-Nikonorov, SIGMA 5 (2009) 093) on two blocks."""
+    Alekseevsky-Nikonorov, SIGMA 5 (2009) 093) on two blocks.
+    _direction_checker decides every member on the system of P_0 + 2 P_1,
+    and classify searches one member per space."""
     cs = metric.rows.coeffs
     pair = cs is not None and len(cs) == len(set(cs)) == 2
     return pair and per_space(_fiber_index, space) is not None
@@ -875,12 +868,13 @@ def verify_witness(
 ) -> bool:
     """Re-run the compensator solve on a (possibly deserialized) witness and
     confirm it still refutes with the same rank pair.  The replay solves
-    through liealg.solve_columns, on the rows of the ambient system, by
-    liealg._reduce and _eliminate; the direction checker reaches neither
-    (it reduces column vectors, liealg._reduce_columns), so the replay is
-    independent of the search in its elimination as well as in its ambient
-    coordinates of h + m, and the tests compare every solve_columns path
-    with a Scalar Gauss-Jordan loop."""
+    through liealg.solve_columns, on the rows of the ambient system of the
+    metric itself, by liealg._reduce and _eliminate; the direction checker
+    reaches neither (it reduces column vectors, liealg._reduce_columns)
+    and decides a two_block_family metric on another member's system.  So
+    the replay is independent of the search in its elimination, its
+    ambient coordinates and its metric, and the tests compare every
+    solve_columns path with a Scalar Gauss-Jordan loop."""
     sol, rank_map, rank_aug = solve_compensator(
         space, metric, witness.vector(space)
     )

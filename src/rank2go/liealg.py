@@ -8,8 +8,9 @@ their nonzero entries and eliminates on sparse integer rows when the data
 is rational or radical-monomial (every entry a rational multiple of one
 radical, the radicals factoring over rows and columns), else on ring rows
 (field.Ring); both run in the one fraction-free loop _eliminate.  The
-direction checker's tall, thin systems are decided on their k + 1 column
-vectors instead, not their m rows (_reduce_columns), by the same updates.
+direction checker's tall, thin int systems are decided on their k + 1
+column vectors instead, not their m rows (_reduce_columns), by the same
+integer update.
 
 The Scalar loops below (bracket, the form, the matrix products, residuals)
 walk lists of nonzero entries only.  An entry is zero when it is the shared
@@ -27,9 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 from .field import (
     ONE,
-    RING_ONE,
     ZERO,
-    Ring,
     Scalar,
     radical_labels,
     ring_combine,
@@ -65,10 +64,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_scale(c, a: Vector) -> Vector:
@@ -279,33 +274,33 @@ def solve_columns(
 
 
 def _reduce_columns(
-    columns: Sequence[Sequence], rhs: Sequence, combine: Callable, zero, one
-) -> tuple[int, list | None]:
-    """The elimination behind solve_int_columns and solve_ring_columns, on
-    the column vectors of [columns | rhs] instead of its rows.
+    columns: Sequence[Sequence[int]], rhs: Sequence[int]
+) -> tuple[int, list[int] | None]:
+    """The elimination behind solve_int_columns, on the column vectors of
+    [columns | rhs] instead of its rows.
 
     Each vector carries k + 1 tags t after its data, data = sum_j t_j *
-    columns[j] + t_k * rhs, starting from the tag `one` in its own slot.
-    Each column, then rhs, is reduced against the columns kept before it by
-    combine(p, v, c, w) = p * v - c * w at the pivot of w (its first nonzero
-    data coordinate), which leaves v zero at every kept pivot; so its data
-    is zero exactly when it lies in the span of the kept columns, and a
-    column is kept otherwise.  The kept count is rank_map.  Returns
+    columns[j] + t_k * rhs, starting from the tag 1 in its own slot.  Each
+    column, then rhs, is reduced against the columns kept before it by
+    _int_combine(p, v, c, w) = p * v - c * w at the pivot of w (its first
+    nonzero data coordinate), which leaves v zero at every kept pivot; so
+    its data is zero exactly when it lies in the span of the kept columns,
+    and a column is kept otherwise.  The kept count is rank_map.  Returns
     (rank_map, tags): tags is None when rhs is not in the span, and else
     those of the reduced rhs, sum_j t_j * columns[j] = -t_k * rhs with t_k
     nonzero and t_j zero for each column not kept (a free variable).
     """
     m, k = len(rhs), len(columns)
-    pad = [zero] * (k + 1)
-    kept: list[tuple[int, list]] = []
+    pad = [0] * (k + 1)
+    kept: list[tuple[int, list[int]]] = []
 
-    def reduced(data: Sequence, j: int) -> list:
+    def reduced(data: Sequence[int], j: int) -> list[int]:
         v = [*data, *pad]
-        v[m + j] = one
+        v[m + j] = 1
         for q, w in kept:
             c = v[q]
             if c:
-                v = combine(w[q], v, c, w)
+                v = _int_combine(w[q], v, c, w)
         return v
 
     for j, col in enumerate(columns):
@@ -329,7 +324,7 @@ def solve_int_columns(
     checked on the given ints before it is returned, sum_j nums[j] *
     columns[j] = den * rhs, and a mismatch raises ArithmeticError.
     """
-    rank, tags = _reduce_columns(columns, rhs, _int_combine, 0, 1)
+    rank, tags = _reduce_columns(columns, rhs)
     if tags is None:
         return None, rank, rank + 1
     nums, den = tags[:-1], -tags[-1]
@@ -342,33 +337,6 @@ def solve_int_columns(
     if any(acc):
         raise ArithmeticError("the solution does not solve the system")
     return (nums, den), rank, rank
-
-
-def solve_ring_columns(
-    columns: Sequence[Sequence[Ring]], rhs: Sequence[Ring]
-) -> tuple[tuple[list[Ring], Ring] | None, int, int]:
-    """solve_int_columns for ring rows (field.Ring): _reduce_columns with
-    the row update field.ring_combine, with no pivot inverted.
-
-    Returns ((nums, P), rank_map, rank_augmented): x_j = nums[j] / P is the
-    solution with free variables set to zero, for a nonzero ring element P.
-    The solution is None when the system is inconsistent.  A solution is
-    checked on the given ring rows before it is returned, sum_j nums[j] *
-    columns[j] = P * rhs by field.ring_mac, and a mismatch raises
-    ArithmeticError.
-    """
-    rank, tags = _reduce_columns(columns, rhs, ring_combine, (), RING_ONE)
-    if tags is None:
-        return None, rank, rank + 1
-    nums, neg_P = tags[:-1], tags[-1]
-    for i, b in enumerate(rhs):
-        acc = [0] * 8
-        for x, col in zip(nums, columns):
-            ring_mac(acc, x, col[i])
-        ring_mac(acc, neg_P, b)
-        if any(acc):
-            raise ArithmeticError("the solution does not solve the system")
-    return (nums, ring_neg(neg_P)), rank, rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,48 @@
 """Static checks: every private top-level function and class of rank2go is
-read somewhere in the package beyond its own definition, and every name a
-module imports is read in that module.
+read somewhere in the package beyond its own definition, every undecorated
+public one is read somewhere in the package, its tests or perfbench, and
+every name a module imports is read in that module.
 
-A private name counts as read where it appears as a name or an attribute
-outside the body of the definition that binds it, in any module of the
-package.  An imported name counts as read where it is loaded as a name in
-its module.  __init__.py is exempt from the import check, since its imports
-are the package's re-exports, and so are __future__ imports.
+A defined name counts as read where it appears as a name or an attribute
+outside the body of the definition that binds it; an import of it is not a
+read.  A decorated public definition (a click command) is exempt, since its
+decorator registers it.  An imported name counts as read where it is loaded
+as a name in its module.  __init__.py is exempt from the import check,
+since its imports are the package's re-exports, and so are __future__
+imports.
 """
 
 import ast
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "rank2go"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rank2go"
 MODULES = sorted(SRC.glob("*.py"))
+READERS = sorted(
+    chain((ROOT / "tests").glob("*.py"), (ROOT / "perfbench").rglob("*.py"))
+)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def private_definitions(tree: ast.Module) -> list[ast.AST]:
     return [
         node for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if isinstance(node, DEFINITIONS)
         and node.name.startswith("_")
         and not node.name.startswith("__")
+    ]
+
+
+def public_definitions(tree: ast.Module) -> list[ast.AST]:
+    return [
+        node for node in tree.body
+        if isinstance(node, DEFINITIONS)
+        and not node.name.startswith("_")
+        and not node.decorator_list
     ]
 
 
@@ -37,13 +55,19 @@ def names_read(tree: ast.AST) -> Counter:
     )
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
+def unread_definitions(
+    sources: dict[str, str], select, readers: tuple[str, ...] = ()
+) -> list[str]:
+    """module:name for each definition select(tree) picks out of sources
+    that no name or attribute reads outside its own body, in sources or in
+    the reader sources."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    everywhere = sum((names_read(t) for t in trees.values()), Counter())
+    every_tree = chain(trees.values(), map(ast.parse, readers))
+    everywhere = sum(map(names_read, every_tree), Counter())
     return sorted(
         f"{name}:{node.name}"
         for name, tree in trees.items()
-        for node in private_definitions(tree)
+        for node in select(tree)
         if everywhere[node.name] == names_read(node)[node.name]
     )
 
@@ -59,12 +83,43 @@ def test_checker_finds_unread_helpers():
         ),
         "b.py": "from . import a\nclass _Read:\n    pass\nx = _Read, a._by_attribute\n",
     }
-    assert unread_private_names(sources) == ["a.py:_Orphan", "a.py:_recursive"]
+    assert unread_definitions(sources, private_definitions) == [
+        "a.py:_Orphan", "a.py:_recursive",
+    ]
 
 
 def test_every_private_helper_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    assert unread_private_names(sources) == []
+    assert unread_definitions(sources, private_definitions) == []
+
+
+def test_checker_finds_unread_public_names():
+    sources = {
+        "a.py": (
+            "import click\n"
+            "def used():\n    return 1\n"
+            "def imported_only():\n    return used()\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+            "class Orphan:\n    pass\n"
+            "def by_attribute():\n    pass\n"
+            "@click.command()\ndef command():\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+    }
+    readers = (
+        "from a import imported_only, used\n"
+        "from rank2go import a\n"
+        "def test_a():\n    assert used() and a.by_attribute\n",
+    )
+    assert unread_definitions(sources, public_definitions, readers) == [
+        "a.py:Orphan", "a.py:imported_only", "a.py:recursive",
+    ]
+
+
+def test_every_public_definition_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    readers = tuple(p.read_text(encoding="utf-8") for p in READERS)
+    assert unread_definitions(sources, public_definitions, readers) == []
 
 
 SCOPES = (

@@ -48,6 +48,7 @@ from rank2go.gocheck import (
     normalizer_filter,
     standard_metric,
     structured_directions,
+    two_block_family,
     verify_witness,
 )
 from rank2go.isotypic import (
@@ -226,23 +227,23 @@ def test_fibration_eigenvalue_profiles():
     assert dims == {Fraction(1, 2): 2, Fraction(1): 4}
 
 
+def commutant_coordinates(sp, matrix):
+    """The coefficients of matrix on the symmetric commutant basis."""
+    n = sp.dim_m
+    flat = [
+        tuple(B[i][j] for i in range(n) for j in range(n))
+        for B in commutant_symmetric_basis(sp)
+    ]
+    target = tuple(x for row in matrix for x in row)
+    return solve_columns(flat, target)[0]
+
+
 def test_commutant_length_coefficients_are_accepted():
     # Solve for the coefficients expressing the identity over the symmetric
     # commutant basis, then rebuild it through the commutant-length route.
-    from rank2go.isotypic import commutant_symmetric_basis
-    from rank2go.liealg import solve_columns
-
     sp = catalog_space("c2.1")
-    basis = commutant_symmetric_basis(sp)
-    assert len(basis) == 7
-    n = sp.dim_m
-    flat = [
-        tuple(B[i][j] for i in range(n) for j in range(n)) for B in basis
-    ]
-    target = tuple(
-        scalar(1 if i == j else 0) for i in range(n) for j in range(n)
-    )
-    coeffs, _, _ = solve_columns(flat, target)
+    assert len(commutant_symmetric_basis(sp)) == 7
+    coeffs = commutant_coordinates(sp, identity_matrix(sp.dim_m))
     assert coeffs is not None
     metric = metric_from_blocks(sp, coeffs)
     assert metric.provenance == "block_coeffs"
@@ -1246,15 +1247,7 @@ def test_block_metrics_are_decided_by_their_coefficients(monkeypatch):
     for sp in spaces:
         find_witness(sp, metric_from_blocks(sp, (2, 1)))  # per-space data
     c21 = catalog_space("c2.1")
-    n = c21.dim_m
-    flat = [
-        tuple(B[i][j] for i in range(n) for j in range(n))
-        for B in commutant_symmetric_basis(c21)
-    ]
-    identity = tuple(
-        scalar(1 if i == j else 0) for i in range(n) for j in range(n)
-    )
-    commutant_coeffs = list(solve_columns(flat, identity)[0])
+    commutant_coeffs = commutant_coordinates(c21, identity_matrix(c21.dim_m))
     commutant_coeffs[0] += scalar(Fraction(1, 8))
     find_witness(c21, standard_metric(c21))
     calls = []
@@ -1283,7 +1276,7 @@ def test_block_metrics_are_decided_by_their_coefficients(monkeypatch):
     assert set(calls) == every
 
 
-# -- irrational metrics on rational spaces: one int system per radical ---------
+# -- irrational metrics on rational spaces: one rational system per space ------
 
 GO_FAMILY_SPACES = ("a2.1", "c2.1", "berger", "cp3")
 IRRATIONAL_BLOCK_SPACES = ("c2.2", "g2.1", "g2.2", "g2.3") + GO_FAMILY_SPACES
@@ -1299,60 +1292,106 @@ def irrational_block_metrics(sp):
 
 
 @pytest.mark.parametrize("space_id", IRRATIONAL_BLOCK_SPACES)
-def test_packed_system_matches_solve_compensator(space_id):
-    # The packed system is checked against the ambient solve: on the
-    # structured batch and 20 seeded draws, the checker of each irrational
-    # block metric, which packs the int systems of its parts M_b, gives the
-    # decision and the rank pair of solve_compensator.
+def test_two_block_lemma_matches_solve_compensator(space_id):
+    # The checker decides every two-block metric of a space on the system
+    # of P_0 + 2 P_1 (the lemma of gocheck.two_block_family).  Direction by
+    # direction, on the structured batch and 20 seeded draws, the checker
+    # of each irrational block metric gives the decision and the rank pair
+    # that solve_compensator gives under the metric itself.
     sp = catalog_space(space_id)
     rng = random.Random(space_id)
     directions = structured_directions(sp) + [
         tuple(map(Scalar.from_int, _random_direction(rng, sp.dim_m)))
         for _ in range(20)
     ]
+    refuted = 0
     for coeffs, cs, metric in irrational_block_metrics(sp):
         radicals = sorted({b for c in ring_lift(cs) for b, _ in c})
         assert [b for b, _ in metric.rows.parts] == radicals, coeffs
+        assert two_block_family(sp, metric), coeffs
         check = _direction_checker(sp, metric)
         for coords in directions:
             sol, rank_map, rank_aug = solve_compensator(
                 sp, metric, sp.m.combine(coords)
             )
+            refuted += sol is None
             assert check(clear_denominators(coords)) == (
                 sol is not None, rank_map, rank_aug
             ), (coeffs, coords)
+    # Every space but the four GO-family ones refutes some direction.
+    assert (refuted == 0) == (space_id in GO_FAMILY_SPACES)
+    # The normal metric, c_0 = c_1, lies outside the family: its checker
+    # keeps its own rows and compensates every direction.
+    standard = standard_metric(sp)
+    assert not two_block_family(sp, standard)
+    check = _direction_checker(sp, standard)
+    assert all(check(clear_denominators(coords))[0] for coords in directions)
 
 
 def test_rational_spaces_never_call_solve_compensator(monkeypatch):
     # The searches of irrational block metrics on the eight rational
-    # spaces pack int systems and never call the ambient solve; only the
-    # checkers of c2.3 and g2.4, whose h is irrational, fall back to it.
-    calls = {"solve_compensator": 0, "packed_system": 0}
+    # spaces build the one rational system of P_0 + 2 P_1 once per space
+    # and never call the ambient solve; only the checkers of c2.3 and
+    # g2.4, whose h is irrational, fall back to it.
+    calls = {"solve_compensator": 0, "_two_block_rows": []}
     original_solve = gocheck.solve_compensator
-    original_packed = gocheck._Tensors.packed_system
+    original_rows = gocheck._two_block_rows
 
     def counted_solve(*args):
         calls["solve_compensator"] += 1
         return original_solve(*args)
 
-    def counted_packed(self, *args):
-        calls["packed_system"] += 1
-        return original_packed(self, *args)
+    def counted_rows(space):
+        calls["_two_block_rows"].append(space.space_id)
+        return original_rows(space)
 
     monkeypatch.setattr(gocheck, "solve_compensator", counted_solve)
-    monkeypatch.setattr(gocheck._Tensors, "packed_system", counted_packed)
+    monkeypatch.setattr(gocheck, "_two_block_rows", counted_rows)
     for space_id in IRRATIONAL_BLOCK_SPACES:
         sp = catalog_space(space_id)
         for _, _, metric in irrational_block_metrics(sp):
             find_witness(sp, metric, budget=10, seed=3)
             go_sample_check(sp, metric, samples=10, seed=3)
     assert calls["solve_compensator"] == 0
-    assert calls["packed_system"] > 0
+    assert calls["_two_block_rows"] == list(IRRATIONAL_BLOCK_SPACES)
     for space_id in ("c2.3", "g2.4"):
         sp = catalog_space(space_id)
         check = _direction_checker(sp, standard_metric(sp))
         assert check(clear_denominators(structured_directions(sp)[0]))[0]
     assert calls["solve_compensator"] == 2
+
+
+@pytest.mark.parametrize("space_id", ["c2.1", "c2.2", "g2.1", "g2.3"])
+def test_a_block_metric_in_commutant_coordinates_takes_the_ambient_solve(
+    space_id, monkeypatch
+):
+    # (1, sqrt2) written on the commutant basis is no block metric to the
+    # checker: its lift has two radical parts, so each direction goes to
+    # solve_compensator.  It gets the verdicts of blocks:1,r2.
+    sp = catalog_space(space_id)
+    blocks = metric_from_spec(sp, "blocks:1,r2")
+    coeffs = commutant_coordinates(sp, blocks.matrix)
+    assert len(coeffs) > 2
+    commutant = metric_from_blocks(sp, coeffs)
+    assert commutant.matrix == blocks.matrix
+    assert commutant.rows.coeffs is None and len(commutant.rows.parts) == 2
+    assert not two_block_family(sp, commutant)
+    calls = []
+    original = gocheck.solve_compensator
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(gocheck, "solve_compensator", counted)
+    for search in (go_sample_check, find_witness):
+        for seed in (42, 7):
+            want = search(sp, blocks, seed=seed).to_dict(include_time=False)
+            assert calls == []
+            got = search(sp, commutant, seed=seed).to_dict(include_time=False)
+            assert got == want, (search.__name__, seed)
+            assert calls and set(map(id, calls)) == {id(commutant)}
+            calls.clear()
 
 
 def assert_cleared_on_its_own(batch):
@@ -1474,9 +1513,9 @@ def test_the_search_and_the_replay_share_no_elimination(monkeypatch):
         metric for label, metric in _candidate_metrics(g21, isotypic_decompose(g21))
         if label["kind"] == "blocks" and len(set(label["coeffs"])) > 1
     )
-    packed = metric_from_spec(c22, "blocks:1,r2")
-    assert len(packed.rows.parts) == 2
-    searches = [(g21, candidate), (c22, packed)]
+    irrational = metric_from_spec(c22, "blocks:1,r2")
+    assert len(irrational.rows.parts) == 2
+    searches = [(g21, candidate), (c22, irrational)]
     for sp, metric in searches:
         go_sample_check(sp, metric)  # builds the per-space data
     calls = []

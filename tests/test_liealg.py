@@ -17,7 +17,6 @@ from rank2go.isotypic import isotypic_decompose
 from rank2go.field import (
     ONE,
     RADICANDS,
-    RING_ONE,
     SQRT2,
     SQRT3,
     ZERO,
@@ -25,8 +24,6 @@ from rank2go.field import (
     radical_labels,
     ring_combine,
     ring_lift,
-    ring_mac,
-    ring_pack,
     ring_scalar,
     scalar,
 )
@@ -65,7 +62,6 @@ from rank2go.liealg import (
     scalar_of,
     solve_columns,
     solve_int_columns,
-    solve_ring_columns,
     su2,
     subalgebra_closure,
     to_vector,
@@ -235,52 +231,6 @@ def _scalar_solve(columns, rhs):
     return x, len(rr), len(rr)
 
 
-def assert_ring_solve_matches(columns, rhs):
-    """solve_ring_columns on the system cleared of one denominator gives
-    the rank pair and the solution of the Scalar loop _scalar_rref, which
-    shares no row update with it."""
-    nrows = len(rhs)
-    ring = ring_lift([x for col in columns for x in col] + list(rhs))
-    ring_columns = [ring[j * nrows:(j + 1) * nrows] for j in range(len(columns))]
-    sol, rank_map, rank_aug = solve_ring_columns(ring_columns, ring[-nrows:])
-    exact, exact_map, exact_aug = _scalar_solve(columns, rhs)
-    assert (sol is None, rank_map, rank_aug) == (exact is None, exact_map, exact_aug)
-    if sol is None:
-        assert rank_aug == rank_map + 1
-    else:
-        nums, den = sol
-        assert [ring_scalar(n) / ring_scalar(den) for n in nums] == exact
-    return sol is not None, rank_map < len(columns)
-
-
-@pytest.mark.parametrize("nrows, ncols", [(1, 1), (4, 2), (7, 4), (11, 5), (3, 5)])
-def test_ring_solve_matches_solve_columns(nrows, ncols):
-    rng = random.Random(100 * nrows + ncols)
-    outcomes = set()
-    for _ in range(15):
-        system = mixed_radical_system(rng, nrows, ncols)
-        outcomes.add(assert_ring_solve_matches(*system))
-    if nrows > ncols:
-        # Consistent and inconsistent systems, each with a rank deficit.
-        assert {(True, True), (False, True)} <= outcomes
-
-
-def test_ring_solve_matches_solve_columns_hypothesis():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(
-        st.integers(1, 6),
-        st.integers(1, 5),
-        st.randoms(use_true_random=False),
-    )
-    def check(nrows, ncols, rng):
-        assert_ring_solve_matches(*mixed_radical_system(rng, nrows, ncols))
-
-    check()
-
-
 def test_solve_int_columns_checks_its_solution(monkeypatch):
     # A nonsingular square system keeps its rank pair (3, 3) whatever its
     # right-hand side, so only the solution check can see a corrupted row
@@ -300,29 +250,6 @@ def test_solve_int_columns_checks_its_solution(monkeypatch):
     monkeypatch.setattr(liealg, "_int_combine", corrupted)
     with pytest.raises(ArithmeticError):
         solve_int_columns(columns, rhs)
-
-
-def test_solve_ring_columns_checks_its_solution(monkeypatch):
-    # The same on a mixed-radical system: ring_combine adds 1 to the
-    # right-hand-side entry of each row it updates.
-    entries = [ONE, SQRT2, SQRT3, SQRT3, ONE, SQRT2, SQRT2, SQRT3, ONE]
-    rhs = [ONE + SQRT2, SQRT3, scalar(2)]
-    ring = ring_lift(entries + rhs)
-    columns, ring_rhs = [ring[0:3], ring[3:6], ring[6:9]], ring[9:]
-    sol, rank_map, rank_aug = solve_ring_columns(columns, ring_rhs)
-    assert sol is not None and (rank_map, rank_aug) == (3, 3)
-    combine = liealg.ring_combine
-
-    def corrupted(p, row, c, prow):
-        new = combine(p, row, c, prow)
-        acc = [0] * 8
-        ring_mac(acc, new[-1], RING_ONE)
-        acc[0] += 1
-        return new[:-1] + [ring_pack(acc)]
-
-    monkeypatch.setattr(liealg, "ring_combine", corrupted)
-    with pytest.raises(ArithmeticError):
-        solve_ring_columns(columns, ring_rhs)
 
 
 def _rational_rows(rng, nrows, ncols):
