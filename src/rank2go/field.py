@@ -7,9 +7,19 @@ coordinates taken against the radical basis
     1, sqrt2, sqrt3, sqrt5, sqrt6, sqrt10, sqrt15, sqrt30.
 
 The form is canonical: the denominator is positive and coprime to the
-numerators together, so zero is eight zeros over 1.  Sums, differences,
-products and negations of rational operands compute the one rational
-coordinate only, and every result is reduced to the same canonical form.
+numerators together, so zero is eight zeros over 1.  It is established in
+two places.  The one checked constructor, Scalar.__init__, takes values from
+outside (parsing, pickles, tuples from other modules): it checks the length
+and the sign of the denominator and reduces by the gcd.  The field's own
+results (sums, differences, products, negations, conjugates, ints and
+Fractions) are built past it by two private constructors, since their
+denominators are products of positive ones: each is reduced by one gcd and
+nothing more.  Those of rational operands compute the one rational
+coordinate only.
+
+A rational value's exact text is its one term, p or p/q, followed by the
+fixed zero tail " + 0*r2 + ... + 0*r30", and the parser reads that form in
+one step.
 
 All operations are exact; floating point appears only in the optional
 decimal rendering of reports.
@@ -69,6 +79,8 @@ _CONJ_SIGNS: tuple[tuple[int, ...], ...] = tuple(
 
 _ZERO7 = (0,) * 7
 _ZERO8 = (0,) * 8
+#: The seven zero radical terms that end a rational value's exact text.
+_ZERO_TAIL = "".join(f" + 0{suffix}" for suffix in _EXACT_SUFFIXES[1:])
 
 
 @functools.total_ordering
@@ -111,12 +123,12 @@ class Scalar:
 
     @classmethod
     def from_int(cls, n: int) -> "Scalar":
-        return cls((n, 0, 0, 0, 0, 0, 0, 0), 1)
+        return _rational(n, 1)
 
     @classmethod
     def from_fraction(cls, q: Fraction | int) -> "Scalar":
         q = Fraction(q)
-        return cls((q.numerator, 0, 0, 0, 0, 0, 0, 0), q.denominator)
+        return _rational(q.numerator, q.denominator)
 
     @classmethod
     def of_radical(cls, radicand: int, coeff: Fraction | int = 1) -> "Scalar":
@@ -151,6 +163,9 @@ class Scalar:
 
     def __hash__(self) -> int:
         if self._rat:
+            # Equal to the hash of the equal int or Fraction.
+            if self.den == 1:
+                return hash(self.nums[0])
             return hash(Fraction(self.nums[0], self.den))
         return hash((self.nums, self.den))
 
@@ -158,8 +173,8 @@ class Scalar:
 
     def __neg__(self) -> "Scalar":
         if self._rat:
-            return Scalar((-self.nums[0],) + _ZERO7, self.den)
-        return Scalar(tuple(-n for n in self.nums), self.den)
+            return _rational(-self.nums[0], self.den)
+        return _reduced(tuple(-n for n in self.nums), self.den)
 
     def __add__(self, other) -> "Scalar":
         if type(other) is not Scalar:
@@ -168,8 +183,8 @@ class Scalar:
                 return NotImplemented
         da, db = self.den, other.den
         if self._rat and other._rat:
-            return Scalar((self.nums[0] * db + other.nums[0] * da,) + _ZERO7, da * db)
-        return Scalar(
+            return _rational(self.nums[0] * db + other.nums[0] * da, da * db)
+        return _reduced(
             tuple(a * db + b * da for a, b in zip(self.nums, other.nums)),
             da * db,
         )
@@ -183,8 +198,8 @@ class Scalar:
                 return NotImplemented
         da, db = self.den, other.den
         if self._rat and other._rat:
-            return Scalar((self.nums[0] * db - other.nums[0] * da,) + _ZERO7, da * db)
-        return Scalar(
+            return _rational(self.nums[0] * db - other.nums[0] * da, da * db)
+        return _reduced(
             tuple(a * db - b * da for a, b in zip(self.nums, other.nums)),
             da * db,
         )
@@ -205,13 +220,13 @@ class Scalar:
             if a == 0:
                 return ZERO
             if other._rat:
-                return Scalar((a * other.nums[0],) + _ZERO7, self.den * other.den)
-            return Scalar(tuple(a * n for n in other.nums), self.den * other.den)
+                return _rational(a * other.nums[0], self.den * other.den)
+            return _reduced(tuple(a * n for n in other.nums), self.den * other.den)
         if other._rat:
             b = other.nums[0]
             if b == 0:
                 return ZERO
-            return Scalar(tuple(b * n for n in self.nums), self.den * other.den)
+            return _reduced(tuple(b * n for n in self.nums), self.den * other.den)
         acc = [0] * 8
         for i, a in enumerate(self.nums):
             if a == 0:
@@ -222,7 +237,7 @@ class Scalar:
                     continue
                 k, c = row[j]
                 acc[k] += a * b * c
-        return Scalar(tuple(acc), self.den * other.den)
+        return _reduced(tuple(acc), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -350,7 +365,7 @@ class Scalar:
             raise ValueError(f"sqrt({self}) lies outside the field")
         nums = [0] * 8
         nums[_INDEX[free]] = square
-        return Scalar(tuple(nums), den)
+        return _reduced(tuple(nums), den)
 
     # -- rendering --------------------------------------------------------
 
@@ -362,6 +377,10 @@ class Scalar:
         """Full fixed-form rendering: p0 + p1*r2 + ... + p7*r30, each p_i
         in lowest terms."""
         den = self.den
+        if self._rat:
+            # Canonical form: the one term is already in lowest terms.
+            n = self.nums[0]
+            return (f"{n}" if den == 1 else f"{n}/{den}") + _ZERO_TAIL
         parts = []
         for n, suffix in zip(self.nums, _EXACT_SUFFIXES):
             g = gcd(n, den) if n else den
@@ -403,13 +422,43 @@ def _coerce(x) -> "Scalar":
 
 
 def _conjugate(a: Scalar, which: int) -> Scalar:
-    return Scalar(tuple(map(mul, _CONJ_SIGNS[which], a.nums)), a.den)
+    return _reduced(tuple(map(mul, _CONJ_SIGNS[which], a.nums)), a.den)
 
 
-# The slot setters that __init__ writes through, past the immutability guard.
+# The slot setters that __init__ and the two constructors below write
+# through, past the immutability guard.
 _set_nums = Scalar.nums.__set__
 _set_den = Scalar.den.__set__
 _set_rat = Scalar._rat.__set__
+_new = object.__new__
+
+
+def _rational(n: int, d: int) -> Scalar:
+    """n / d for d > 0, reduced by one gcd, past the checks of __init__."""
+    g = gcd(n, d)
+    if g > 1:
+        n //= g
+        d //= g
+    x = _new(Scalar)
+    _set_nums(x, (n,) + _ZERO7)
+    _set_den(x, d)
+    _set_rat(x, True)
+    return x
+
+
+def _reduced(nums: tuple[int, ...], d: int) -> Scalar:
+    """The eight coordinates nums over d > 0, reduced by one gcd, past the
+    checks of __init__."""
+    g = gcd(d, *nums)
+    if g > 1:
+        nums = tuple(n // g for n in nums)
+        d //= g
+    x = _new(Scalar)
+    _set_nums(x, nums)
+    _set_den(x, d)
+    _set_rat(x, nums[1:] == _ZERO7)
+    return x
+
 
 ZERO = Scalar(_ZERO8, 1)
 ONE = Scalar.from_int(1)
@@ -467,11 +516,11 @@ def ring_pack(acc: Sequence[int]) -> Ring:
 
 
 def ring_scalar(a: Ring, den: int = 1) -> Scalar:
-    """The scalar a / den."""
+    """The scalar a / den, for den > 0."""
     nums = [0] * 8
     for i, x in a:
         nums[i] = x
-    return Scalar(nums, den)
+    return _reduced(tuple(nums), den)
 
 
 def ring_mac(acc: list[int], a: Ring, b: Ring) -> None:
@@ -583,6 +632,8 @@ _TERM_RE = re.compile(
     r"([+-])(?:(\d+)(?:/(\d+))?)?(?:\*?r(10|15|30|2|3|5|6))?([^+-]*)"
 )
 _BARE_SIGN_RE = re.compile(r"[+-](?![^+-])")
+# A rational value as exact_str() writes it: one term, then the zero tail.
+_EXACT_RATIONAL_RE = re.compile(r"(-?)(\d+)(?:/(\d+))?" + re.escape(_ZERO_TAIL))
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -590,8 +641,17 @@ def parse_scalar(text: str) -> Scalar:
 
     Accepts both the full eight-term form emitted by exact_str() and compact
     forms like "2", "1/3", "r2", "-3/2*r6", "1 - r2 + 1/2*r30".  One pass
-    reads the terms, skipping each zero term such as exact_str()'s "0*r2".
+    reads the terms, skipping each zero term such as exact_str()'s "0*r2";
+    a rational value's exact_str() is read in one step.
     """
+    m = _EXACT_RATIONAL_RE.fullmatch(text)
+    if m:
+        sign, p, q = m.groups()
+        q = int(q or 1)
+        # A zero denominator goes on to the term loop, which reports it.
+        if q:
+            p = int(p)
+            return Scalar((-p if sign else p,) + _ZERO7, q)
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty scalar literal")

@@ -21,6 +21,7 @@ from rank2go.field import (
     ZERO,
     Scalar,
     parse_scalar,
+    ring_scalar,
     scalar,
     scalar_approx,
     scalar_arith,
@@ -71,7 +72,23 @@ def test_field_axioms_on_random_triples():
 def test_normalization_is_canonical():
     assert Scalar((2, 4, 0, 0, 0, 0, 0, 0), 6) == Scalar((1, 2, 0, 0, 0, 0, 0, 0), 3)
     assert Scalar((1, 0, 0, 0, 0, 0, 0, 0), -2) == Scalar((-1, 0, 0, 0, 0, 0, 0, 0), 2)
-    assert hash(scalar(3)) == hash(Fraction(3))
+    for q in (3, 0, -7, Fraction(5, 3), Fraction(-5, 3)):
+        # Built directly, and as a sum that reduces to it.
+        for x in (scalar(q), scalar(q) * 2 - Fraction(q)):
+            assert (x.nums, x.den) == ((q.numerator,) + (0,) * 7, q.denominator)
+            assert hash(x) == hash(Fraction(q)) == hash(q)
+    for n in (0, -7, 6):
+        x = Scalar.from_int(n)
+        assert (x.nums, x.den, x.is_rational) == ((n,) + (0,) * 7, 1, True)
+    for ring, den, nums, want_den in [
+        (((0, 6), (3, -4)), 4, (3, 0, 0, -2, 0, 0, 0, 0), 2),
+        (((7, 5),), 1, (0, 0, 0, 0, 0, 0, 0, 5), 1),
+        (((0, -9),), 6, (-3, 0, 0, 0, 0, 0, 0, 0), 2),
+        ((), 5, (0,) * 8, 1),
+    ]:
+        x = ring_scalar(ring, den)
+        assert (x.nums, x.den) == (nums, want_den)
+        assert x.is_rational == (not any(nums[1:]))
 
 
 def test_zero_denominator_rejected():
@@ -281,7 +298,7 @@ def test_coefficient_accessor():
 
 
 def test_parse_scalar_rejects_a_zero_denominator():
-    for text in ("1/0", "-3/0*r2", "1 + 2/0"):
+    for text in ("1/0", "-3/0*r2", "1 + 2/0", "1/0" + ZERO_TAIL, "1/00" + ZERO_TAIL):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_scalar(text)
 
@@ -369,16 +386,24 @@ def parse_outcome(parse, text):
     return x.nums, x.den
 
 
+# The seven zero radical terms with which exact_str() ends a rational.
+ZERO_TAIL = " + 0*r2 + 0*r3 + 0*r5 + 0*r6 + 0*r10 + 0*r15 + 0*r30"
 WELL_FORMED = (
     "2", "1/3", "r2", "-r2", "2*r3", "-3/2*r6", "1 - r2 + 1/2*r30", "r2+r2",
     "1+-1/2*r6", "1 +- r2", "+1", "-0", "0", "0/5", "00", "007/010*r10",
     "*r2", "3r15", "r30", " 1 / 2 * r 3 0 ", "1\n+r2", "٣/2",
+    # The fixed form of a rational, and texts one step away from it.
+    "-0" + ZERO_TAIL, "-3/6" + ZERO_TAIL, "007/010" + ZERO_TAIL,
+    " 1" + ZERO_TAIL + "\n", "1 + 1" + ZERO_TAIL, "+1" + ZERO_TAIL,
+    "1" + ZERO_TAIL.replace("0*r5", "-2/3*r5"),
 )
 MALFORMED = (
     "", " ", "+", "-", "1+", "1-", "1/0+", "1/0", "-3/0*r2", "1 + 2/0", "1//2",
     "r7", "3r", "**r2", "2-x", "--1", "++2", "1+-+2", "r7+", "1/0 + r7",
     "r7 + 1/0", "1/", "/2", "r", "r2r2", "2*", "1.5", "1e3", "1**r2", "2r",
     "xyz", "1/2*r7", "\n", "1\n\n+r2", "1+\n+r2", "r3 0 0", "0/0*r2",
+    "1/0" + ZERO_TAIL, "1/00" + ZERO_TAIL, "-0/0" + ZERO_TAIL,
+    "1/" + ZERO_TAIL, "1" + ZERO_TAIL + " +",
 )
 # Pieces that the seeded literals are glued from: digits, the grammar's
 # punctuation and radicals, a radicand outside the field, space, newline.
@@ -492,8 +517,9 @@ def reference_arith(op, a, b=None):
     out = [Fraction(0)] * 8
     for i, p in enumerate(x):
         for j, q in enumerate(y):
-            k, c = _basis_product(i, j)
-            out[k] += c * p * q
+            if p and q:  # a zero coordinate adds nothing
+                k, c = _basis_product(i, j)
+                out[k] += c * p * q
     return out
 
 
@@ -513,14 +539,30 @@ def assert_matches_reference(got, coords):
 _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
+def assert_quotient_matches_reference(got, a, b):
+    """got is a / b: in canonical form, with got * b = a by the reference
+    product (the quotient is unique)."""
+    assert_matches_reference(got, _coords(got))
+    assert reference_arith("mul", got, b) == _coords(a)
+
+
 def assert_arith_matches_reference(a, b):
-    """+, - and * both ways round, and unary - of each Scalar operand."""
+    """+, -, * and / both ways round, and unary - and inverse() of each
+    Scalar operand; division by zero raises ZeroDivisionError."""
     for op, fn in _BINARY.items():
         assert_matches_reference(fn(a, b), reference_arith(op, a, b))
         assert_matches_reference(fn(b, a), reference_arith(op, b, a))
+    for x, y in ((a, b), (b, a)):
+        if any(_coords(y)):
+            assert_quotient_matches_reference(x / y, x, y)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
     for x in (a, b):
         if isinstance(x, Scalar):
             assert_matches_reference(-x, reference_arith("neg", x))
+            if x:
+                assert_quotient_matches_reference(x.inverse(), 1, x)
 
 
 def test_arithmetic_matches_the_fraction_reference():
@@ -548,6 +590,9 @@ def test_arithmetic_matches_the_fraction_reference():
         # that reduces.
         a = irr()
         pairs += [(a, -a), (a, Scalar((1,) + a.nums[1:], a.den)), (a, a)]
+        # A negative rational, whose inverse must keep its denominator
+        # positive: (-3/4)^-1 = -4/3.
+        pairs += [(scalar(Fraction(-3, 4)), irr()), (scalar(Fraction(-3, 4)), -7)]
         for a, b in pairs:
             assert_arith_matches_reference(a, b)
 

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rank2go import gocheck
+from rank2go import field, gocheck
 from rank2go.cli import (
     COMMUTANT_PROBE_STEPS,
     LATTICE,
@@ -1118,6 +1118,9 @@ def test_only_a_refuting_draw_builds_scalars(monkeypatch):
     refuted_metric = metric_from_spec(refuted_space, "blocks:2,1")
     assert go_sample_check(go_space, go_metric, samples=5).status == "go_sampled"
     assert find_witness(refuted_space, refuted_metric).witness is not None
+    # A Scalar is built by its checked __init__ or by one of field's two
+    # private constructors (tests/test_ring_layering.py keeps it so); all
+    # three are counted.
     built = []
     original = Scalar.__init__
 
@@ -1126,6 +1129,11 @@ def test_only_a_refuting_draw_builds_scalars(monkeypatch):
         original(self, *args)
 
     monkeypatch.setattr(Scalar, "__init__", counted)
+    for name in ("_rational", "_reduced"):
+        builder = getattr(field, name)
+        monkeypatch.setattr(
+            field, name, lambda *args, f=builder: built.append(args) or f(*args)
+        )
     verdict = go_sample_check(go_space, go_metric, samples=50, seed=7)
     assert verdict.status == "go_sampled" and verdict.samples_run > 50
     assert built == []

@@ -6,6 +6,11 @@ and fraction-free solvers run on them and check their own solutions.  Any
 other module hands its ring rows to those functions: a module that
 multiplied ring elements itself would hold a second copy of the arithmetic,
 or of a check that belongs next to the solve it checks.
+
+Likewise only `field.py` builds a Scalar past its checked `__init__`, by
+`object.__new__`, the slot setters or its private constructors: it builds
+there only results whose canonical form holds by construction.  Any other
+module that built one could skip the sign check or the gcd.
 """
 
 from pathlib import Path
@@ -16,6 +21,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "rank2go"
 
 RING_ARITHMETIC = {"ring_mac", "ring_neg", "ring_combine"}
 RING_MODULES = {"field.py", "liealg.py"}
+
+#: The ways to build a Scalar past Scalar.__init__.
+SCALAR_BUILDERS = {
+    "__new__", "__set__", "_new", "_rational", "_reduced",
+    "_set_nums", "_set_den", "_set_rat",
+}
 
 
 def test_checker_flags_planted_ring_arithmetic():
@@ -39,5 +50,30 @@ def test_only_the_field_and_the_solvers_do_ring_arithmetic():
         for path in sorted(SRC.glob("*.py"))
         if path.name not in RING_MODULES
         and (hits := name_uses(path.read_text("utf-8"), RING_ARITHMETIC))
+    }
+    assert found == {}
+
+
+def test_checker_flags_planted_scalar_builds():
+    source = (
+        '"""Calls _reduced in its docstring only."""\n'
+        "from .field import Scalar, _rational as rat\n"
+        "from . import field\n"
+        "def f(nums, den):\n"
+        "    x = object.__new__(Scalar)\n"
+        "    Scalar.den.__set__(x, den)\n"
+        "    return field._reduced(nums, den), rat(1, den), '_rational'\n"
+    )
+    assert name_uses(source, SCALAR_BUILDERS) == [
+        (2, "_rational"), (5, "__new__"), (6, "__set__"), (7, "_reduced"),
+    ]
+
+
+def test_only_the_field_builds_scalars_past_init():
+    found = {
+        path.name: hits
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "field.py"
+        and (hits := name_uses(path.read_text("utf-8"), SCALAR_BUILDERS))
     }
     assert found == {}
