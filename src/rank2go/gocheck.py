@@ -16,54 +16,52 @@ casimir and validation read too), the int tensors of the direction checker
 step), the fixed part of m with its fixed-vector actions and the int basis
 rows of its simple ideals for the filters, and the structured batch of
 directions, each cleared to ints once.  The search hands the checker int
-vectors only: the batch's ints and random draws of ints.
-Each direction needs only the rank pair of a small system on ints, decided
-fraction-free on its column vectors (_direction_checker): every two-block
-metric of a space on the one rational system of P_0 + 2 P_1
-(two_block_family), any other metric on its own int rows, and a metric
-with two or more radical parts, or any metric on c2.3 and g2.4, whose h
-is irrational, by the ambient solve_compensator.  No search over the
-catalogue reaches that last case: such a metric is written on the
-commutant basis or given explicitly, and every metric on c2.3 and g2.4 is
-scalar.  No Scalar is eliminated in the search, and a Scalar direction is
-built only for a witness.  A direction X with MX = lambda X builds no
-system at all: [MX, X] = lambda [X, X] = 0, so a = 0 compensates it (the
-geodesic lemma: X is geodesic exactly when [MX, X] lies in [h, MX];
-Alekseevsky-Nikonorov, SIGMA 5 (2009) 093).  The search finds the scalar
-lambda_k of M on each isotypic component V_k, where there is one, and
-decides every structured direction built from components that share one
-lambda; a scalar metric M = cI decides every direction this way.  One
-test, _MetricRows.scalar_on, decides whether M is a scalar on a span of
-int vectors: on each V_k for the search, and on each simple ideal of the
-fixed part for the filter, for every metric but a per-component block
-metric (below).
+vectors only: the batch's ints and random draws of ints.  Each direction
+needs only the rank pair of a small system on ints, decided fraction-free
+on its column vectors (_direction_checker): every two-block metric of a
+space on the one rational system of P_0 + 2 P_1 (two_block_family), any
+other metric on its own int rows, and a metric with two or more radical
+parts, or any metric on c2.3 and g2.4, whose h is irrational, by the
+ambient solve_compensator.  No search over the catalogue reaches that last
+case: such a metric is written on the commutant basis or given explicitly,
+and every metric on c2.3 and g2.4 is scalar.  No Scalar is eliminated in
+the search, and a Scalar direction is built only for a witness.  A
+direction X with MX = lambda X builds no system at all: [MX, X] = lambda
+[X, X] = 0, so a = 0 compensates it (the geodesic lemma: X is geodesic
+exactly when [MX, X] lies in [h, MX]; Alekseevsky-Nikonorov, SIGMA 5
+(2009) 093).  The search finds the scalar lambda_k of M on each isotypic
+component V_k, where there is one (_MetricRows.eigen_labels), and decides
+every structured direction built from components that share one lambda; a
+scalar metric M = cI decides every direction this way.
 `solve_compensator` keeps the ambient-coordinate solve, and
 `verify_witness` replays every witness through it, independently of the
 search.
 
 Every matrix is lifted by the one function liealg.lift_rows (its nonzero
-entries cleared of one common denominator d > 0, as ring rows; int rows are
-read off them by liealg.int_rows).  Each metric is lifted once, at
-validation (_MetricRows), and every per-metric test runs on that lift
+entries cleared of one common denominator d > 0, as ring rows; int rows
+are read off them by liealg.int_rows).  A validated metric is lifted once,
+at validation (_MetricRows), and every per-metric test runs on that lift
 against the space's data lifted once per space; no Scalar matrix is
 multiplied per metric, and no test changes under the positive factors.
 
 A per-component block metric M = sum_k c_k P_k, P_k the projection onto
 the isotypic component V_k, is decided by its coefficients alone, and
-every named metric is one (standard_metric, fibration_metric).  The V_k
-are mutually S-orthogonal and h-invariant (isotypic._analyze checks both),
-so each P_k is S-self-adjoint and commutes with every ad(h_i)|_m: S M is
-symmetric, M commutes with the isotropy action, and x^T S M x = sum_k c_k
-|P_k x|_S^2, so S M is positive definite exactly when every c_k > 0, S
-being positive definite on m (isotypic.isotropy_action checks it).  M is
-c_k on V_k, which gives the eigen labels, and M passes both filters: the
-fixed part is one component, and each fixed-vector action commutes with
-the isotropy action, so it maps every V_k into itself.  On a space of two
-components with [V_0, V_1] in V_(1-f) (_fiber_index, checked once per
-space), every such metric with c_0 != c_1, the fibration metrics among
-them, gets one search verdict: scaling rows and r takes its systems to one
-free of c (two_block_family), and the checker decides all of them on the
-system of P_0 + 2 P_1.
+every named metric is one (standard_metric, fibration_metric); it is
+built from the nonzero entries of the P_k (_block_matrix) and lifted only
+by the checker, on demand (_direction_checker).  The V_k are mutually
+S-orthogonal and h-invariant (isotypic._analyze checks both), so each P_k
+is S-self-adjoint and commutes with every ad(h_i)|_m: S M is symmetric, M
+commutes with the isotropy action, and x^T S M x = sum_k c_k |P_k x|_S^2,
+so S M is positive definite exactly when every c_k > 0, S being positive
+definite on m (isotypic.isotropy_action checks it).  M is c_k on V_k,
+which gives the eigen labels, and M passes both filters: the fixed part is
+one component, and each fixed-vector action commutes with the isotropy
+action, so it maps every V_k into itself.  On a space of two components
+with [V_0, V_1] in V_(1-f) (_fiber_index, checked once per space), every
+such metric with c_0 != c_1, the fibration metrics among them, gets one
+search verdict: scaling rows and r takes its systems to one free of c
+(two_block_family), and the checker decides all of them on the system of
+P_0 + 2 P_1.
 """
 
 from __future__ import annotations
@@ -105,6 +103,7 @@ from .liealg import (
     mat_inverse,
     mat_scale,
     mat_transpose,
+    nonzero_entries,
     ring_rows_commute,
     ring_rows_mul,
     rows_symmetric,
@@ -129,8 +128,7 @@ class MetricEndomorphism:
 
     provenance is one of "standard", "block_coeffs", "fibration",
     "explicit"; params carries the defining data as exact strings.  rows is
-    the matrix lifted once, at validation, for every per-metric test.
-    """
+    what every per-metric test reads (_MetricRows)."""
 
     space: CatalogSpace
     matrix: Matrix
@@ -149,12 +147,12 @@ class MetricEndomorphism:
         c = scalar(c)
         if c.sign() <= 0:
             raise ValueError("a homothety factor must be positive")
-        matrix = mat_scale(c, self.matrix)
         params = self.params + (c.exact_str(),)
-        coeffs = self.rows.coeffs
-        if coeffs is None:
+        if self.rows.coeffs is None:
+            matrix = mat_scale(c, self.matrix)
             return _validated(self.space, matrix, self.provenance, params)
-        rows = _MetricRows.lift(matrix, tuple(c * k for k in coeffs))
+        rows = _MetricRows(coeffs=tuple(c * k for k in self.rows.coeffs))
+        matrix = _block_matrix(self.space, rows.coeffs)
         return replace(self, matrix=matrix, params=params, rows=rows)
 
 
@@ -203,6 +201,25 @@ def standard_metric(space: CatalogSpace) -> MetricEndomorphism:
     return replace(metric_from_blocks(space, ones), provenance="standard", params=())
 
 
+def _projection_entries(space: CatalogSpace) -> tuple[tuple, ...]:
+    """The nonzero entries (i, j, x) of each P_k, kept once per space."""
+    return tuple(
+        tuple((i, j, x) for i, row in enumerate(P) for j, x in nonzero_entries(row))
+        for P in component_projections(space)
+    )
+
+
+def _block_matrix(space: CatalogSpace, coeffs: Sequence[Scalar]) -> Matrix:
+    """sum_k c_k P_k, the one builder of a per-component block matrix."""
+    n = space.dim_m
+    out = [[ZERO] * n for _ in range(n)]
+    for c, entries in zip(coeffs, per_space(_projection_entries, space)):
+        for i, j, x in entries:
+            row = out[i]
+            row[j] = c * x if row[j] is ZERO else row[j] + c * x
+    return out
+
+
 def metric_from_blocks(space: CatalogSpace, coeffs: Sequence) -> MetricEndomorphism:
     """Build a metric from block coefficients.
 
@@ -218,21 +235,16 @@ def metric_from_blocks(space: CatalogSpace, coeffs: Sequence) -> MetricEndomorph
     they agree, and the per-component reading is used.
     """
     cs = [scalar(c) for c in coeffs]
-    dec = isotypic_decompose(space)
-    n_components = len(dec.components)
-    basis = commutant_symmetric_basis(space)
+    n_components = len(isotypic_decompose(space).components)
     params = tuple(c.exact_str() for c in cs)
     if len(cs) == n_components:
         if any(c.sign() <= 0 for c in cs):
             raise ValueError("metric operator is not positive definite")
-        matrix = mat_combine(cs, component_projections(space), space.dim_m)
+        rows = _MetricRows(coeffs=tuple(cs))
         return MetricEndomorphism(
-            space=space,
-            matrix=matrix,
-            provenance="block_coeffs",
-            params=params,
-            rows=_MetricRows.lift(matrix, tuple(cs)),
+            space, _block_matrix(space, cs), "block_coeffs", params, rows
         )
+    basis = commutant_symmetric_basis(space)
     if len(cs) == len(basis):
         matrix = mat_combine(cs, basis, space.dim_m)
         return _validated(space, matrix, "block_coeffs", params)
@@ -358,14 +370,10 @@ def normalizer_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
     = 0 gives [h_i, [w, x]] = [w, [h_i, x]], so A = ad(w)|_m commutes with
     every ad(h_i)|_m, hence with the Casimir and the central squares that
     cut out the V_k: A maps each V_k into itself and commutes with sum_k
-    c_k P_k."""
-    if metric.rows.coeffs is not None:
-        return True
+    c_k P_k.  Such a metric keeps no ring rows (_MetricRows)."""
     M = metric.rows.ring
-    return all(
-        ring_rows_commute(M, A)
-        for A in per_space(_build_fixed_part, space).actions
-    )
+    actions = per_space(_build_fixed_part, space).actions
+    return M is None or all(ring_rows_commute(M, A) for A in actions)
 
 
 def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
@@ -397,9 +405,8 @@ def biinvariance_filter(space: CatalogSpace, metric: MetricEndomorphism) -> bool
         return True
     if fixed.ideals is None:
         raise ValueError("the fixed part of m is not a subalgebra")
-    if metric.rows.coeffs is not None:
-        return True
-    return all(metric.rows.scalar_on(rows) for rows in fixed.ideals)
+    rows = metric.rows
+    return rows.parts is None or all(map(rows.scalar_on, fixed.ideals))
 
 
 _FILTERS = {
@@ -604,18 +611,17 @@ class _MetricRows:
     increasing order.  A rational metric is the one part (0, its int rows).
     Validation and the normalizer filter read the ring rows; scalar_on,
     which the eigen labels and the bi-invariance filter share, and the
-    checker of a metric outside two_block_family read the parts.  coeffs
-    holds the c_k of a per-component block metric sum_k c_k P_k
-    (metric_from_blocks), and is None for every other metric."""
+    checker of a metric outside two_block_family read the parts.  A
+    per-component block metric sum_k c_k P_k holds only its c_k in coeffs
+    (None for every other metric), with ring and parts None: only that
+    checker reads its lift, and it lifts the matrix on demand."""
 
-    ring: SparseRows
-    parts: tuple[tuple[int, SparseRows], ...]
+    ring: SparseRows | None = None
+    parts: tuple[tuple[int, SparseRows], ...] | None = None
     coeffs: tuple[Scalar, ...] | None = None
 
     @classmethod
-    def lift(
-        cls, matrix: Matrix, coeffs: tuple[Scalar, ...] | None = None
-    ) -> "_MetricRows":
+    def lift(cls, matrix: Matrix) -> "_MetricRows":
         ring = lift_rows(matrix)
         parts: dict[int, list[list]] = {}
         for i, row in enumerate(ring):
@@ -626,7 +632,7 @@ class _MetricRows:
                     parts[b][i].append((j, v))
         return cls(ring=ring, parts=tuple(
             (b, tuple(map(tuple, parts[b]))) for b in sorted(parts)
-        ), coeffs=coeffs)
+        ))
 
     def scalar_on(self, xs: Sequence[Sequence[int]]) -> tuple[tuple, int] | None:
         """(a, b) with (d M) x = (a / b) x for every int vector x in xs, or
@@ -674,9 +680,7 @@ def _two_block_rows(space: CatalogSpace) -> SparseRows:
     """The int rows of the block metric P_0 + 2 P_1 of a two-component
     space with rational data: the one system on which _direction_checker
     decides every two_block_family metric of the space."""
-    return int_rows(lift_rows(mat_combine(
-        (ONE, scalar(2)), component_projections(space), space.dim_m
-    )))
+    return int_rows(lift_rows(_block_matrix(space, (ONE, scalar(2)))))
 
 
 def _direction_checker(
@@ -693,26 +697,22 @@ def _direction_checker(
     once per space: by that lemma each direction gets the rank pair it
     gets under the metric itself.  Any other metric whose lift d M =
     sqrt(b) M_b has one radical part is decided on M_b, since a positive
-    factor on every C_i and on r changes no rank pair.  Every other metric,
-    and every metric on c2.3 and g2.4, whose h is irrational, calls
-    solve_compensator, whose decision and rank pair these give."""
-    parts = metric.rows.parts
+    factor on every C_i and on r changes no rank pair; a block metric is
+    lifted here (on the catalogue, a scalar that no search checks).  Every
+    other metric, and every metric on c2.3 and g2.4, whose h is irrational,
+    calls solve_compensator, whose decision and rank pair these give."""
     ints = per_space(_int_tensors, space)
     if ints is not None and two_block_family(space, metric):
         M = per_space(_two_block_rows, space)
-    elif ints is not None and len(parts) == 1:
-        M = parts[0][1]
     else:
-        def ambient(x: Sequence[int]) -> tuple[bool, int, int]:
-            sol, rank_map, rank_aug = solve_compensator(
-                space, metric, space.m.combine(x)
-            )
-            return sol is not None, rank_map, rank_aug
-
-        return ambient
+        parts = metric.rows.parts or _MetricRows.lift(metric.matrix).parts
+        M = parts[0][1] if ints is not None and len(parts) == 1 else None
 
     def check(x: Sequence[int]) -> tuple[bool, int, int]:
-        sol, rank_map, rank_aug = solve_int_columns(*ints.system(M, x))
+        sol, rank_map, rank_aug = (
+            solve_compensator(space, metric, space.m.combine(x)) if M is None
+            else solve_int_columns(*ints.system(M, x))
+        )
         return sol is not None, rank_map, rank_aug
 
     return check

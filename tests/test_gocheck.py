@@ -1035,20 +1035,29 @@ def dense_lift(matrix, lift):
 
 @pytest.mark.parametrize("space_id", CATALOG_IDS)
 def test_each_metric_keeps_its_own_lift(space_id):
+    # A validated metric keeps the lift of its matrix; a per-component
+    # block metric keeps its coefficients alone, and the same identities
+    # hold for the lift of its matrix, as the checker makes it on demand.
     sp = catalog_space(space_id)
     for base in filter_metrics(sp):
         for metric in (base, base.scaled(3)):
             M = metric.matrix
             rational = all(c.is_rational for row in M for c in row)
-            parts = metric.rows.parts
-            assert metric.rows.ring == lift_rows(M) == dense_lift(M, ring_lift)
+            rows = metric.rows
+            if rows.coeffs is not None:
+                assert rows == gocheck._MetricRows(coeffs=rows.coeffs)
+                assert rows.ring is None and rows.parts is None
+                rows = gocheck._MetricRows.lift(M)
+                assert rows.coeffs is None
+            parts = rows.parts
+            assert rows.ring == lift_rows(M) == dense_lift(M, ring_lift)
             assert (parts[0][0] == 0 and len(parts) == 1) == rational
             if rational:
                 assert parts == ((0, int_rows(lift_rows(M))),)
                 assert parts[0][1] == dense_lift(M, clear_denominators)
             assert [b for b, _ in parts] == sorted({b for b, _ in parts})
             assert all(v for _, rows in parts for row in rows for _, v in row)
-            assert join_parts(parts, len(M)) == metric.rows.ring
+            assert join_parts(parts, len(M)) == rows.ring
 
 
 def join_parts(parts, n):
@@ -1107,6 +1116,79 @@ def test_the_search_lifts_no_metric_again(monkeypatch):
         go_sample_check(sp, metric, samples=5)
     assert len(checked) > 10
     assert lifted == []
+
+
+def test_no_block_metric_is_lifted_on_the_catalogue_paths(monkeypatch):
+    # classify, run through the CLI, and the refute ops (find_witness, the
+    # witness's dict round trip, verify_witness) lift only what _validated
+    # lifts: the commutant probes.  No block metric is lifted, by its
+    # builder or by the checker.
+    from click.testing import CliRunner
+
+    from rank2go.cli import main
+
+    validating, lifted = [], []
+    original_validated = gocheck._validated
+    original_lift = gocheck._MetricRows.lift
+
+    def validated(*args):
+        validating.append(True)
+        try:
+            return original_validated(*args)
+        finally:
+            validating.pop()
+
+    def recorded(cls, matrix):
+        lifted.append(bool(validating))
+        return original_lift(matrix)
+
+    monkeypatch.setattr(gocheck, "_validated", validated)
+    monkeypatch.setattr(gocheck._MetricRows, "lift", classmethod(recorded))
+    result = CliRunner().invoke(main, ["classify", "a2.1", "c2.1", "c2.2"])
+    assert result.exit_code == 0, result.output
+    probes = len(lifted)
+    assert probes and all(lifted)
+    for space_id, spec in [
+        ("c2.2", "blocks:2,1"), ("c2.2", "blocks:1,r2"), ("c2.2", "fib:hopf:1/2"),
+        ("g2.1", "blocks:1/2,3"), ("g2.1", "blocks:1+r2,r3"), ("g2.1", "fib:ngh:2"),
+    ]:
+        sp = catalog_space(space_id)
+        metric = metric_from_spec(sp, spec)
+        verdict = find_witness(sp, metric, budget=20, seed=1)
+        assert verdict.status == "not_go_certified", (space_id, spec)
+        witness = Witness.from_dict(verdict.witness.to_dict())
+        assert verify_witness(sp, metric, witness)
+        assert verify_witness(sp, metric.scaled(3), witness)
+    assert len(lifted) == probes
+
+
+BUILDER_COEFFS = {
+    "lattice": [("1", t) for t in LATTICE],
+    "irrational": [("1", "r2"), ("1+r2", "r3"), ("r2", "2*r2"), ("2-r3", "3/2*r6")],
+    "off_lattice": [("7/4", "1"), ("3", "5/3"), ("2/7", "11")],
+}
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_the_block_builder_matches_mat_combine(space_id):
+    # The sparse builder gives, entry for entry, the dense sum of the
+    # projections that mat_combine gives, and scaled(c) gives c times the
+    # matrix.  Each set is cut or padded with 1s to one coefficient per
+    # component.
+    sp = catalog_space(space_id)
+    projections = component_projections(sp)
+    k = len(projections)
+    for kind, sets in BUILDER_COEFFS.items():
+        for texts in sets:
+            cs = [parse_scalar(t) for t in (texts + ("1",) * k)[:k]]
+            want = mat_combine(cs, projections, sp.dim_m)
+            assert gocheck._block_matrix(sp, cs) == want, (kind, texts)
+            metric = metric_from_blocks(sp, cs)
+            assert metric.matrix == want, (kind, texts)
+            for c in ("3", "1/2", "r2"):
+                scaled = metric.scaled(parse_scalar(c))
+                assert scaled.matrix == mat_scale(parse_scalar(c), want), (texts, c)
+                assert scaled.rows.coeffs == tuple(parse_scalar(c) * x for x in cs)
 
 
 def test_only_a_refuting_draw_builds_scalars(monkeypatch):
@@ -1315,7 +1397,9 @@ def test_two_block_lemma_matches_solve_compensator(space_id):
     refuted = 0
     for coeffs, cs, metric in irrational_block_metrics(sp):
         radicals = sorted({b for c in ring_lift(cs) for b, _ in c})
-        assert [b for b, _ in metric.rows.parts] == radicals, coeffs
+        assert metric.rows.parts is None
+        lifted = gocheck._MetricRows.lift(metric.matrix)
+        assert [b for b, _ in lifted.parts] == radicals, coeffs
         assert two_block_family(sp, metric), coeffs
         check = _direction_checker(sp, metric)
         for coords in directions:
@@ -1334,6 +1418,67 @@ def test_two_block_lemma_matches_solve_compensator(space_id):
     assert not two_block_family(sp, standard)
     check = _direction_checker(sp, standard)
     assert all(check(clear_denominators(coords))[0] for coords in directions)
+
+
+@pytest.mark.parametrize("space_id", ["c2.2", "g2.1"])
+def test_a_block_metric_outside_the_family_is_lifted_on_demand(
+    space_id, monkeypatch
+):
+    # A block metric that two_block_family does not claim keeps no lift:
+    # the checker lifts its matrix, decides a one-radical metric on those
+    # rows and any other by solve_compensator, never on the rows of
+    # P_0 + 2 P_1.  Forced out of the family here, as no catalogued space
+    # has three components; (2, 2) lies outside it anyway.  Direction by
+    # direction, on the structured batch and 20 seeded draws, each gives
+    # the decision and the rank pair of solve_compensator.
+    sp = catalog_space(space_id)
+    rng = random.Random(space_id)
+    directions = structured_directions(sp) + [
+        tuple(map(Scalar.from_int, _random_direction(rng, sp.dim_m)))
+        for _ in range(20)
+    ]
+    calls = {"lift": 0, "_two_block_rows": 0, "solve_compensator": 0}
+    original_lift = gocheck._MetricRows.lift
+    original_rows = gocheck._two_block_rows
+    original_solve = gocheck.solve_compensator
+
+    def lift(cls, matrix):
+        calls["lift"] += 1
+        return original_lift(matrix)
+
+    def rows(space):
+        calls["_two_block_rows"] += 1
+        return original_rows(space)
+
+    def solve(*args):
+        calls["solve_compensator"] += 1
+        return original_solve(*args)
+
+    monkeypatch.setattr(gocheck, "two_block_family", lambda space, metric: False)
+    monkeypatch.setattr(gocheck._MetricRows, "lift", classmethod(lift))
+    monkeypatch.setattr(gocheck, "_two_block_rows", rows)
+    refuted = 0
+    for spec, ambient in (("blocks:1,2", False), ("blocks:1,r2", True),
+                          ("blocks:2,2", False)):
+        metric = metric_from_spec(sp, spec)
+        assert metric.rows.parts is None
+        calls["lift"] = 0
+        check = _direction_checker(sp, metric)
+        assert calls["lift"] == 1, spec
+        answers = []
+        for coords in directions:
+            sol, rank_map, rank_aug = solve_compensator(
+                sp, metric, sp.m.combine(coords)
+            )
+            refuted += sol is None
+            answers.append((sol is not None, rank_map, rank_aug))
+        monkeypatch.setattr(gocheck, "solve_compensator", solve)
+        calls["solve_compensator"] = 0
+        assert [check(clear_denominators(c)) for c in directions] == answers, spec
+        assert calls["solve_compensator"] == (len(directions) if ambient else 0)
+        monkeypatch.setattr(gocheck, "solve_compensator", original_solve)
+    assert calls["_two_block_rows"] == 0
+    assert refuted
 
 
 def test_rational_spaces_never_call_solve_compensator(monkeypatch):
@@ -1522,7 +1667,8 @@ def test_the_search_and_the_replay_share_no_elimination(monkeypatch):
         if label["kind"] == "blocks" and len(set(label["coeffs"])) > 1
     )
     irrational = metric_from_spec(c22, "blocks:1,r2")
-    assert len(irrational.rows.parts) == 2
+    assert irrational.rows.parts is None
+    assert len(gocheck._MetricRows.lift(irrational.matrix).parts) == 2
     searches = [(g21, candidate), (c22, irrational)]
     for sp, metric in searches:
         go_sample_check(sp, metric)  # builds the per-space data
@@ -1576,7 +1722,7 @@ def test_scaled_block_metric_keeps_its_coefficients(monkeypatch):
     assert calls == []
     assert scaled.rows.coeffs == (scalar(6), scalar(3))
     assert scaled.matrix == mat_scale(3, metric.matrix)
-    assert scaled.rows.ring == lift_rows(scaled.matrix)
+    assert scaled.rows == gocheck._MetricRows(coeffs=(scalar(6), scalar(3)))
     assert scaled.params == metric.params + (scalar(3).exact_str(),)
     assert scaled.provenance == metric.provenance
     assert scaled.rows.coeffs == metric_from_blocks(sp, (6, 3)).rows.coeffs
