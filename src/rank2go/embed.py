@@ -5,13 +5,14 @@ subalgebra h, with the reductive complement m of h under the invariant form.
 One table, `_CATALOG`, holds each space's id (in report order), description,
 family of g, a spec for h and the paper's verdict on it, which `classify`
 checks through `EXPECTED_VERDICTS`.  A row names no subalgebra: the Hopf
-fiber of a space is read off its isotypic decomposition
-(gocheck.fibration_metric), and `named_subalgebra` resolves the other names
-of the metric grammar.  The twelve su(2)-embedding rows give h as the
-compact image of an sl2 span; cp3, the twistor space of the four-sphere, as
-a torus plus root spaces; berger, the squashed three-sphere, as one element
-of u(2).  m is always the orthogonal complement of h; the test suite
-cross-checks every h and m against independently written spans.
+fiber and the normalizer of h are read off the isotypic decomposition
+(gocheck.fibration_metric), and `named_subalgebra` resolves the one other
+name of the metric grammar, "sp1sp1".  The twelve su(2)-embedding rows
+give h as the compact image of an sl2 span; cp3, the twistor space of the
+four-sphere, as a torus plus root spaces; berger, the squashed
+three-sphere, as one element of u(2).  m is always the orthogonal
+complement of h; the test suite cross-checks every h and m against
+independently written spans.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from .liealg import (
     abelian,
     ad_on,
     direct_sum,
-    normalizer,
     orth_complement,
     su2,
-    subalgebra_closure,
     subalgebra_generators,
     vec_scale,
 )
@@ -310,7 +309,7 @@ def compactify_sl2_triple(
 
 
 # ---------------------------------------------------------------------------
-# named intermediate subalgebras and fibrations
+# named intermediate subalgebras
 # ---------------------------------------------------------------------------
 
 #: The rank-two regular subalgebra on the two long roots of c2.
@@ -320,51 +319,16 @@ _SP1SP1 = _Torus(((1, 0), (1, 1)), ((1, 0), (1, 2)))
 def named_subalgebra(space: CatalogSpace, name: str) -> Subspace:
     """Resolve an intermediate subalgebra h < K < g by name.
 
-    Names: "ngh" (normalizer of h, available everywhere it is proper) and
-    "sp1sp1" (the long-root regular subalgebra, c2-based spaces only).  The
-    Hopf fiber "hopf" is no name here: gocheck.fibration_metric reads it off
-    the isotypic decomposition.
+    The one name is "sp1sp1", the long-root regular subalgebra, on the
+    c2-based spaces whose h it contains.  The Hopf fiber "hopf" and the
+    normalizer "ngh" are no names here: gocheck.fibration_metric reads both
+    off the isotypic decomposition.
     """
-    if name == "ngh":
-        K = normalizer(space.algebra, space.h)
-        if K.dim == space.h.dim or K.dim == space.algebra.dim:
-            raise ValueError(
-                f"normalizer of h is not a proper intermediate subalgebra "
-                f"for {space.space_id}"
-            )
-        return K
-    if name == "sp1sp1":
-        if space.compact is None or space.compact.family != "c2":
-            raise ValueError("sp1sp1 lives in the c2 family only")
-        K = Subspace.from_vectors(
-            space.algebra.dim, _torus_span(space.compact, _SP1SP1)
-        )
-        if not K.contains_subspace(space.h):
-            raise ValueError(
-                f"sp1sp1 does not contain h for space {space.space_id}"
-            )
-        return K
-    raise ValueError(f"unknown subalgebra name {name!r}")
-
-
-def fibration_split(
-    space: CatalogSpace, K: Subspace
-) -> tuple[Subspace, Subspace]:
-    """Split m into fiber and base directions for h < K < g.
-
-    Returns (M_F, M_B) with M_F = K intersect m and M_B its orthogonal
-    complement in m.  Verifies that K is a subalgebra containing h and that
-    dimensions add up.
-    """
-    L = space.algebra
+    if name != "sp1sp1":
+        raise ValueError(f"unknown subalgebra name {name!r}")
+    if space.compact is None or space.compact.family != "c2":
+        raise ValueError("sp1sp1 lives in the c2 family only")
+    K = Subspace.from_vectors(space.algebra.dim, _torus_span(space.compact, _SP1SP1))
     if not K.contains_subspace(space.h):
-        raise ValueError("K does not contain h")
-    if subalgebra_closure(L, K.rows) != K:
-        raise ValueError("K is not a subalgebra")
-    M_F = K.intersection(space.m)
-    M_B = orth_complement(L, M_F, within=space.m)
-    if M_F.dim + M_B.dim != space.m.dim:
-        raise ArithmeticError("fiber and base do not decompose m")
-    if M_F.dim != K.dim - space.h.dim:
-        raise ArithmeticError("fiber dimension mismatch against K")
-    return M_F, M_B
+        raise ValueError(f"sp1sp1 does not contain h for space {space.space_id}")
+    return K

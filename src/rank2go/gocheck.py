@@ -72,7 +72,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from itertools import chain
 from typing import Callable, Sequence
 
-from .embed import CatalogSpace, fibration_split, named_subalgebra
+from .embed import CatalogSpace, named_subalgebra
 from .field import (
     ONE,
     ZERO,
@@ -265,9 +265,21 @@ def fibration_metric(
     identity on the fiber directions K intersect m; lam must be positive.
     The fiber must be a sum of isotypic components, the base then being the
     sum of the others, and the metric is the block metric with lam on the
-    fiber's components.  "hopf" is K = h + V_f for the fiber block f of a
-    two-component space (_fiber_index); other names are resolved by
-    embed.named_subalgebra and split by embed.fibration_split."""
+    fiber's components.  Each name fixes its fiber on the decomposition:
+
+    - "hopf" is K = h + V_f for the fiber block f of a two-component space
+      (_fiber_index).
+    - "ngh" is K = n_g(h), the normalizer of h, whose fiber is the
+      zero-Casimir component p (IsotypicDecomposition.trivial_index).
+      Since [h, m] lies in m and h meets m in 0, an X in m normalizes h
+      exactly when [h, X] lies in h and in m, that is [h, X] = 0: n_g(h)
+      meets m in p, and n_g(h) = h + p.  K is proper exactly when
+      0 < dim p < dim m.
+    - Any other name is resolved by embed.named_subalgebra, which checks
+      that K contains h; K must be closed under the bracket.  Then K = h +
+      (K intersect m), the m part of each element of K being that element
+      minus its h part, so the components inside K sum to the fiber exactly
+      when their dimensions add up to dim K - dim h."""
     lam = scalar(lam)
     if lam.sign() <= 0:
         raise ValueError("the fiber scaling must be positive")
@@ -279,11 +291,23 @@ def fibration_metric(
                 f"space {space.space_id} has no canonical fibration subalgebra"
             )
         in_fiber = (f == 0, f == 1)
+    elif subalgebra_name == "ngh":
+        dec = isotypic_decompose(space)
+        p, n = dec.trivial_index, len(dec.components)
+        if p is None or n == 1:
+            raise ValueError(
+                f"normalizer of h is not a proper intermediate subalgebra "
+                f"for {space.space_id}"
+            )
+        in_fiber = [k == p for k in range(n)]
     else:
-        fiber, _ = fibration_split(space, named_subalgebra(space, subalgebra_name))
+        K = named_subalgebra(space, subalgebra_name)
+        if subalgebra_closure(space.algebra, K.rows) != K:
+            raise ValueError("K is not a subalgebra")
         blocks = [c.subspace for c in isotypic_decompose(space).components]
-        in_fiber = [fiber.contains_subspace(V) for V in blocks]
-        if sum(V.dim for V, flag in zip(blocks, in_fiber) if flag) != fiber.dim:
+        in_fiber = [K.contains_subspace(V) for V in blocks]
+        fiber_dim = sum(V.dim for V, flag in zip(blocks, in_fiber) if flag)
+        if fiber_dim != K.dim - space.h.dim:
             raise ValueError(
                 f"the fiber of {subalgebra_name} is not a sum of isotypic "
                 f"components of {space.space_id}"

@@ -643,7 +643,10 @@ def centralizer_in(L: LieAlgebra, sub: Subspace, within: Subspace) -> Subspace:
 
 
 def normalizer(L: LieAlgebra, sub: Subspace) -> Subspace:
-    """{x in L : [x, sub] is contained in sub}."""
+    """{x in L : [x, sub] is contained in sub}, over all of L.  No module
+    of the package calls it: the normalizer of h is h plus the fixed part
+    of m (gocheck.fibration_metric), and the tests compare the fixed part
+    with it, as the independent reference."""
     full = L.full_subspace()
     return full.kernel_of(
         [
@@ -653,15 +656,11 @@ def normalizer(L: LieAlgebra, sub: Subspace) -> Subspace:
     )
 
 
-def orth_complement(
-    L: LieAlgebra, sub: Subspace, within: Subspace | None = None
-) -> Subspace:
-    """Orthogonal complement under the algebra's stored invariant form."""
-    if within is None:
-        within = L.full_subspace()
-    return within.kernel_of(
-        [[L.form_value(b, s) for s in sub.rows] for b in within.rows]
-    )
+def orth_complement(L: LieAlgebra, sub: Subspace) -> Subspace:
+    """Orthogonal complement in all of L under the algebra's stored
+    invariant form (the catalogue's m is that of h)."""
+    full = L.full_subspace()
+    return full.kernel_of([[L.form_value(b, s) for s in sub.rows] for b in full.rows])
 
 
 def subalgebra_closure(L: LieAlgebra, vectors: Iterable) -> Subspace:

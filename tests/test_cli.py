@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
@@ -14,7 +15,7 @@ from rank2go.cli import (
     main,
     metric_from_spec,
 )
-from rank2go.embed import CATALOG_IDS, catalog_space, fibration_split
+from rank2go.embed import CATALOG_IDS, catalog_space
 from rank2go.gocheck import (
     fibration_metric,
     go_sample_check,
@@ -145,9 +146,10 @@ def test_hopf_metric_resolves_on_every_two_block_space(runner):
 def test_hopf_metric_prints_what_its_named_fibration_prints(
     runner, command, space_id, name
 ):
-    # On the four flagged spaces these names resolve, through
-    # fibration_split, to the Hopf fiber read off the decomposition, and
-    # print the same, elapsed time aside.
+    # On the four flagged spaces these names fix the same fiber as the Hopf
+    # fiber read off the decomposition ("ngh" its zero-Casimir component,
+    # "sp1sp1" the components inside K), and print the same, elapsed time
+    # aside.
     def printed(spec):
         result = runner.invoke(main, [command, space_id, "--metric", spec])
         lines = result.output.replace(spec, "<spec>").splitlines()
@@ -194,6 +196,77 @@ def test_named_metric_outputs_match_the_golden_hash(runner):
     )
 
 
+# Every fib:<name>:2 of the four grammar names that does not resolve, with the
+# one line check-go prints for it (exit code 1).  The pairs that resolve are
+# the fib: cases of NAMED_METRIC_CASES.
+UNRESOLVED_FIB_ERRORS = (
+    ("a2.1", "sp1sp1", "sp1sp1 lives in the c2 family only"),
+    ("a2.1", "gauge", "unknown subalgebra name 'gauge'"),
+    ("a2.2", "hopf", "space a2.2 has no canonical fibration subalgebra"),
+    ("a2.2", "ngh",
+     "normalizer of h is not a proper intermediate subalgebra for a2.2"),
+    ("a2.2", "sp1sp1", "sp1sp1 lives in the c2 family only"),
+    ("a2.2", "gauge", "unknown subalgebra name 'gauge'"),
+    ("a1a1.1", "hopf", "space a1a1.1 has no canonical fibration subalgebra"),
+    ("a1a1.1", "ngh",
+     "normalizer of h is not a proper intermediate subalgebra for a1a1.1"),
+    ("a1a1.1", "sp1sp1", "sp1sp1 lives in the c2 family only"),
+    ("a1a1.1", "gauge", "unknown subalgebra name 'gauge'"),
+    ("a1a1.2", "hopf", "space a1a1.2 has no canonical fibration subalgebra"),
+    ("a1a1.2", "ngh",
+     "normalizer of h is not a proper intermediate subalgebra for a1a1.2"),
+    ("a1a1.2", "sp1sp1", "sp1sp1 lives in the c2 family only"),
+    ("a1a1.2", "gauge", "unknown subalgebra name 'gauge'"),
+    ("a1a1.3", "hopf", "space a1a1.3 has no canonical fibration subalgebra"),
+    ("a1a1.3", "ngh",
+     "normalizer of h is not a proper intermediate subalgebra for a1a1.3"),
+    ("a1a1.3", "sp1sp1", "sp1sp1 lives in the c2 family only"),
+    ("a1a1.3", "gauge", "unknown subalgebra name 'gauge'"),
+    ("c2.1", "gauge", "unknown subalgebra name 'gauge'"),
+    ("c2.2", "sp1sp1", "sp1sp1 does not contain h for space c2.2"),
+    ("c2.2", "gauge", "unknown subalgebra name 'gauge'"),
+    ("c2.3", "hopf", "space c2.3 has no canonical fibration subalgebra"),
+    ("c2.3", "ngh",
+     "normalizer of h is not a proper intermediate subalgebra for c2.3"),
+    ("c2.3", "sp1sp1", "sp1sp1 does not contain h for space c2.3"),
+    ("c2.3", "gauge", "unknown subalgebra name 'gauge'"),
+    ("g2.1", "sp1sp1", "sp1sp1 lives in the c2 family only"),
+    ("g2.1", "gauge", "unknown subalgebra name 'gauge'"),
+    ("g2.2", "sp1sp1", "sp1sp1 lives in the c2 family only"),
+    ("g2.2", "gauge", "unknown subalgebra name 'gauge'"),
+    ("g2.3", "ngh",
+     "normalizer of h is not a proper intermediate subalgebra for g2.3"),
+    ("g2.3", "sp1sp1", "sp1sp1 lives in the c2 family only"),
+    ("g2.3", "gauge", "unknown subalgebra name 'gauge'"),
+    ("g2.4", "hopf", "space g2.4 has no canonical fibration subalgebra"),
+    ("g2.4", "ngh",
+     "normalizer of h is not a proper intermediate subalgebra for g2.4"),
+    ("g2.4", "sp1sp1", "sp1sp1 lives in the c2 family only"),
+    ("g2.4", "gauge", "unknown subalgebra name 'gauge'"),
+    ("berger", "sp1sp1", "sp1sp1 lives in the c2 family only"),
+    ("berger", "gauge", "unknown subalgebra name 'gauge'"),
+    ("cp3", "ngh",
+     "normalizer of h is not a proper intermediate subalgebra for cp3"),
+    ("cp3", "gauge", "unknown subalgebra name 'gauge'"),
+)
+
+
+def test_every_unresolved_fib_name_prints_its_pinned_error(runner):
+    resolved = {
+        (space_id, spec.split(":")[1])
+        for space_id, spec in NAMED_METRIC_CASES
+        if spec.startswith("fib:")
+    }
+    unresolved = {(space_id, name) for space_id, name, _ in UNRESOLVED_FIB_ERRORS}
+    assert not resolved & unresolved
+    assert resolved | unresolved == set(
+        product(CATALOG_IDS, ("hopf", "ngh", "sp1sp1", "gauge"))
+    )
+    for space_id, name, message in UNRESOLVED_FIB_ERRORS:
+        result = runner.invoke(main, ["check-go", space_id, "--metric", f"fib:{name}:2"])
+        assert (result.exit_code, result.output) == (1, f"Error: {message}\n")
+
+
 def test_a_fiber_that_splits_a_component_is_a_clean_error(runner, monkeypatch):
     # On c2.2, h + E is a subalgebra for E the +1 eigenspace of a symmetric
     # commutant direction: a 3-dim fiber inside the 6-dim component.  No
@@ -204,7 +277,7 @@ def test_a_fiber_that_splits_a_component_is_a_clean_error(runner, monkeypatch):
     K = sp.h.add(E)
     assert (E.dim, V.dim) == (3, 6) and V.contains_subspace(E)
     assert subalgebra_closure(sp.algebra, K.rows) == K
-    assert fibration_split(sp, K)[0] == E
+    assert K.intersection(sp.m) == E
     named = gocheck.named_subalgebra
     monkeypatch.setattr(
         gocheck,

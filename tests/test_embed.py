@@ -1,25 +1,28 @@
 """Tests for the catalogued spaces, sl2 compactification, and fibrations."""
 
+from fractions import Fraction
+
 import pytest
 
 from catalog_spans import declared_spans
 from rank2go.cli import EXPECTED_VERDICTS
 from rank2go.chevalley import build_compact_form, c_bracket, c_scale, complex_E
-from rank2go import embed
+from rank2go import embed, gocheck
 from rank2go.embed import (
     CATALOG_IDS,
     ROW_IDS,
     catalog_space,
     compactify_sl2_triple,
-    fibration_split,
     named_subalgebra,
     sl2_triple_for_row,
     su2_embedding_space,
 )
 from rank2go.field import ONE, SQRT2, SQRT3, SQRT6, SQRT10, ZERO, scalar
+from rank2go.gocheck import fibration_metric
 from rank2go.liealg import (
     Subspace,
     centralizer_in,
+    mat_apply,
     normalizer,
     orth_complement,
     subalgebra_closure,
@@ -141,8 +144,8 @@ def test_build_rejects_a_complement_that_h_does_not_preserve(monkeypatch):
     the [h, m] error, not the decomposition one."""
     true_complement = orth_complement
 
-    def skewed(L, sub, within=None):
-        m = true_complement(L, sub, within)
+    def skewed(L, sub):
+        m = true_complement(L, sub)
         first = vec_add(m.rows[0], sub.rows[0])
         return Subspace.from_vectors(L.dim, (first,) + m.rows[1:])
 
@@ -274,26 +277,33 @@ def test_centralizer_is_normalizer_intersected_with_m(space_id):
     assert cent == norm.intersection(sp.m)
 
 
+def resolve(sp, name):
+    """K for a grammar name: the normalizer of h, computed over all of g,
+    for "ngh" (gocheck.fibration_metric reads its fiber off the
+    decomposition), and embed's resolution for the others."""
+    if name == "ngh":
+        return normalizer(sp.algebra, sp.h)
+    return named_subalgebra(sp, name)
+
+
 def test_named_subalgebras():
     assert HOPF_SPACES == ("a2.1", "c2.1", "berger", "cp3")
     for space_id in HOPF_SPACES:
         sp = catalog_space(space_id)
-        K = named_subalgebra(sp, HOPF_FIBERS[space_id])
+        K = resolve(sp, HOPF_FIBERS[space_id])
         assert K.contains_subspace(sp.h)
         assert sp.h.dim < K.dim < sp.algebra.dim
         assert subalgebra_closure(sp.algebra, K.rows) == K
 
     a21 = catalog_space("a2.1")
-    K = named_subalgebra(a21, "ngh")
-    assert K == named_subalgebra(a21, "ngh")
+    K = resolve(a21, "ngh")
     assert K.dim == 4
     assert K.contains_subspace(a21.h)
 
     c21 = catalog_space("c2.1")
-    K = named_subalgebra(c21, "ngh")
+    K = resolve(c21, "ngh")
     assert K.dim == 6
     assert K == named_subalgebra(c21, "sp1sp1")
-    assert K == named_subalgebra(c21, "ngh")
 
     cp3 = catalog_space("cp3")
     K = named_subalgebra(cp3, "sp1sp1")
@@ -301,80 +311,96 @@ def test_named_subalgebras():
     assert K.dim == 6
 
     berger = catalog_space("berger")
-    K = named_subalgebra(berger, "ngh")
+    K = resolve(berger, "ngh")
     assert K.dim == 2
 
     g21 = catalog_space("g2.1")
-    K = named_subalgebra(g21, "ngh")
+    K = resolve(g21, "ngh")
     assert K.dim == 6
 
 
 def test_named_subalgebra_errors():
-    # "hopf" is read off the decomposition (gocheck.fibration_metric), so
-    # it is not a name of an intermediate subalgebra on any space.
+    # "hopf" and "ngh" are read off the decomposition
+    # (gocheck.fibration_metric), so neither is the name of an
+    # intermediate subalgebra on any space.
     for space_id in CATALOG_IDS:
-        with pytest.raises(ValueError, match="unknown subalgebra name"):
-            named_subalgebra(catalog_space(space_id), "hopf")
-    with pytest.raises(ValueError):
-        named_subalgebra(catalog_space("a2.2"), "ngh")
-    with pytest.raises(ValueError):
+        for name in ("hopf", "ngh"):
+            with pytest.raises(ValueError, match="unknown subalgebra name"):
+                named_subalgebra(catalog_space(space_id), name)
+    a22 = catalog_space("a2.2")
+    assert resolve(a22, "ngh") == a22.h  # not a proper intermediate K
+    with pytest.raises(ValueError, match="c2 family only"):
         named_subalgebra(catalog_space("a2.1"), "sp1sp1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not contain h"):
         named_subalgebra(catalog_space("c2.2"), "sp1sp1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown subalgebra name"):
         named_subalgebra(catalog_space("a2.1"), "gauge")
+
+
+def assert_scales_the_fiber(sp, name, MF, MB):
+    """fib:name:lam is lam on each row of the hand-written fiber MF and 1 on
+    each row of the base MB, which together span m."""
+    assert MF.dim + MB.dim == sp.dim_m and MF.add(MB) == sp.m
+    for lam in (scalar(2), scalar(Fraction(1, 3))):
+        M = fibration_metric(sp, name, lam).matrix
+        for rows, c in ((MF.rows, lam), (MB.rows, ONE)):
+            for v in rows:
+                x = sp.m.coords(v)
+                assert list(mat_apply(M, x)) == [c * t for t in x], (sp.space_id, name)
 
 
 def test_fibration_splits():
     a21 = catalog_space("a2.1")
-    MF, MB = fibration_split(a21, named_subalgebra(a21, "ngh"))
-    assert (MF.dim, MB.dim) == (1, 4)
     cf = a21.compact
-    assert MF.contains(cf.algebra.element({"iH[a]": 1, "iH[b]": -1}))
-    assert MB == cf.root_space((1, 0)).add(cf.root_space((0, 1)))
+    MF = Subspace.from_vectors(cf.dim, [cf.algebra.element({"iH[a]": 1, "iH[b]": -1})])
+    MB = cf.root_space((1, 0)).add(cf.root_space((0, 1)))
+    assert (MF.dim, MB.dim) == (1, 4)
+    assert_scales_the_fiber(a21, "ngh", MF, MB)
 
     c21 = catalog_space("c2.1")
-    MF, MB = fibration_split(c21, named_subalgebra(c21, "ngh"))
-    assert (MF.dim, MB.dim) == (3, 4)
     cf = c21.compact
-    expected_MF = Subspace.from_vectors(
+    MF = Subspace.from_vectors(
         cf.dim,
         [cf.algebra.basis_vector("iH[a]")] + list(cf.root_space((1, 0)).rows),
     )
-    assert MF == expected_MF
-    assert MB == cf.root_space((0, 1)).add(cf.root_space((1, 1)))
+    MB = cf.root_space((0, 1)).add(cf.root_space((1, 1)))
+    assert (MF.dim, MB.dim) == (3, 4)
+    assert_scales_the_fiber(c21, "ngh", MF, MB)
+    assert_scales_the_fiber(c21, "sp1sp1", MF, MB)
 
     cp3 = catalog_space("cp3")
-    MF, MB = fibration_split(cp3, named_subalgebra(cp3, "sp1sp1"))
-    assert (MF.dim, MB.dim) == (2, 4)
     cf = cp3.compact
-    assert MF == cf.root_space((1, 0))
-    assert MB == cf.root_space((0, 1)).add(cf.root_space((1, 1)))
+    MF = cf.root_space((1, 0))
+    MB = cf.root_space((0, 1)).add(cf.root_space((1, 1)))
+    assert (MF.dim, MB.dim) == (2, 4)
+    assert_scales_the_fiber(cp3, "sp1sp1", MF, MB)
 
     berger = catalog_space("berger")
-    MF, MB = fibration_split(berger, named_subalgebra(berger, "ngh"))
-    assert (MF.dim, MB.dim) == (1, 2)
     L = berger.algebra
-    assert MF.contains(L.element({"iH": 1, "Z": -1}))
-    assert MB == Subspace.from_vectors(
-        L.dim, [L.basis_vector("F"), L.basis_vector("G")]
-    )
+    MF = Subspace.from_vectors(L.dim, [L.element({"iH": 1, "Z": -1})])
+    MB = Subspace.from_vectors(L.dim, [L.basis_vector("F"), L.basis_vector("G")])
+    assert (MF.dim, MB.dim) == (1, 2)
+    assert_scales_the_fiber(berger, "ngh", MF, MB)
 
 
-def test_fibration_split_rejections():
+def test_fibration_split_rejections(monkeypatch):
+    # fibration_metric refuses a K it cannot split into fiber and base.
     c21 = catalog_space("c2.1")
     cf = c21.compact
-    # a subalgebra that does not contain h
-    su2_alpha = Subspace.from_vectors(
-        cf.dim,
-        [cf.algebra.basis_vector("iH[a]")] + list(cf.root_space((1, 0)).rows),
-    )
-    with pytest.raises(ValueError):
-        fibration_split(c21, su2_alpha)
     # contains h but is not closed under the bracket: bracketing with h
     # rotates F[b] into G[b], which is missing from the span
     not_closed = c21.h.add(
         Subspace.from_vectors(cf.dim, [cf.f_vector((0, 1))])
     )
-    with pytest.raises(ValueError):
-        fibration_split(c21, not_closed)
+    assert subalgebra_closure(c21.algebra, not_closed.rows) != not_closed
+    named = gocheck.named_subalgebra
+    monkeypatch.setattr(
+        gocheck,
+        "named_subalgebra",
+        lambda space, name: not_closed if name == "open" else named(space, name),
+    )
+    with pytest.raises(ValueError, match="^K is not a subalgebra$"):
+        fibration_metric(c21, "open", 2)
+    # a subalgebra that does not contain h
+    with pytest.raises(ValueError, match="^sp1sp1 does not contain h for space c2.2$"):
+        fibration_metric(catalog_space("c2.2"), "sp1sp1", 2)

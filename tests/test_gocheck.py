@@ -20,7 +20,6 @@ from rank2go.cli import (
 from rank2go.embed import (
     CATALOG_IDS,
     catalog_space,
-    fibration_split,
     named_subalgebra,
 )
 from rank2go.field import (
@@ -74,7 +73,9 @@ from rank2go.liealg import (
     mat_scale,
     mat_transpose,
     minimal_polynomial,
+    normalizer,
     operator_on_subspace,
+    orth_complement,
     rational_roots,
     scalar_of,
     Subspace,
@@ -152,14 +153,16 @@ def test_validation_rejects_bad_operators():
 
 def test_blocks_dispatch_and_fibration_agree():
     # Every named fibration metric is a block metric.  Its matrix is pinned
-    # by fibration_split alone: M is lam on each fiber row and 1 on each
-    # base row, and these rows span m.  It equals the block metric with lam
-    # on the fiber block and the Hopf metric, and the three searches agree
-    # at two seeds.
+    # by K alone: M is lam on each row of the fiber K intersect m and 1 on
+    # each row of the base, the complement of K, and these rows span m.  It
+    # equals the block metric with lam on the fiber block and the Hopf
+    # metric, and the three searches agree at two seeds.
     for space_id, names in FIBER_NAMES.items():
         sp = catalog_space(space_id)
         for name, lam in product(names, (scalar(2), scalar(Fraction(1, 3)), SQRT2)):
-            fiber, base = fibration_split(sp, named_subalgebra(sp, name))
+            K = resolved_fiber_subalgebra(sp, name)
+            fiber, base = K.intersection(sp.m), orth_complement(sp.algebra, K)
+            assert fiber.dim + base.dim == sp.dim_m and base.add(fiber) == sp.m
             fib = fibration_metric(sp, name, lam)
             for rows, c in ((fiber.rows, lam), (base.rows, scalar(1))):
                 for v in rows:
@@ -1769,17 +1772,27 @@ FIBER_NAMES = {
 }
 
 
+def resolved_fiber_subalgebra(space, name):
+    """K of a grammar name, computed independently of fibration_metric for
+    "ngh": the normalizer of h over all of g."""
+    if name == "ngh":
+        return normalizer(space.algebra, space.h)
+    return named_subalgebra(space, name)
+
+
 @pytest.mark.parametrize("space_id", TWO_BLOCK_SPACES)
 def test_the_fiber_block_closes_and_splits(space_id):
-    # h + V_f is a subalgebra, and fibration_split reads (V_f, V_(1-f)) off it.
+    # h + V_f is a subalgebra, whose fiber is V_f and whose complement is
+    # V_(1-f).
     sp = catalog_space(space_id)
     f = gocheck._fiber_index(sp)
     blocks = [c.subspace for c in isotypic_decompose(sp).components]
     K = sp.h.add(blocks[f])
     assert subalgebra_closure(sp.algebra, K.rows) == K
-    assert fibration_split(sp, K) == (blocks[f], blocks[1 - f])
+    assert K.intersection(sp.m) == blocks[f]
+    assert orth_complement(sp.algebra, K) == blocks[1 - f]
     for name in FIBER_NAMES[space_id]:
-        assert named_subalgebra(sp, name) == K
+        assert resolved_fiber_subalgebra(sp, name) == K
     if space_id == "g2.3":
         cf = sp.compact
         L = cf.algebra
@@ -1815,6 +1828,64 @@ def test_hopf_resolves_only_on_two_block_spaces():
         assert gocheck._fiber_index(sp) is None
         with pytest.raises(ValueError, match="no canonical fibration subalgebra"):
             fibration_metric(sp, "hopf", 2)
+
+
+# Where the normalizer of h is a proper intermediate subalgebra.
+NGH_SPACES = ("a2.1", "c2.1", "c2.2", "g2.1", "g2.2", "berger")
+
+
+@pytest.mark.parametrize("space_id", CATALOG_IDS)
+def test_ngh_scales_the_normalizer_of_h(space_id):
+    # The oracle is the normalizer N of h over all of g: fib:ngh resolves
+    # exactly where 0 < dim(N intersect m) < dim m, and is then lam on the
+    # fiber N intersect m and 1 on its complement in m.
+    sp = catalog_space(space_id)
+    N = normalizer(sp.algebra, sp.h)
+    fiber, base = N.intersection(sp.m), orth_complement(sp.algebra, N)
+    assert fiber.dim + base.dim == sp.dim_m
+    resolves = 0 < fiber.dim < sp.dim_m
+    assert resolves == (space_id in NGH_SPACES)
+    if not resolves:
+        with pytest.raises(
+            ValueError,
+            match="^normalizer of h is not a proper intermediate "
+            f"subalgebra for {space_id}$",
+        ):
+            fibration_metric(sp, "ngh", 2)
+        return
+    for lam in (scalar(2), scalar(Fraction(1, 3)), SQRT2):
+        M = fibration_metric(sp, "ngh", lam).matrix
+        for rows, c in ((fiber.rows, lam), (base.rows, scalar(1))):
+            for v in rows:
+                x = sp.m.coords(v)
+                assert list(mat_apply(M, x)) == [c * t for t in x]
+
+
+def test_ngh_and_hopf_resolve_no_subalgebra(monkeypatch):
+    # Both fibers are read off the decomposition: building fib:ngh and
+    # fib:hopf computes no normalizer, resolves no name and closes no span.
+    from rank2go import embed, liealg
+
+    spaces = [catalog_space(space_id) for space_id in NGH_SPACES]
+    for sp in spaces:
+        standard_metric(sp)  # the decomposition and its projections
+    calls = []
+
+    def spy(name, real):
+        def record(*args):
+            calls.append(name)
+            return real(*args)
+        return record
+
+    for module in (liealg, embed, gocheck):
+        for name in ("normalizer", "named_subalgebra", "subalgebra_closure"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for sp in spaces:
+        for name in ("ngh", "hopf"):
+            metric = metric_from_spec(sp, f"fib:{name}:2")
+            assert (metric.provenance, metric.params[0]) == ("fibration", name)
+    assert calls == []
 
 
 @pytest.mark.parametrize("space_id", TWO_BLOCK_SPACES)
