@@ -331,8 +331,10 @@ def _candidate_metrics(space, dec):
 
 def _classify_space(space, dec, samples: int, seed: int) -> dict:
     """The report entry of one space.  The candidates of one two-block
-    family (gocheck.two_block_family) share one search; every other
-    candidate is its own family.  Each candidate keeps its own entry."""
+    family (gocheck.two_block_family) share one search, and so its seeded
+    draws; the family's structured batch is decided once per space by the
+    checker either way.  Every other candidate is its own family.  Each
+    candidate keeps its own entry."""
     entry = {
         "space": space.space_id,
         "description": space.description,

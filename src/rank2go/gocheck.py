@@ -14,8 +14,9 @@ isotropy action ad(h_i)|_m as ring rows (isotypic.isotropy_action, which
 casimir and validation read too), the int tensors of the direction checker
 (_int_tensors: those rows and the bracket m x m -> h + m, built in one
 step), the fixed part of m with its fixed-vector actions and the int basis
-rows of its simple ideals for the filters, and the structured batch of
-directions, each cleared to ints once.  The search hands the checker int
+rows of its simple ideals for the filters, the structured batch of
+directions, each cleared to ints once, and the batch outcome of the space's
+two-block family (_two_block_batch).  The search hands the checker int
 vectors only: the batch's ints and random draws of ints.  Each direction
 needs only the rank pair of a small system on ints, decided fraction-free
 on its column vectors (_direction_checker): every two-block metric of a
@@ -28,14 +29,14 @@ and every metric on c2.3 and g2.4 is scalar.  No Scalar is eliminated in
 the search, and a Scalar direction is built only for a witness.  A
 direction X with MX = lambda X builds no system at all: [MX, X] = lambda
 [X, X] = 0, so a = 0 compensates it (the geodesic lemma: X is geodesic
-exactly when [MX, X] lies in [h, MX]; Alekseevsky-Nikonorov, SIGMA 5
-(2009) 093).  The search finds the scalar lambda_k of M on each isotypic
-component V_k, where there is one (_MetricRows.eigen_labels), and decides
-every structured direction built from components that share one lambda; a
-scalar metric M = cI decides every direction this way.
-`solve_compensator` keeps the ambient-coordinate solve, and
-`verify_witness` replays every witness through it, independently of the
-search.
+exactly when [MX, X] lies in [h, MX]; Alekseevsky-Nikonorov, SIGMA 5 (2009)
+093).  The search finds the scalar lambda_k of M on each isotypic component
+V_k, where there is one (_MetricRows.eigen_labels), and decides every
+structured direction built from components that share one lambda; a scalar
+metric M = cI decides every direction this way.
+`solve_compensator` keeps the ambient-coordinate solve, on X and MX
+combined from m-coordinates, and `verify_witness` replays every witness
+through it, independently of the search.
 
 Every matrix is lifted by the one function liealg.lift_rows (its nonzero
 entries cleared of one common denominator d > 0, as ring rows; int rows
@@ -61,7 +62,9 @@ with [V_0, V_1] in V_(1-f) (_fiber_index, checked once per space), every
 such metric with c_0 != c_1, the fibration metrics among them, gets one
 search verdict: scaling rows and r takes its systems to one free of c
 (two_block_family), and the checker decides all of them on the system of
-P_0 + 2 P_1.
+P_0 + 2 P_1.  Their structured batch is decided once per space, on that
+system, and kept (_two_block_batch): a search of a refuted family builds
+no system, and any other family checks only its seeded draws.
 """
 
 from __future__ import annotations
@@ -69,8 +72,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .embed import CatalogSpace, named_subalgebra
 from .field import (
@@ -329,18 +331,22 @@ _TRANSVERSE_ERROR = (
 
 
 def solve_compensator(
-    space: CatalogSpace, metric: MetricEndomorphism, x: Vector
+    space: CatalogSpace, metric: MetricEndomorphism, coords: Sequence
 ) -> tuple[Vector | None, int, int]:
-    """Solve [a, MX] = [MX, X] for a in h, exactly.
+    """Solve [a, MX] = [MX, X] for a in h, exactly, for the X of m-coordinates
+    coords (Scalars or ints).
 
-    Returns (a, rank_map, rank_augmented).  a is None exactly when the
-    system is inconsistent; then rank_augmented exceeds rank_map and the
-    pair certifies the refutation.  Otherwise a combines the rows of h by
-    the solution of liealg.solve_columns, its free variables at zero, and
-    is checked against the equation.
+    X and MX are combined in ambient coordinates from coords and from M
+    applied to them, so no coordinate of X is solved for again.  Returns
+    (a, rank_map, rank_augmented).  a is None exactly when the system is
+    inconsistent; then rank_augmented exceeds rank_map and the pair
+    certifies the refutation.  Otherwise a combines the rows of h by the
+    solution of liealg.solve_columns, its free variables at zero, and is
+    checked against the equation.
     """
     L = space.algebra
-    y = metric.apply(x)
+    x = space.m.combine(coords)
+    y = space.m.combine(mat_apply(metric.matrix, coords))
     rhs = L.bracket(y, x)
     if not space.m.contains(rhs):
         raise ArithmeticError(_TRANSVERSE_ERROR)
@@ -459,9 +465,6 @@ class Witness:
     coords: tuple[Scalar, ...]
     rank_map: int
     rank_augmented: int
-
-    def vector(self, space: CatalogSpace) -> Vector:
-        return space.m.combine(self.coords)
 
     def to_dict(self) -> dict:
         return {
@@ -734,12 +737,55 @@ def _direction_checker(
 
     def check(x: Sequence[int]) -> tuple[bool, int, int]:
         sol, rank_map, rank_aug = (
-            solve_compensator(space, metric, space.m.combine(x)) if M is None
+            solve_compensator(space, metric, x) if M is None
             else solve_int_columns(*ints.system(M, x))
         )
         return sol is not None, rank_map, rank_aug
 
     return check
+
+
+def _first_refuted(
+    check: Callable[[Sequence[int]], tuple[bool, int, int]],
+    labels: list[int | None],
+    candidates: Iterable[tuple],
+    decided: int = 0,
+) -> tuple[int, Witness] | None:
+    """The one direction loop.  Each candidate is (coords, x, parts): the
+    Scalar coordinates of a batch direction (None for a random draw), its
+    ints, and the components it was built from (none for a draw).  Returns
+    (samples_run, witness) at the first candidate with no compensator,
+    samples_run counting it and the `decided` directions before the first
+    candidate, or None.  A candidate whose components share one eigen label
+    is decided without check: MX = lambda X, so a = 0 compensates it."""
+    for run, (coords, x, parts) in enumerate(candidates, decided + 1):
+        eigen = {labels[k] for k in parts}
+        if len(eigen) == 1 and None not in eigen:
+            continue
+        solvable, rank_map, rank_aug = check(x)
+        if not solvable:
+            if coords is None:
+                coords = tuple(map(Scalar.from_int, x))
+            return run, Witness(
+                coords=coords, rank_map=rank_map, rank_augmented=rank_aug
+            )
+    return None
+
+
+def _two_block_batch(space: CatalogSpace) -> tuple[int, Witness] | None:
+    """The structured batch of every two_block_family metric of a space,
+    decided once, on the representative P_0 + 2 P_1: _first_refuted at the
+    first batch direction, in batch order, with no compensator, or None
+    when every one has one.  Each member gets this outcome: by that lemma
+    every direction gets one rank pair under every member, and a member's
+    eigen labels are [0, 1], which decide each direction of one component."""
+    representative = metric_from_blocks(space, (ONE, scalar(2)))
+    batch = per_space(_build_structured, space)
+    return _first_refuted(
+        _direction_checker(space, representative),
+        representative.rows.eigen_labels(batch),
+        zip(batch.directions, batch.ints, batch.parts),
+    )
 
 
 def _search(
@@ -760,7 +806,12 @@ def _search(
     a structured direction is decided this way when every component it was
     built from has one, the same for all of them.  When one lambda covers
     all of m (M = cI), every direction is decided so, no random draw is
-    made, and samples_run is the batch length plus draws."""
+    made, and samples_run is the batch length plus draws.
+
+    The batch of a two_block_family metric is read off the space's record
+    (_two_block_batch), built at the first search of the family: a
+    refutation there is the member's verdict, with no system built, and
+    otherwise the member's own seeded draws are checked."""
     if draws < 0:
         raise ValueError(f"random draws must be >= 0, got {draws}")
     start = time.perf_counter()
@@ -775,30 +826,26 @@ def _search(
         directions = structured_directions(space)
         batch = per_space(_build_structured, space)
         labels = metric.rows.eigen_labels(batch)
-        if None not in labels and len(set(labels)) == 1:
-            run = len(directions) + draws
-        else:
-            rng = random.Random(seed)
-            n = space.dim_m
-            candidates = chain(
-                zip(directions, batch.ints, batch.parts),
-                ((None, _random_direction(rng, n), ()) for _ in range(draws)),
-            )
-            check = _direction_checker(space, metric)
-            for coords, x, parts in candidates:
-                run += 1
-                eigen = {labels[k] for k in parts}
-                if len(eigen) == 1 and None not in eigen:
-                    continue
-                solvable, rank_map, rank_aug = check(x)
-                if not solvable:
-                    status = STATUS_NOT_GO
-                    if coords is None:
-                        coords = tuple(map(Scalar.from_int, x))
-                    witness = Witness(
-                        coords=coords, rank_map=rank_map, rank_augmented=rank_aug
-                    )
-                    break
+        run = len(directions) + draws
+        if None in labels or len(set(labels)) > 1:
+            check = None
+            if two_block_family(space, metric):
+                found = per_space(_two_block_batch, space)
+            else:
+                check = _direction_checker(space, metric)
+                found = _first_refuted(
+                    check, labels, zip(directions, batch.ints, batch.parts)
+                )
+            if found is None:
+                if check is None:
+                    check = _direction_checker(space, metric)
+                rng = random.Random(seed)
+                n = space.dim_m
+                tail = ((None, _random_direction(rng, n), ()) for _ in range(draws))
+                found = _first_refuted(check, labels, tail, len(directions))
+            if found is not None:
+                status = STATUS_NOT_GO
+                run, witness = found
     return GoVerdict(
         status=status,
         samples_run=run,
@@ -848,6 +895,7 @@ def two_block_family(space: CatalogSpace, metric: MetricEndomorphism) -> bool:
     for metrics on a fibration (Tamaru, Osaka J. Math. 36 (1999);
     Alekseevsky-Nikonorov, SIGMA 5 (2009) 093) on two blocks.
     _direction_checker decides every member on the system of P_0 + 2 P_1,
+    _two_block_batch decides the structured batch once for every member,
     and classify searches one member per space."""
     cs = metric.rows.coeffs
     pair = cs is not None and len(cs) == len(set(cs)) == 2
@@ -899,9 +947,7 @@ def verify_witness(
     the replay is independent of the search in its elimination, its
     ambient coordinates and its metric, and the tests compare every
     solve_columns path with a Scalar Gauss-Jordan loop."""
-    sol, rank_map, rank_aug = solve_compensator(
-        space, metric, witness.vector(space)
-    )
+    sol, rank_map, rank_aug = solve_compensator(space, metric, witness.coords)
     return (
         sol is None
         and rank_map == witness.rank_map

@@ -266,7 +266,7 @@ def test_compensator_solution_verifies():
     x = zero_vector(L.dim)
     for c, row in zip(range(1, sp.dim_m + 1), sp.m.rows):
         x = vec_add(x, vec_scale(scalar(c), row))
-    a, rank_map, rank_aug = solve_compensator(sp, metric, x)
+    a, rank_map, rank_aug = solve_compensator(sp, metric, sp.m.coords(x))
     assert a is not None and rank_map == rank_aug
     y = metric.apply(x)
     assert L.bracket(a, y) == L.bracket(y, x)
@@ -277,7 +277,7 @@ def test_standard_metric_compensator_is_zero():
     metric = standard_metric(sp)
     L = sp.algebra
     x = vec_add(sp.m.rows[0], vec_scale(scalar(3), sp.m.rows[4]))
-    a, _, _ = solve_compensator(sp, metric, x)
+    a, _, _ = solve_compensator(sp, metric, sp.m.coords(x))
     assert a == zero_vector(L.dim)
 
 
@@ -433,7 +433,7 @@ def test_float_least_squares_cross_check():
         for c, row in zip(coords, sp.m.rows):
             if c:
                 x = vec_add(x, vec_scale(scalar(c), row))
-        sol, _, _ = solve_compensator(sp, metric, x)
+        sol, _, _ = solve_compensator(sp, metric, coords)
         L = sp.algebra
         y = metric.apply(x)
         columns = [L.bracket(a, y) for a in sp.h.rows]
@@ -484,9 +484,7 @@ def test_direction_kernel_matches_the_ambient_solve(space_id):
     for metric in metrics:
         check = _direction_checker(sp, metric)
         for coords in directions:
-            sol, rank_map, rank_aug = solve_compensator(
-                sp, metric, sp.m.combine(coords)
-            )
+            sol, rank_map, rank_aug = solve_compensator(sp, metric, coords)
             assert check(clear_denominators(coords)) == (
                 sol is not None, rank_map, rank_aug
             )
@@ -740,7 +738,7 @@ def test_eigen_directions_are_solvable(space_id):
             decided += 1
             assert mat_apply(metric.matrix, coords) == tuple(lam * c for c in coords)
             assert check(clear_denominators(coords))[0], (metric.params, coords)
-            sol, _, _ = solve_compensator(sp, metric, sp.m.combine(coords))
+            sol, _, _ = solve_compensator(sp, metric, coords)
             assert sol is not None, (metric.params, coords)
     assert decided >= 3 * len(batch.parts)
 
@@ -871,10 +869,44 @@ def test_search_matches_the_every_direction_loop_on_classify_candidates():
         assert_search_matches_reference(sp, metric, 12, 42)
 
 
+def forget_family_record(monkeypatch, space):
+    """Drop the space's two-block batch record (gocheck._two_block_batch),
+    so that the next search of its family builds it again, through the
+    checker.  An existing record is put back after the test."""
+    monkeypatch.delitem(space.derived, gocheck._two_block_batch, raising=False)
+
+
+def without_structured_batch(monkeypatch, space):
+    """Search the space with an empty structured batch, and so an empty
+    family record; both are put back after the test."""
+    components = len(isotypic_decompose(space).components)
+    empty = gocheck._Batch((), (), (), 0, components)
+    monkeypatch.setitem(space.derived, gocheck._build_structured, empty)
+    monkeypatch.setitem(space.derived, gocheck._two_block_batch, None)
+
+
+def count_solvers(monkeypatch):
+    """Record each call of the checker's int solver and of the ambient
+    solve, by name."""
+    calls = []
+    for name in ("solve_int_columns", "solve_compensator"):
+        original = getattr(gocheck, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(gocheck, name, counted)
+    return calls
+
+
 def test_eigen_directions_are_counted_but_not_checked(monkeypatch):
     # blocks (sqrt2, 1) on g2.3: components of dimensions 5 and 6.  The 11
     # basis vectors and the 4 sums within the first component are decided
     # by their lambda; the loop checks 3 cross sums, the last one refutes.
+    # The loop runs where the family's batch record is built, at the first
+    # search of the family; a second search reads the record and checks
+    # nothing.
     calls = []
 
     def counting_checker(*args):
@@ -888,11 +920,19 @@ def test_eigen_directions_are_counted_but_not_checked(monkeypatch):
 
     monkeypatch.setattr(gocheck, "_direction_checker", counting_checker)
     sp = catalog_space("g2.3")
-    verdict = find_witness(sp, metric_from_blocks(sp, (SQRT2, 1)), budget=50)
+    forget_family_record(monkeypatch, sp)
+    metric = metric_from_blocks(sp, (SQRT2, 1))
+    verdict = find_witness(sp, metric, budget=50)
     assert len(calls) == 3
     assert verdict.samples_run == 18
     assert verdict.witness is not None
     assert list(calls[-1]) == clear_denominators(verdict.witness.coords)
+    solved = count_solvers(monkeypatch)
+    again = find_witness(sp, metric, budget=50, seed=1)
+    assert (len(calls), solved) == (3, [])
+    assert again.to_dict(include_time=False) == {
+        **verdict.to_dict(include_time=False), "seed": 1
+    }
 
 
 # -- validation and the filters on the metric's lift ----------------------------
@@ -1091,6 +1131,9 @@ def test_the_search_lifts_no_metric_again(monkeypatch):
         sp = catalog_space(space_id)
         metric = metric_from_spec(sp, spec)
         find_witness(sp, metric)  # builds the per-space data
+        # The family's batch record is built again below, through the
+        # checker, and with no lift.
+        forget_family_record(monkeypatch, sp)
         metrics.append((sp, metric))
     lifted = []
     for name in ("lift_rows", "clear_denominators"):
@@ -1119,6 +1162,12 @@ def test_the_search_lifts_no_metric_again(monkeypatch):
         go_sample_check(sp, metric, samples=5)
     assert len(checked) > 10
     assert lifted == []
+    # A search of a refuted family, once its record is built, builds no
+    # checker at all.
+    checked.clear()
+    for sp, metric in metrics[:3]:
+        assert find_witness(sp, metric).witness is not None
+    assert checked == []
 
 
 def test_no_block_metric_is_lifted_on_the_catalogue_paths(monkeypatch):
@@ -1222,7 +1271,7 @@ def test_only_a_refuting_draw_builds_scalars(monkeypatch):
     verdict = go_sample_check(go_space, go_metric, samples=50, seed=7)
     assert verdict.status == "go_sampled" and verdict.samples_run > 50
     assert built == []
-    monkeypatch.setattr(gocheck, "structured_directions", lambda space: [])
+    without_structured_batch(monkeypatch, refuted_space)
     verdict = find_witness(refuted_space, refuted_metric, budget=50, seed=1)
     assert verdict.samples_run == 1
     assert len(built) == refuted_space.dim_m
@@ -1406,9 +1455,7 @@ def test_two_block_lemma_matches_solve_compensator(space_id):
         assert two_block_family(sp, metric), coeffs
         check = _direction_checker(sp, metric)
         for coords in directions:
-            sol, rank_map, rank_aug = solve_compensator(
-                sp, metric, sp.m.combine(coords)
-            )
+            sol, rank_map, rank_aug = solve_compensator(sp, metric, coords)
             refuted += sol is None
             assert check(clear_denominators(coords)) == (
                 sol is not None, rank_map, rank_aug
@@ -1470,9 +1517,7 @@ def test_a_block_metric_outside_the_family_is_lifted_on_demand(
         assert calls["lift"] == 1, spec
         answers = []
         for coords in directions:
-            sol, rank_map, rank_aug = solve_compensator(
-                sp, metric, sp.m.combine(coords)
-            )
+            sol, rank_map, rank_aug = solve_compensator(sp, metric, coords)
             refuted += sol is None
             answers.append((sol is not None, rank_map, rank_aug))
         monkeypatch.setattr(gocheck, "solve_compensator", solve)
@@ -1505,6 +1550,7 @@ def test_rational_spaces_never_call_solve_compensator(monkeypatch):
     monkeypatch.setattr(gocheck, "_two_block_rows", counted_rows)
     for space_id in IRRATIONAL_BLOCK_SPACES:
         sp = catalog_space(space_id)
+        forget_family_record(monkeypatch, sp)
         for _, _, metric in irrational_block_metrics(sp):
             find_witness(sp, metric, budget=10, seed=3)
             go_sample_check(sp, metric, samples=10, seed=3)
@@ -1609,8 +1655,8 @@ def test_a_random_draw_witness(seed, monkeypatch):
     # first random draw.  The witnesses were recorded when the draws were
     # Scalars; they pin the seeded stream of digits and the witness built
     # from a draw.
-    monkeypatch.setattr(gocheck, "structured_directions", lambda space: [])
     sp = catalog_space("c2.2")
+    without_structured_batch(monkeypatch, sp)
     metric = metric_from_spec(sp, "blocks:2,1")
     verdict = find_witness(sp, metric, budget=50, seed=seed)
     suffix = " + 0*r2 + 0*r3 + 0*r5 + 0*r6 + 0*r10 + 0*r15 + 0*r30"
@@ -1685,11 +1731,19 @@ def test_the_search_and_the_replay_share_no_elimination(monkeypatch):
 
         monkeypatch.setattr(liealg, name, counted)
     for sp, metric in searches:
+        # The family's batch record is built again, by the checker.
+        forget_family_record(monkeypatch, sp)
         calls.clear()
         verdict = go_sample_check(sp, metric)
         assert verdict.status == "not_go_certified"
         assert calls and set(calls) == {"_reduce_columns"}
+        # A second search reads the record and eliminates nothing.
         calls.clear()
+        again = go_sample_check(sp, metric)
+        assert again.to_dict(include_time=False) == verdict.to_dict(
+            include_time=False
+        )
+        assert calls == []
         assert verify_witness(sp, metric, verdict.witness)
         assert set(calls) == {"_reduce", "_eliminate"}
 
@@ -1906,3 +1960,86 @@ def test_every_two_block_metric_decides_each_direction_alike(space_id):
     assert len(results) == 1
     assert not gocheck.two_block_family(sp, metric_from_blocks(sp, (2, 2)))
     assert not gocheck.two_block_family(sp, explicit_metric(sp, metric.matrix))
+
+
+# -- the batch record of a two-block family -------------------------------------
+
+def family_verdicts(sp, metrics):
+    """Every verdict of both entry points, with 30 random draws, at seeds 7
+    and 42, by metric."""
+    return {
+        (metric.params, search.__name__, seed): search(sp, metric, 30, seed).to_dict(
+            include_time=False
+        )
+        for metric in metrics
+        for search in (find_witness, go_sample_check)
+        for seed in (7, 42)
+    }
+
+
+@pytest.mark.parametrize("space_id", TWO_BLOCK_SPACES)
+def test_the_family_record_gives_the_unrecorded_verdicts(space_id, monkeypatch):
+    # The batch of every two_block_family metric is decided once per space,
+    # on P_0 + 2 P_1 (gocheck._two_block_batch).  Each member's verdict is
+    # the one its own search gives with no record and on its own rows:
+    # two_block_family forced to False.  The record is built by the first
+    # member searched, in both orders of the members.
+    sp = catalog_space(space_id)
+    metrics = [
+        metric_from_blocks(sp, [parse_scalar(c) for c in pair])
+        for pair in FAMILY_PAIRS
+    ]
+    recorded = []
+    for order in (metrics, metrics[::-1]):
+        forget_family_record(monkeypatch, sp)
+        recorded.append(family_verdicts(sp, order))
+    with monkeypatch.context() as unrecorded:
+        unrecorded.setattr(gocheck, "two_block_family", lambda space, metric: False)
+        expected = family_verdicts(sp, metrics)
+    assert recorded[0] == recorded[1] == expected
+    refuted = {v["status"] == "not_go_certified" for v in expected.values()}
+    assert refuted == {space_id not in GO_FAMILY_SPACES}
+
+
+@pytest.mark.parametrize("space_id", GO_FAMILY_SPACES)
+def test_a_go_family_checks_its_seeded_draws_on_every_search(space_id, monkeypatch):
+    # A family whose batch refutes nothing keeps an empty record, and each
+    # search of a member checks its own seeded draws: all of them, one
+    # int solve each, and no batch direction.
+    sp = catalog_space(space_id)
+    metrics = [metric_from_blocks(sp, cs) for cs in ((1, 2), (3, 1), (SQRT2, 1))]
+    find_witness(sp, metrics[0], budget=0)
+    assert gocheck.per_space(gocheck._two_block_batch, sp) is None
+    batch = len(structured_directions(sp))
+    solved = count_solvers(monkeypatch)
+    for metric in metrics + metrics:
+        for search, seed in ((go_sample_check, 1), (find_witness, 2)):
+            solved.clear()
+            verdict = search(sp, metric, 15, seed)
+            assert (verdict.status, verdict.samples_run) == ("go_sampled", batch + 15)
+            assert solved == ["solve_int_columns"] * 15, (metric.params, seed)
+
+
+def test_the_family_record_is_built_once_per_space(monkeypatch):
+    # On fresh space objects, a refuted family (c2.2) and a GO family
+    # (c2.1): the record is built at the first search, and 50 more searches
+    # of distinct members at distinct seeds build nothing more per space.
+    builds = []
+    original = gocheck._two_block_batch
+
+    def counted(space):
+        builds.append(space.space_id)
+        return original(space)
+
+    monkeypatch.setattr(gocheck, "_two_block_batch", counted)
+    for space_id in ("c2.2", "c2.1"):
+        sp = catalog_space.__wrapped__(space_id)
+        find_witness(sp, metric_from_blocks(sp, (2, 1)), budget=10, seed=0)
+        keys, record = set(sp.derived), sp.derived[counted]
+        for k in range(50):
+            metric = metric_from_blocks(sp, (1, Fraction(k + 3, 2)))
+            search = (find_witness, go_sample_check)[k % 2]
+            search(sp, metric, 10, k)
+        assert set(sp.derived) == keys
+        assert sp.derived[counted] is record
+    assert builds == ["c2.2", "c2.1"]
